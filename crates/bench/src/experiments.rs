@@ -1,8 +1,9 @@
 //! One function per paper table/figure.
 //!
-//! Every function prints the same rows the paper plots. See DESIGN.md's
-//! experiment index for the mapping and EXPERIMENTS.md for recorded
-//! paper-vs-measured outcomes.
+//! Every function prints the same rows the paper plots; each one's doc
+//! comment names the figure or table it regenerates. The recorded
+//! paper-vs-measured numbers live in the "Accuracy" section of
+//! `benchmark/README.md`.
 
 use grs_core::hw_cost::hw_cost;
 use grs_core::{

@@ -5,7 +5,8 @@
 //! memoization, in-flight dedup, and supervised workers — its batch client
 //! ([`runner`]), plus one function per paper table/figure
 //! ([`experiments`]). Each experiment prints the same rows/series the paper
-//! reports so that EXPERIMENTS.md can record paper-vs-measured side by side.
+//! reports, so its output compares with the paper side by side; the
+//! recorded paper-vs-measured numbers are in `benchmark/README.md`.
 
 pub mod experiments;
 pub mod perf;

@@ -9,12 +9,10 @@
 //! job order — no shared result slots beyond the service, no cloning of
 //! job data.
 //!
-//! Sweeps are crash-hardened by the service's per-job ladder: every job
-//! runs under the full supervision stack plus `catch_unwind`, a failing job
-//! is retried once on the sequential engine (no worker threads, the most
-//! conservative configuration), and a job that still fails is *recorded* in
-//! the sweep report ([`run_all_report`]) rather than aborting the other few
-//! hundred simulations of an overnight sweep.
+//! Sweeps are crash-hardened by the service: every job runs under the
+//! supervision stack plus `catch_unwind`, and a job that fails is
+//! *recorded* in the sweep report ([`run_all_report`]) rather than aborting
+//! the other few hundred simulations of an overnight sweep.
 //!
 //! Because the service is process-wide, duplicate (configuration, kernel)
 //! pairs are simulated **once per process**, not once per occurrence — a
@@ -62,15 +60,10 @@ pub fn shrink_grid(kernel: &mut Kernel, divisor: u32) {
 pub struct JobResult {
     /// The job's label, verbatim.
     pub label: String,
-    /// Statistics, if any attempt succeeded.
+    /// Statistics, if the run succeeded.
     pub stats: Option<SimStats>,
-    /// Simulation attempts made (1, or 2 after a retry).
-    pub attempts: u32,
-    /// The first attempt panicked but the sequential-engine retry
-    /// succeeded; [`Self::error`] holds the original panic.
-    pub recovered: bool,
-    /// Panic message: the first attempt's if recovered, the retry's if the
-    /// job failed outright, `None` on a clean run.
+    /// The configuration error or panic message of a failed run, `None` on
+    /// success.
     pub error: Option<String>,
 }
 
@@ -86,19 +79,17 @@ pub fn run_all_report(jobs: Vec<Job>) -> Vec<JobResult> {
 }
 
 /// Run every job, in parallel across available cores; results come back in
-/// job order. A job that fails even after the sequential-engine retry
-/// contributes default (all-zero) statistics under its label, with a
-/// warning on stderr — experiments index results positionally and must
-/// receive exactly one entry per job.
+/// job order. A job that fails contributes default (all-zero) statistics
+/// under its label, with a warning on stderr — experiments index results
+/// positionally and must receive exactly one entry per job.
 pub fn run_all(jobs: Vec<Job>) -> Vec<(String, SimStats)> {
     run_all_report(jobs)
         .into_iter()
         .map(|r| {
             let stats = r.stats.unwrap_or_else(|| {
                 eprintln!(
-                    "warning: job `{}` failed after {} attempts ({}); reporting zeroed stats",
+                    "warning: job `{}` failed ({}); reporting zeroed stats",
                     r.label,
-                    r.attempts,
                     r.error.as_deref().unwrap_or("no panic message")
                 );
                 SimStats::default()
@@ -163,8 +154,8 @@ mod tests {
 
     #[test]
     fn a_failing_job_is_recorded_without_sinking_the_sweep() {
-        // grid_blocks = 0 fails validation, so `Simulator::run` panics on
-        // both attempts; the sweep must still return every job in order.
+        // grid_blocks = 0 fails validation; the sweep must still return
+        // every job in order.
         let mut cfg = RunConfig::baseline_lrr();
         cfg.gpu.num_sms = 1;
         let good = KernelBuilder::new("good")
@@ -184,12 +175,9 @@ mod tests {
         assert_eq!(report.len(), 3);
         assert_eq!(report[0].label, "a");
         assert!(report[0].stats.is_some() && report[0].error.is_none());
-        assert_eq!(report[0].attempts, 1);
         let failed = &report[1];
         assert_eq!(failed.label, "boom");
         assert!(failed.stats.is_none());
-        assert_eq!(failed.attempts, 2);
-        assert!(!failed.recovered);
         assert!(failed.error.is_some());
         assert!(report[2].stats.is_some());
 

@@ -12,9 +12,9 @@
 //! configuration reports its panic instead of sinking the table.
 //!
 //! With `--check`, the baseline row additionally re-runs on the per-cycle
-//! reference loop and the 2-shard epoch engine and asserts bit-identical
-//! statistics — the same differential oracle `tests/generated_differential.rs`
-//! applies to the whole pinned corpus, available ad hoc for any scenario.
+//! reference loop and asserts bit-identical statistics — the same
+//! differential oracle `tests/generated_differential.rs` applies to the
+//! whole pinned corpus, available ad hoc for any scenario.
 
 use grs_sim::{MemoryModel, RunConfig, SimStats, Simulator};
 
@@ -52,7 +52,7 @@ fn row(label: &str, stats: &SimStats) -> String {
 
 /// Run `scenario` across the configuration matrix and print the table.
 /// `quick` divides the grid by 4 (floored like every other experiment);
-/// `check` re-runs the baseline on the reference and sharded engines and
+/// `check` re-runs the baseline on the per-cycle reference engine and
 /// asserts bit-identity.
 pub fn run_scenario(scenario: &str, quick: bool, check: bool) -> Result<(), String> {
     let mut kernel = grs_workloads::benchmark(scenario).ok_or_else(|| {
@@ -95,9 +95,8 @@ pub fn run_scenario(scenario: &str, quick: bool, check: bool) -> Result<(), Stri
             None => {
                 failed = true;
                 println!(
-                    "{:<14} FAILED after {} attempts: {}",
+                    "{:<14} FAILED: {}",
                     r.label,
-                    r.attempts,
                     r.error.as_deref().unwrap_or("no panic message")
                 );
             }
@@ -106,22 +105,15 @@ pub fn run_scenario(scenario: &str, quick: bool, check: bool) -> Result<(), Stri
 
     if check {
         let baseline = baseline.ok_or("baseline row failed; nothing to check against")?;
-        for (label, cfg) in [
-            (
-                "reference",
-                RunConfig::baseline_lrr().with_fast_forward(false),
-            ),
-            ("shards-2", RunConfig::baseline_lrr().with_shards(Some(2))),
-        ] {
-            let stats = Simulator::new(cfg).run(&kernel);
-            if stats != baseline {
-                return Err(format!(
-                    "engine divergence: {label} disagrees with the fast-forward \
-                     baseline on `{scenario}`"
-                ));
-            }
+        let reference =
+            Simulator::new(RunConfig::baseline_lrr().with_fast_forward(false)).run(&kernel);
+        if reference != baseline {
+            return Err(format!(
+                "engine divergence: the per-cycle reference disagrees with the \
+                 fast-forward baseline on `{scenario}`"
+            ));
         }
-        println!("check OK: reference and shards-2 engines are bit-identical to the baseline");
+        println!("check OK: the per-cycle reference engine is bit-identical to the baseline");
     }
     if failed {
         return Err("one or more matrix rows failed".to_string());

@@ -134,9 +134,6 @@ mod tests {
     fn outcome(tag: &str) -> Arc<JobOutcome> {
         Arc::new(JobOutcome {
             report: Err(tag.to_string()),
-            attempts: 1,
-            recovered_panic: false,
-            first_error: None,
         })
     }
 

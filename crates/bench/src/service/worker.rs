@@ -1,20 +1,16 @@
-//! Job execution: the worker loop, the inline helper, and the per-job
-//! recovery ladder.
+//! Job execution: the worker loop and the inline helper.
 //!
-//! Every job runs under the full PR-7 supervision stack —
-//! [`Simulator::try_run_report`] brings checkpoint/resume, the livelock
-//! watchdog, and the shard-degradation ladder — and this module adds the
-//! outermost rung: `catch_unwind` around the whole supervised run, with one
-//! retry on the sequential engine (`shards: None`, the smallest possible
-//! surface) if the first attempt panics *or* returns a `RunError`. A job
-//! that fails both attempts is recorded as a failed [`JobOutcome`] — and
-//! memoized, because the simulator is deterministic and resubmitting a
-//! doomed config should not re-run its doomed retry ladder.
+//! Every job runs under the simulator's supervision stack —
+//! [`Simulator::try_run_report`] brings checkpoints and the livelock
+//! watchdog — and this module adds `catch_unwind` around the whole run. A
+//! job that panics or returns a `RunError` is recorded as a failed
+//! [`JobOutcome`] and memoized like any other: the simulator is
+//! deterministic, so a retry would fail the same way.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use grs_sim::{RunConfig, RunReport, Simulator};
+use grs_sim::Simulator;
 
 use super::queue::{Shared, Task};
 use super::JobOutcome;
@@ -27,43 +23,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-fn attempt(cfg: &RunConfig, task: &Task) -> Result<RunReport, String> {
-    let sim = Simulator::new(cfg.clone());
-    catch_unwind(AssertUnwindSafe(|| match &task.faults {
-        Some(plan) => sim.try_run_report_with_faults(&task.kernel, plan),
-        None => sim.try_run_report(&task.kernel),
-    }))
-    .map_err(panic_message)
-    .and_then(|r| r.map_err(|e| e.to_string()))
-}
-
-/// Run the simulation with the two-attempt ladder described in the module
-/// docs. Pure with respect to the service (no locks taken).
+/// Run the simulation, turning a panic or a configuration error into a
+/// failed outcome. Pure with respect to the service (no locks taken).
 fn execute(task: &Task) -> JobOutcome {
-    match attempt(&task.cfg, task) {
-        Ok(report) => JobOutcome {
-            report: Ok(Arc::new(report)),
-            attempts: 1,
-            recovered_panic: false,
-            first_error: None,
-        },
-        Err(first) => {
-            let retry = task.cfg.clone().with_shards(None);
-            match attempt(&retry, task) {
-                Ok(report) => JobOutcome {
-                    report: Ok(Arc::new(report)),
-                    attempts: 2,
-                    recovered_panic: true,
-                    first_error: Some(first),
-                },
-                Err(second) => JobOutcome {
-                    report: Err(second),
-                    attempts: 2,
-                    recovered_panic: false,
-                    first_error: Some(first),
-                },
-            }
-        }
+    let sim = Simulator::new(task.cfg.clone());
+    let report = catch_unwind(AssertUnwindSafe(|| sim.try_run_report(&task.kernel)))
+        .map_err(panic_message)
+        .and_then(|r| r.map_err(|e| e.to_string()));
+    JobOutcome {
+        report: report.map(Arc::new),
     }
 }
 
@@ -77,13 +45,8 @@ pub(super) fn run_one(shared: &Shared, task: Task) {
     let cell = {
         let mut state = shared.state.lock().unwrap();
         state.stats.executed += 1;
-        match &outcome.report {
-            Ok(report) => {
-                if outcome.recovered_panic || !report.recoveries.is_empty() {
-                    state.stats.recovered += 1;
-                }
-            }
-            Err(_) => state.stats.failed += 1,
+        if outcome.report.is_err() {
+            state.stats.failed += 1;
         }
         state.memo.insert(task.key, Arc::clone(&outcome));
         state.stats.evicted = state.memo.evicted();

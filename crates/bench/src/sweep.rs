@@ -82,26 +82,24 @@ fn build_jobs(specs: &[String], matrix: bool, quick: bool) -> Result<Vec<Job>, S
 
 fn print_results(results: &[JobResult]) -> bool {
     println!(
-        "{:<40} {:>10} {:>8} {:>7} {:>8}",
-        "job", "cycles", "ipc", "blocks", "attempts"
+        "{:<40} {:>10} {:>8} {:>7}",
+        "job", "cycles", "ipc", "blocks"
     );
     let mut failed = false;
     for r in results {
         match &r.stats {
             Some(s) => println!(
-                "{:<40} {:>10} {:>8.3} {:>7} {:>8}",
+                "{:<40} {:>10} {:>8.3} {:>7}",
                 r.label,
                 s.cycles,
                 s.ipc(),
-                s.blocks_completed,
-                r.attempts
+                s.blocks_completed
             ),
             None => {
                 failed = true;
                 println!(
-                    "{:<40} FAILED after {} attempts: {}",
+                    "{:<40} FAILED: {}",
                     r.label,
-                    r.attempts,
                     r.error.as_deref().unwrap_or("no error message")
                 );
             }

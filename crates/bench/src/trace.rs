@@ -69,7 +69,6 @@ fn event_parts(e: &TelemetryEvent) -> (&'static str, String) {
             if gated { "gated_sleep" } else { "sleep" },
             format!("{{\"until\":{until},\"gated\":{gated}}}"),
         ),
-        TelemetryEvent::EpochCommit => ("epoch_commit", "{}".to_string()),
         TelemetryEvent::MshrFill { part } => ("mshr_fill", format!("{{\"part\":{part}}}")),
         TelemetryEvent::MshrMerge { part } => ("mshr_merge", format!("{{\"part\":{part}}}")),
         TelemetryEvent::DramAdmit { part } => ("dram_admit", format!("{{\"part\":{part}}}")),
@@ -78,13 +77,6 @@ fn event_parts(e: &TelemetryEvent) -> (&'static str, String) {
         TelemetryEvent::WatermarkUpdate { watermark } => {
             ("watermark", format!("{{\"watermark\":{watermark}}}"))
         }
-        TelemetryEvent::Recovery {
-            from_shards,
-            to_shards,
-        } => (
-            "recovery",
-            format!("{{\"from_shards\":{from_shards},\"to_shards\":{to_shards}}}"),
-        ),
     }
 }
 

@@ -136,68 +136,6 @@ impl DynThrottle {
         }
     }
 
-    /// Next window deadline, `u64::MAX` when the throttle is disabled (no
-    /// window ever closes). The sharded engine uses this as its free-run
-    /// horizon: no SM may step past a deadline before the window closes.
-    #[inline]
-    pub fn next_deadline(&self) -> u64 {
-        if self.enabled {
-            self.next_deadline
-        } else {
-            u64::MAX
-        }
-    }
-
-    /// Current per-SM probabilities (sharded engine: broadcast source after
-    /// a window close on the coordinator's instance).
-    #[inline]
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
-    }
-
-    /// Shard-clone side of a window close: credit a sleeping `sm`'s idle
-    /// cycles through `deadline` (exactly as [`Self::advance_to`] would at
-    /// that boundary), then take and reset its window stall count. The
-    /// coordinator drains every SM from its owning clone and feeds the
-    /// counts to [`Self::close_window_with`] on the master instance.
-    pub fn drain_window_stalls(&mut self, sm: usize, deadline: u64) -> u64 {
-        if let Some(s) = self.idle_since[sm] {
-            if s <= deadline {
-                self.window_stalls[sm] += deadline - s + 1;
-                self.idle_since[sm] = Some(deadline + 1);
-            }
-        }
-        std::mem::take(&mut self.window_stalls[sm])
-    }
-
-    /// Master side of a sharded window close: adjust probabilities from
-    /// externally collected per-SM window stall counts (index 0 is the
-    /// reference SM, as in [`Self::close_window`]) and advance the deadline.
-    /// Requires an enabled throttle.
-    pub fn close_window_with(&mut self, stalls: &[u64]) {
-        debug_assert!(self.enabled);
-        debug_assert_eq!(stalls.len(), self.probs.len());
-        let reference = stalls.first().copied().unwrap_or(0);
-        for (prob, &stall) in self.probs.iter_mut().zip(stalls).skip(1) {
-            if stall > reference {
-                *prob = (*prob - self.step).max(0.0);
-            } else if stall < reference {
-                *prob = (*prob + self.step).min(1.0);
-            }
-        }
-        self.next_deadline += self.period;
-    }
-
-    /// Shard-clone side of a window close, after
-    /// [`Self::drain_window_stalls`]: adopt the master's post-close
-    /// probabilities and advance the deadline. Window counters were already
-    /// reset by the drain.
-    pub fn sync_after_window(&mut self, probs: &[f64]) {
-        debug_assert!(self.enabled);
-        self.probs.copy_from_slice(probs);
-        self.next_deadline += self.period;
-    }
-
     /// Fast-forward support: `sm` goes to sleep starting at cycle `from`,
     /// idle with live warps. While asleep it would call [`Self::note_stall`]
     /// once per cycle; instead the span is credited lazily — per window by
@@ -215,19 +153,6 @@ impl DynThrottle {
             debug_assert!(since <= now);
             self.window_stalls[sm] += now - since;
         }
-    }
-
-    /// Adopt `sm`'s live per-SM bookkeeping — window stall count, pending
-    /// idle-span anchor and RNG stream position — from `src`. The sharded
-    /// engine's span teardown uses this to fold each shard clone's state
-    /// back into the master instance so a checkpoint taken at the span
-    /// boundary carries the exact per-SM state the sequential loop would
-    /// hold (probabilities and the deadline already live on the master via
-    /// [`Self::close_window_with`]).
-    pub fn adopt_sm(&mut self, sm: usize, src: &DynThrottle) {
-        self.window_stalls[sm] = src.window_stalls[sm];
-        self.idle_since[sm] = src.idle_since[sm];
-        self.rng_state[sm] = src.rng_state[sm];
     }
 
     /// Fire every window boundary up to and including `now`, crediting
@@ -400,66 +325,6 @@ mod tests {
                 assert_eq!(fast.rng_state, slow.rng_state);
             }
         }
-    }
-
-    #[test]
-    fn sharded_window_close_matches_the_sequential_close() {
-        // The sharded engine splits a window close across per-shard clones
-        // (drain_window_stalls) and a master (close_window_with +
-        // sync_after_window broadcast). Driving that protocol must leave
-        // every instance with the probabilities and deadline the sequential
-        // advance_to path computes from the same per-cycle history.
-        let mut seq = DynThrottle::new(4, 1000, 0.1, true);
-        // Clone A owns SMs 0 and 2, clone B owns SMs 1 and 3.
-        let mut master = DynThrottle::new(4, 1000, 0.1, true);
-        let mut a = master.clone();
-        let mut b = master.clone();
-        for window in 0u64..3 {
-            let base = window * 1000;
-            // SM1 stalls 40/window, SM3 stalls 10/window, SM2 sleeps the
-            // whole window, SM0 (reference) stalls 20/window.
-            for _ in 0..20 {
-                seq.note_stall(0);
-                a.note_stall(0);
-            }
-            for _ in 0..40 {
-                seq.note_stall(1);
-                b.note_stall(1);
-            }
-            for _ in 0..10 {
-                seq.note_stall(3);
-                b.note_stall(3);
-            }
-            if window == 0 {
-                seq.sleep_sm(2, 5);
-                a.sleep_sm(2, 5);
-            }
-            seq.advance_to(base + 1000);
-            let deadline = base + 1000;
-            let stalls = [
-                a.drain_window_stalls(0, deadline),
-                b.drain_window_stalls(1, deadline),
-                a.drain_window_stalls(2, deadline),
-                b.drain_window_stalls(3, deadline),
-            ];
-            master.close_window_with(&stalls);
-            let probs = master.probs().to_vec();
-            a.sync_after_window(&probs);
-            b.sync_after_window(&probs);
-        }
-        assert_eq!(master.probs(), seq.probs());
-        assert_eq!(a.probs(), seq.probs());
-        assert_eq!(b.probs(), seq.probs());
-        assert_eq!(master.next_deadline(), seq.next_deadline());
-        assert_eq!(a.next_deadline(), seq.next_deadline());
-        // The sleeper's pending span was re-anchored identically.
-        assert_eq!(a.idle_since[2], seq.idle_since[2]);
-    }
-
-    #[test]
-    fn disabled_throttle_reports_no_deadline() {
-        assert_eq!(DynThrottle::disabled(2).next_deadline(), u64::MAX);
-        assert_eq!(DynThrottle::paper(2).next_deadline(), 1000);
     }
 
     #[test]

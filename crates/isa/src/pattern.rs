@@ -1,7 +1,7 @@
 //! Memory address patterns.
 //!
-//! The paper's benchmarks are real CUDA programs; we model them (see
-//! DESIGN.md, substitution table) with synthetic kernels whose memory
+//! The paper's benchmarks are real CUDA programs; we model them (see the
+//! `grs-workloads` crate docs) with synthetic kernels whose memory
 //! instructions carry a *pattern* describing how the 32 lanes of a warp
 //! compute addresses. The simulator's coalescer expands a pattern into
 //! 128-byte line transactions, and the L1/L2 models do the rest — so the

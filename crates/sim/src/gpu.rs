@@ -239,8 +239,8 @@ impl Gpu {
     }
 
     /// Overwrite this machine with `snap`'s state and return the engine
-    /// state to resume from. The snapshot is reusable (recovery may restore
-    /// it more than once).
+    /// state to resume from. The snapshot is reusable: restoring it twice
+    /// resumes from the same state twice.
     pub fn restore(&mut self, snap: &Snapshot) -> EngineState {
         *self = snap.gpu.clone();
         snap.engine.clone()

@@ -15,11 +15,12 @@
 //! and when no SM can make progress the run loop fast-forwards the clock to
 //! the next writeback while crediting the skipped span to the same idle /
 //! empty counters the per-cycle loop would have produced — statistics are
-//! bit-identical with [`RunConfig::fast_forward`] on or off. On top of
-//! that, [`RunConfig::shards`] runs the SM array on worker threads with an
-//! epoch-batched commit protocol ([`shard`]) that keeps every shared-state
-//! interaction in the sequential engine's canonical order — statistics stay
-//! bit-identical for any shard count.
+//! bit-identical with [`RunConfig::fast_forward`] on or off, and the
+//! per-cycle loop stays as the oracle the fast path is diffed against.
+//!
+//! Every run goes through a small supervisor ([`supervise`]): bounded spans
+//! with optional checkpoints, a forward-progress watchdog, and opt-in
+//! telemetry — none of which changes a statistic.
 //!
 //! Global-memory timing comes in two selectable models
 //! ([`RunConfig::memory_model`]): the default **functional** model computes
@@ -63,7 +64,6 @@ pub mod mem;
 pub mod rng;
 pub mod run;
 pub mod server;
-pub mod shard;
 pub mod sm;
 pub mod stats;
 pub mod supervise;
@@ -74,9 +74,7 @@ pub mod wheel;
 pub use mem::MemoryModel;
 pub use run::{RunConfig, SharingMode, Simulator};
 pub use stats::{MemStats, SimStats, SmStats};
-pub use supervise::{
-    FaultPlan, MemDiag, RecoveryEvent, RunOutcome, RunReport, ServiceStats, SmDiag, StallDiagnosis,
-};
+pub use supervise::{MemDiag, RunOutcome, RunReport, ServiceStats, SmDiag, StallDiagnosis};
 pub use telemetry::{
     MemSampleRow, SampleRow, StallReason, TelemetryConfig, TelemetryEvent, TelemetryReport,
     TraceRecord, Track, TrackStats,

@@ -372,7 +372,7 @@ pub struct EventMem {
     /// Cycle the integrals are valid through.
     clock: u64,
     /// Telemetry recording state (`None` unless tracing is on). Rides the
-    /// clone into snapshots so rollback restores the buffers.
+    /// clone into snapshots so a restore carries the buffers.
     telemetry: Option<Box<MemTelemetry>>,
 }
 
@@ -431,7 +431,7 @@ impl EventMem {
         // reflects the totals after every release due *before* `b` and
         // before any due *at* `b` — a rule that depends only on the release
         // trajectory, not on when the lazy `advance_to` calls happen, so
-        // the rows are identical across engines and shard counts.
+        // the rows are identical across engines.
         if let Some(t) = self.telemetry.as_deref_mut() {
             while t.next_sample <= to {
                 t.emit_row(self.total_mshr, self.total_dram);
@@ -846,9 +846,9 @@ mod tests {
 
     #[test]
     fn capacity_release_is_visible_exactly_at_its_cycle() {
-        // The tie-break the sharded commit phase (and the gated-sleep wake
-        // path) relies on: a release due at cycle `r` is applied by
-        // `advance_to(r)` — i.e. an SM woken at `r` that settles the memory
+        // The tie-break the gated-sleep wake path relies on: a release due
+        // at cycle `r` is applied by `advance_to(r)` — i.e. an SM woken at
+        // `r` that settles the memory
         // system before scanning observes the freed capacity that very
         // cycle, never one later. Same-cycle SM writebacks drain before
         // `advance_to` runs (see `Sm::step`), so the order within the wake

@@ -11,7 +11,7 @@ use crate::gpu::Gpu;
 use crate::kinfo::KernelInfo;
 use crate::mem::MemoryModel;
 use crate::stats::SimStats;
-use crate::supervise::{FaultPlan, RunReport};
+use crate::supervise::RunReport;
 use crate::telemetry::TelemetryConfig;
 
 /// Whether (and which) resource sharing is active for a run.
@@ -92,29 +92,18 @@ pub struct RunConfig {
     /// per-partition L2 banks with finite MSHR tables and bounded DRAM
     /// queues whose back-pressure gates SM issue.
     pub memory_model: MemoryModel,
-    /// Shard the SM array across this many worker threads using the
-    /// epoch-batched commit protocol (see the `grs_sim::shard` module docs).
-    /// `None` (the default) runs the sequential engine. Results are
-    /// **bit-identical** for any shard count — sharding is purely a
-    /// wall-clock optimization, pinned by `tests/shard_equivalence.rs`.
-    /// A count of 0 or 1, or a single-SM machine, degrades to the epoch
-    /// engine on one thread. Sharding implies the event-driven fast-forward
-    /// stepping rules internally regardless of [`Self::fast_forward`] (the
-    /// two are bit-identical, so this is unobservable in the statistics).
-    pub shards: Option<usize>,
     /// Snapshot the complete machine state every this many cycles (see the
     /// `grs_sim::supervise` module docs). `None` (the default) never
     /// checkpoints mid-run. Checkpointing is unobservable in the
     /// statistics — resuming from any snapshot is bit-identical to the
-    /// straight run, pinned by `tests/checkpoint_resume.rs` — and is what
-    /// the sharded engine's panic recovery rolls back to.
+    /// straight run, pinned by `tests/checkpoint_resume.rs`.
     pub checkpoint_every: Option<u64>,
     /// Cycle-level telemetry: structured event tracing and periodic metric
     /// sampling (see the [`crate::telemetry`] module docs). `None` (the
     /// default) records nothing and adds no per-cycle work. Tracing is
     /// **observation-only**: [`SimStats`] are bit-identical with telemetry
     /// on or off, pinned by `tests/telemetry.rs` across the full scheduler ×
-    /// sharing × memory-model matrix on all three engines.
+    /// sharing × memory-model matrix on both engines.
     pub telemetry: Option<TelemetryConfig>,
     /// Forward-progress watchdog window, in cycles. If the run reaches a
     /// cycle at least this far past the last provable progress (an issued
@@ -144,7 +133,6 @@ impl RunConfig {
             reorder_decls: false,
             fast_forward: true,
             memory_model: MemoryModel::Functional,
-            shards: None,
             checkpoint_every: None,
             telemetry: None,
             watchdog: None,
@@ -236,13 +224,6 @@ impl RunConfig {
         self
     }
 
-    /// Shard the SM array across `n` worker threads (`None` = sequential;
-    /// see [`Self::shards`]).
-    pub fn with_shards(mut self, n: Option<usize>) -> Self {
-        self.shards = n;
-        self
-    }
-
     /// Checkpoint the machine state every `c` cycles (`None` = never; see
     /// [`Self::checkpoint_every`]).
     pub fn with_checkpoint_every(mut self, c: Option<u64>) -> Self {
@@ -288,6 +269,13 @@ pub enum RunError {
     },
     /// Not even one block fits on an SM.
     KernelDoesNotFit,
+    /// A machine-description field that must be nonzero is zero (no SMs, no
+    /// warp schedulers, or zero-byte cache lines): the machine could never
+    /// run a block.
+    DegenerateMachine {
+        /// The offending `GpuConfig` field.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -301,6 +289,9 @@ impl std::fmt::Display for RunError {
                 )
             }
             RunError::KernelDoesNotFit => write!(f, "kernel does not fit on one SM"),
+            RunError::DegenerateMachine { field } => {
+                write!(f, "machine config `{field}` must be nonzero")
+            }
         }
     }
 }
@@ -345,35 +336,33 @@ impl Simulator {
 
     /// Simulate `kernel`; returns statistics or a configuration error.
     ///
-    /// Equivalent to [`Self::try_run_report`] with the outcome and recovery
-    /// metadata discarded.
+    /// Equivalent to [`Self::try_run_report`] with the outcome and
+    /// checkpoint count discarded.
     pub fn try_run(&self, kernel: &Kernel) -> Result<SimStats, RunError> {
         self.try_run_report(kernel).map(|r| r.stats)
     }
 
     /// Simulate `kernel` under supervision; returns the full
-    /// [`RunReport`] (statistics plus outcome, recovery events and
-    /// checkpoint count) or a configuration error.
+    /// [`RunReport`] (statistics plus outcome and checkpoint count) or a
+    /// configuration error.
     pub fn try_run_report(&self, kernel: &Kernel) -> Result<RunReport, RunError> {
-        self.try_run_report_with(kernel, None)
+        let (gpu, kinfo) = self.prepare(kernel)?;
+        Ok(crate::supervise::supervise(&self.cfg, gpu, &kinfo))
     }
 
-    /// [`Self::try_run_report`] with a deterministic [`FaultPlan`]
-    /// injecting worker panics into the sharded engine — the test entry
-    /// point that proves the recovery path yields bit-identical statistics.
-    pub fn try_run_report_with_faults(
-        &self,
-        kernel: &Kernel,
-        faults: &FaultPlan,
-    ) -> Result<RunReport, RunError> {
-        self.try_run_report_with(kernel, Some(faults))
-    }
-
-    fn try_run_report_with(
-        &self,
-        kernel: &Kernel,
-        faults: Option<&FaultPlan>,
-    ) -> Result<RunReport, RunError> {
+    /// Validate the configuration and `kernel`, then build the machine that
+    /// will run them.
+    pub(crate) fn prepare(&self, kernel: &Kernel) -> Result<(Gpu, KernelInfo), RunError> {
+        let gpu = &self.cfg.gpu;
+        for (field, value) in [
+            ("num_sms", gpu.num_sms),
+            ("sm.schedulers", gpu.sm.schedulers),
+            ("mem.line_bytes", gpu.mem.line_bytes),
+        ] {
+            if value == 0 {
+                return Err(RunError::DegenerateMachine { field });
+            }
+        }
         grs_isa::validate(kernel).map_err(RunError::InvalidKernel)?;
         if kernel.regs_per_thread > 64 {
             return Err(RunError::TooManyRegisters {
@@ -390,20 +379,17 @@ impl Simulator {
         }
         let kinfo = KernelInfo::new(kernel, self.cfg.sharing.resource(), self.cfg.threshold);
         let gpu = Gpu::new(
-            &self.cfg.gpu,
+            gpu,
             &kinfo,
             plan,
             self.cfg.scheduler,
             self.cfg.dyn_throttle,
             self.cfg.sharing.resource(),
-            // The sharded engine free-runs SMs between interaction points,
-            // which is exactly the fast-forward stepping discipline — force
-            // the incremental scan on (bit-identical either way).
-            self.cfg.fast_forward || self.cfg.shards.is_some(),
+            self.cfg.fast_forward,
             self.cfg.memory_model,
             self.cfg.telemetry,
         );
-        Ok(crate::supervise::supervise(&self.cfg, gpu, &kinfo, faults))
+        Ok((gpu, kinfo))
     }
 
     /// Simulate `kernel`; panics on configuration errors (convenience for
@@ -488,6 +474,20 @@ mod tests {
             .build();
         let err = Simulator::new(RunConfig::baseline_lrr()).try_run(&k);
         assert_eq!(err, Err(RunError::TooManyRegisters { regs: 65 }));
+    }
+
+    #[test]
+    fn degenerate_machines_are_rejected() {
+        for field in ["num_sms", "sm.schedulers", "mem.line_bytes"] {
+            let mut cfg = RunConfig::baseline_lrr();
+            match field {
+                "num_sms" => cfg.gpu.num_sms = 0,
+                "sm.schedulers" => cfg.gpu.sm.schedulers = 0,
+                _ => cfg.gpu.mem.line_bytes = 0,
+            }
+            let err = Simulator::new(cfg).try_run_report(&small_kernel());
+            assert_eq!(err, Err(RunError::DegenerateMachine { field }));
+        }
     }
 
     #[test]

@@ -218,10 +218,8 @@ impl SimStats {
     }
 
     /// Roll per-SM counters (in SM-id order) and the shared-memory counters
-    /// into whole-run statistics. Both execution engines — the sequential
-    /// loop and the sharded epoch loop — build their result through this one
-    /// function, so the sharded path cannot drift from the sequential one in
-    /// how counters are folded (the bit-identity the equivalence suite pins).
+    /// into whole-run statistics, in one place so every engine folds its
+    /// counters the same way (the bit-identity the equivalence suite pins).
     pub fn aggregate<'a, I>(cycles: u64, timed_out: bool, mem: MemStats, sms: I) -> SimStats
     where
         I: IntoIterator<Item = &'a SmStats>,

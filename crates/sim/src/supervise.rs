@@ -1,6 +1,5 @@
-//! Supervised execution: checkpoint/resume, the forward-progress watchdog,
-//! panic recovery with graceful degradation, and deterministic fault
-//! injection.
+//! Supervised execution: checkpoint/resume and the forward-progress
+//! watchdog.
 //!
 //! ## Checkpoint/resume
 //!
@@ -28,138 +27,15 @@
 //! ([`crate::gpu::Gpu::progress_watermark`]). Past the watermark every
 //! wheel is provably empty and no warp state can ever change, so the trip
 //! is a proof of livelock, not a guess; and because the watermark's inputs
-//! are engine-invariant, the per-cycle, fast-forward and sharded engines
-//! all trip at the same cycle with bit-identical statistics. The run ends
-//! with a populated [`StallDiagnosis`] in the [`RunReport`].
-//!
-//! ## Panic recovery and the degradation ladder
-//!
-//! Sharded workers free-run under `catch_unwind` with poisoned-barrier
-//! escape (see [`crate::shard`]). A faulted span never corrupts the run:
-//! the supervisor restores the most recent snapshot (sharded runs always
-//! keep at least the pristine post-launch state), halves the shard count —
-//! `n → n/2 → … → 1 → sequential` — and replays. Replay is deterministic,
-//! so the recovered run's statistics are bit-identical to an undisturbed
-//! one (`tests/fault_injection.rs`). Every hop is recorded as a
-//! [`RecoveryEvent`] in the report; after [`MAX_RECOVERIES`] the supervisor
-//! forces the sequential engine, which has no worker threads and cannot
-//! fault.
-//!
-//! ## Fault injection
-//!
-//! A [`FaultPlan`] names `(epoch, shard)` points at which a shard's
-//! free-run phase panics on purpose, either from an explicit list or a
-//! seeded xorshift draw. Each fault fires exactly once, in threaded and
-//! inline (`GRS_SHARD_THREADS=never`) modes alike, which is what lets the
-//! test suite prove the recovery path end to end.
+//! are engine-invariant, the per-cycle and fast-forward engines trip at
+//! the same cycle with bit-identical statistics. The run ends with a
+//! populated [`StallDiagnosis`] in the [`RunReport`].
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use crate::gpu::{EngineState, Gpu, Snapshot, SpanEnd};
+use crate::gpu::{EngineState, Gpu, SpanEnd};
 use crate::kinfo::KernelInfo;
 use crate::run::RunConfig;
-use crate::shard::{run_sharded_span, ShardSpanEnd};
 use crate::stats::SimStats;
 use crate::telemetry::{assemble, Ring, TelemetryEvent, TelemetryReport};
-
-/// Recovery attempts after which the supervisor stops degrading gradually
-/// and forces the sequential engine outright.
-pub const MAX_RECOVERIES: usize = 16;
-
-/// One deterministic injected fault: the worker servicing `shard` panics at
-/// the start of parallel free-run phase number `epoch`.
-#[derive(Debug)]
-struct Fault {
-    epoch: u64,
-    shard: usize,
-    fired: AtomicBool,
-}
-
-/// A deterministic schedule of injected worker panics, for exercising the
-/// recovery path ([`crate::run::Simulator::try_run_report_with_faults`]).
-/// Each fault fires at most once across the whole supervised run —
-/// including replays after recovery — so a plan with one fault proves one
-/// full recovery cycle.
-#[derive(Debug, Default)]
-pub struct FaultPlan {
-    faults: Vec<Fault>,
-}
-
-impl FaultPlan {
-    /// Faults at the given `(epoch, shard)` points.
-    pub fn at(points: &[(u64, usize)]) -> Self {
-        FaultPlan {
-            faults: points
-                .iter()
-                .map(|&(epoch, shard)| Fault {
-                    epoch,
-                    shard,
-                    fired: AtomicBool::new(false),
-                })
-                .collect(),
-        }
-    }
-
-    /// `count` faults drawn from a seeded xorshift64* stream over
-    /// `epoch < max_epoch`, `shard < max_shard`. Deterministic in `seed`.
-    pub fn seeded(seed: u64, count: usize, max_epoch: u64, max_shard: usize) -> Self {
-        let mut s = seed | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        let points: Vec<(u64, usize)> = (0..count)
-            .map(|_| {
-                (
-                    next() % max_epoch.max(1),
-                    (next() % max_shard.max(1) as u64) as usize,
-                )
-            })
-            .collect();
-        Self::at(&points)
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// No faults scheduled?
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// How many faults have fired so far.
-    pub fn fired(&self) -> usize {
-        self.faults
-            .iter()
-            .filter(|f| f.fired.load(Ordering::Acquire))
-            .count()
-    }
-
-    /// The scheduled `(epoch, shard)` points, in plan order, independent of
-    /// whether they have fired. Two plans with equal points inject the same
-    /// deterministic fault schedule, so this is the plan's *identity* — what
-    /// a memoizing sweep service keys on when a fault plan rides along with
-    /// a job.
-    pub fn points(&self) -> Vec<(u64, usize)> {
-        self.faults.iter().map(|f| (f.epoch, f.shard)).collect()
-    }
-
-    /// Consume the fault at `(epoch, shard)` if one is scheduled and has
-    /// not fired yet. Called from worker threads and the coordinator.
-    pub(crate) fn take(&self, epoch: u64, shard: usize) -> bool {
-        self.faults.iter().any(|f| {
-            f.epoch == epoch
-                && f.shard == shard
-                && f.fired
-                    .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-        })
-    }
-}
 
 /// Why a supervised run ended, beyond what [`SimStats`] carries.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,20 +47,6 @@ pub enum RunOutcome {
     /// The forward-progress watchdog proved a livelock (see the module
     /// docs) and ended the run early with a diagnosis.
     Stalled(Box<StallDiagnosis>),
-}
-
-/// One hop down the degradation ladder, recorded when a faulted span was
-/// rolled back and replayed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryEvent {
-    /// Cycle of the snapshot the run was rolled back to.
-    pub at_cycle: u64,
-    /// Shard count of the faulted attempt.
-    pub from_shards: usize,
-    /// Shard count of the replay (`None`: the sequential engine).
-    pub to_shards: Option<usize>,
-    /// The faulted worker's panic message.
-    pub reason: String,
 }
 
 /// Structured diagnosis of a watchdog trip: where every SM and the memory
@@ -296,10 +158,7 @@ pub struct ServiceStats {
     pub memo_hits: u64,
     /// Jobs actually simulated by a worker.
     pub executed: u64,
-    /// Executed jobs that recovered from a fault — a worker-level panic
-    /// retry or a supervision-ladder [`RecoveryEvent`] inside the run.
-    pub recovered: u64,
-    /// Executed jobs that failed even after the recovery path.
+    /// Executed jobs that failed: a configuration error or a panic.
     pub failed: u64,
     /// Memo-store entries evicted by the bounded LRU.
     pub evicted: u64,
@@ -322,30 +181,21 @@ impl std::fmt::Display for ServiceStats {
         write!(
             f,
             "service: {} submitted, {} deduped in-flight, {} memo hits, \
-             {} executed, {} recovered, {} failed, {} evicted",
-            self.submitted,
-            self.deduped,
-            self.memo_hits,
-            self.executed,
-            self.recovered,
-            self.failed,
-            self.evicted
+             {} executed, {} failed, {} evicted",
+            self.submitted, self.deduped, self.memo_hits, self.executed, self.failed, self.evicted
         )
     }
 }
 
 /// Everything a supervised run reports: the statistics (bit-identical to an
-/// unsupervised run of the same configuration), how it ended, the recovery
-/// path taken, and how many checkpoints were written.
+/// unsupervised run of the same configuration), how it ended, and how many
+/// checkpoints were written.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Aggregated simulation statistics.
     pub stats: SimStats,
     /// Why the run ended.
     pub outcome: RunOutcome,
-    /// Degradation-ladder hops taken to survive faulted spans (empty on an
-    /// undisturbed run).
-    pub recoveries: Vec<RecoveryEvent>,
     /// Snapshots taken at `checkpoint_every` boundaries.
     pub checkpoints: u64,
     /// Collected telemetry, when [`crate::run::RunConfig::telemetry`] was
@@ -402,23 +252,7 @@ impl RunReport {
             s.idle_cycles,
             s.stall_mem_gate_cycles,
         );
-        let _ = writeln!(
-            out,
-            "supervision: {} checkpoints, {} recoveries",
-            self.checkpoints,
-            self.recoveries.len()
-        );
-        for r in &self.recoveries {
-            let to = match r.to_shards {
-                Some(n) => format!("{n} shards"),
-                None => "sequential".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "  rollback to cycle {}: {} shards -> {} ({})",
-                r.at_cycle, r.from_shards, to, r.reason
-            );
-        }
+        let _ = writeln!(out, "supervision: {} checkpoints", self.checkpoints);
         if let Some(t) = &self.telemetry {
             let _ = writeln!(out, "telemetry: {}", t.summary());
         }
@@ -464,40 +298,17 @@ fn diagnose(gpu: &Gpu, st: &EngineState, window: u64) -> StallDiagnosis {
     }
 }
 
-/// Halve the shard count; `1` drops to the sequential engine.
-fn degrade(shards: usize) -> Option<usize> {
-    if shards > 1 {
-        Some(shards / 2)
-    } else {
-        None
-    }
-}
-
 /// Run `gpu` to completion under supervision: bounded spans with optional
-/// checkpoints, the watchdog, and rollback-and-degrade recovery of faulted
-/// sharded spans. With every knob off this reduces exactly to
-/// [`Gpu::run`] / the sharded engine (single unbounded span, no snapshot
-/// beyond the pristine one sharded runs keep for recovery).
-pub(crate) fn supervise(
-    cfg: &RunConfig,
-    mut gpu: Gpu,
-    kinfo: &KernelInfo,
-    fault: Option<&FaultPlan>,
-) -> RunReport {
+/// checkpoints and the watchdog. With every knob off this reduces exactly
+/// to [`Gpu::run`] (a single unbounded span).
+pub(crate) fn supervise(cfg: &RunConfig, mut gpu: Gpu, kinfo: &KernelInfo) -> RunReport {
     let max_cycles = cfg.max_cycles;
     let watchdog = cfg.watchdog.map(|w| w.max(1));
     let mut st = gpu.start(kinfo);
-    let mut shards = cfg.shards;
-    let mut recoveries: Vec<RecoveryEvent> = Vec::new();
     let mut checkpoints = 0u64;
-    let mut epoch = 0u64;
-    // Rollback point for recovery: the latest checkpoint, or the pristine
-    // post-launch state. Only sharded runs can fault, so only they pay for
-    // the initial deep copy.
-    let mut restart: Option<Snapshot> = shards.is_some().then(|| gpu.snapshot(&st));
     let mut stalled = false;
-    // The engine track lives here, outside the machine, so a rollback
-    // cannot erase the recovery history it records.
+    // The engine track lives here, outside the machine, alongside the
+    // per-SM and memory tracks the machine records itself.
     let trace = cfg.telemetry.is_some();
     let mut engine: Ring<(u64, TelemetryEvent)> =
         Ring::new(cfg.telemetry.map_or(1, |t| t.capacity));
@@ -514,51 +325,11 @@ pub(crate) fn supervise(
             Some(k) if k > 0 => max_cycles.min((st.cycle / k + 1) * k),
             _ => max_cycles,
         };
-        match shards {
-            Some(n) => {
-                match run_sharded_span(
-                    &mut gpu, &mut st, kinfo, stop, n, watchdog, fault, &mut epoch,
-                ) {
-                    ShardSpanEnd::Finished | ShardSpanEnd::ReachedStop => {}
-                    ShardSpanEnd::Stalled => stalled = true,
-                    ShardSpanEnd::Faulted(reason) => {
-                        let snap = restart
-                            .as_ref()
-                            .expect("sharded runs keep a rollback point");
-                        st = gpu.restore(snap);
-                        let to_shards = if recoveries.len() + 1 >= MAX_RECOVERIES {
-                            None
-                        } else {
-                            degrade(n)
-                        };
-                        if trace {
-                            engine.push((
-                                snap.cycle(),
-                                TelemetryEvent::Recovery {
-                                    from_shards: n as u32,
-                                    to_shards: to_shards.map_or(0, |s| s as u32),
-                                },
-                            ));
-                        }
-                        recoveries.push(RecoveryEvent {
-                            at_cycle: snap.cycle(),
-                            from_shards: n,
-                            to_shards,
-                            reason,
-                        });
-                        shards = to_shards;
-                        continue;
-                    }
-                }
-            }
-            None => {
-                if gpu.run_until(&mut st, kinfo, stop, watchdog) == SpanEnd::Stalled {
-                    stalled = true;
-                }
-            }
-        }
+        stalled = gpu.run_until(&mut st, kinfo, stop, watchdog) == SpanEnd::Stalled;
         if cfg.checkpoint_every.is_some() && !stalled && !gpu.finished() && st.cycle < max_cycles {
-            restart = Some(gpu.snapshot(&st));
+            // A deep copy that `Gpu::restore` resumes from bit-identically;
+            // nothing in a healthy run reads it back.
+            let _ = gpu.snapshot(&st);
             checkpoints += 1;
             if trace {
                 engine.push((st.cycle, TelemetryEvent::CheckpointCut));
@@ -580,7 +351,6 @@ pub(crate) fn supervise(
     RunReport {
         stats,
         outcome,
-        recoveries,
         checkpoints,
         telemetry,
     }
@@ -588,35 +358,42 @@ pub(crate) fn supervise(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::gpu::SpanEnd;
+    use crate::mem::MemoryModel;
+    use crate::run::{RunConfig, Simulator};
+    use grs_isa::{GlobalPattern, KernelBuilder};
 
     #[test]
-    fn fault_plans_fire_each_point_exactly_once() {
-        let plan = FaultPlan::at(&[(3, 1), (5, 0)]);
-        assert_eq!(plan.len(), 2);
-        assert!(!plan.take(3, 0));
-        assert!(plan.take(3, 1));
-        assert!(!plan.take(3, 1), "a fault fires only once");
-        assert_eq!(plan.fired(), 1);
-        assert!(plan.take(5, 0));
-        assert_eq!(plan.fired(), 2);
-    }
+    fn restoring_a_checkpoint_resumes_bit_identically() {
+        let kernel = KernelBuilder::new("k")
+            .threads_per_block(64)
+            .regs_per_thread(24)
+            .grid_blocks(12)
+            .ld_global(GlobalPattern::Stream)
+            .ffma(4)
+            .st_global(GlobalPattern::Stream)
+            .build();
+        let mut cfg = RunConfig::paper_register_sharing().with_memory_model(MemoryModel::Event);
+        cfg.gpu.num_sms = 2;
+        let sim = Simulator::new(cfg.clone());
+        let straight = sim.run(&kernel);
 
-    #[test]
-    fn seeded_plans_are_deterministic_and_in_range() {
-        let a = FaultPlan::seeded(42, 8, 10, 4);
-        let b = FaultPlan::seeded(42, 8, 10, 4);
-        assert_eq!(a.len(), 8);
-        for (fa, fb) in a.faults.iter().zip(&b.faults) {
-            assert_eq!((fa.epoch, fa.shard), (fb.epoch, fb.shard));
-            assert!(fa.epoch < 10 && fa.shard < 4);
+        let (mut gpu, kinfo) = sim.prepare(&kernel).unwrap();
+        let mut st = gpu.start(&kinfo);
+        let cut = straight.cycles / 2;
+        assert_eq!(
+            gpu.run_until(&mut st, &kinfo, cut, None),
+            SpanEnd::ReachedStop
+        );
+        let snap = gpu.snapshot(&st);
+        assert_eq!(snap.cycle(), cut);
+        // Run on past the cut, then rewind twice: the snapshot is reusable.
+        gpu.run_until(&mut st, &kinfo, cfg.max_cycles, None);
+        assert_eq!(gpu.finish(st), straight);
+        for _ in 0..2 {
+            let mut st = gpu.restore(&snap);
+            gpu.run_until(&mut st, &kinfo, cfg.max_cycles, None);
+            assert_eq!(gpu.finish(st), straight);
         }
-    }
-
-    #[test]
-    fn the_ladder_degrades_to_sequential() {
-        assert_eq!(degrade(8), Some(4));
-        assert_eq!(degrade(2), Some(1));
-        assert_eq!(degrade(1), None);
     }
 }

@@ -14,7 +14,7 @@
 //! drain together in insertion order — which is what lets a warp's N
 //! per-transaction completions coalesce into one wake-up without any extra
 //! merging structure. Insertion-order draining is also a determinism
-//! contract: every engine (per-cycle, fast-forward, sharded) inserts a
+//! contract: both engines (per-cycle and fast-forward) insert a
 //! given SM's events in the same canonical order, so same-cycle ties
 //! resolve identically everywhere. Within one SM cycle the ordering is
 //! writeback drains first, then lazy memory-capacity releases

@@ -13,9 +13,8 @@
 //! makes all occupancy/launch-plan results exact — and whose instruction mix
 //! is engineered to reproduce the paper's qualitative description of that
 //! benchmark (compute-bound vs memory-bound, working-set pressure on L1/L2,
-//! barrier placement, which scratchpad offsets are touched). DESIGN.md
-//! documents this substitution; each kernel's doc comment records the
-//! behavioural contract it implements.
+//! barrier placement, which scratchpad offsets are touched). Each kernel's
+//! doc comment records the behavioural contract it implements.
 
 //!
 //! Beyond the fixed 19, [`gen`] is a seeded random-kernel generator: named

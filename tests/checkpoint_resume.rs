@@ -1,10 +1,9 @@
 //! The checkpoint/resume contract: running a simulation as a sequence of
 //! snapshot-bounded spans (`RunConfig::checkpoint_every`) is **bit-identical**
 //! to the straight run, for any checkpoint interval, across the scheduler ×
-//! sharing × memory-model matrix and both the sequential and sharded
-//! engines — plus a property test over random intervals and kernels (pinned
-//! seeds in `proptest-regressions/`). The span boundary must be completely
-//! unobservable in every `SimStats` field.
+//! sharing × memory-model matrix — plus a property test over random
+//! intervals and kernels (pinned seeds in `proptest-regressions/`). The
+//! span boundary must be completely unobservable in every `SimStats` field.
 
 use gpu_resource_sharing::core::SchedulerKind;
 use gpu_resource_sharing::isa::GlobalPattern as GP;
@@ -80,37 +79,6 @@ fn checkpointed_runs_are_bit_identical_across_the_full_matrix() {
 }
 
 #[test]
-fn checkpoint_intervals_do_not_interact_with_sharding() {
-    // The sharded engine re-derives parked lanes and folds throttle clones
-    // back at every span boundary; cutting its spans at checkpoint
-    // boundaries must stay bit-identical to the unsharded, uncheckpointed
-    // run at any interval.
-    let kernel = &kernels()[1];
-    let cfg = config(
-        SchedulerKind::Owf,
-        SharingMode::Scratchpad,
-        MemoryModel::Event,
-    );
-    let straight = Simulator::new(cfg.clone()).run(kernel);
-    for every in [1u64, 97, 1_000, 1_000_000] {
-        for shards in [None, Some(2), Some(4)] {
-            let report = Simulator::new(
-                cfg.clone()
-                    .with_shards(shards)
-                    .with_checkpoint_every(Some(every)),
-            )
-            .run_report(kernel);
-            assert_eq!(
-                report.stats, straight,
-                "checkpoint_every={every} shards={shards:?} diverges"
-            );
-            assert_eq!(report.outcome, RunOutcome::Completed);
-            assert!(report.recoveries.is_empty(), "no faults were injected");
-        }
-    }
-}
-
-#[test]
 fn a_checkpointed_timeout_matches_the_straight_timeout() {
     // max_cycles can cut a span short; the truncated statistics must match
     // the straight truncated run and report TimedOut.
@@ -146,7 +114,6 @@ struct Case {
     alu: u32,
     trips: u16,
     every: u64,
-    shards: bool,
 }
 
 fn case() -> impl Strategy<Value = Case> {
@@ -157,16 +124,14 @@ fn case() -> impl Strategy<Value = Case> {
         1u32..=6,
         0u16..=10,
         1u64..=5_000, // checkpoint interval: boundaries at random cycles
-        proptest::bool::ANY,
     )
-        .prop_map(|(tl, regs, grid, alu, trips, every, shards)| Case {
+        .prop_map(|(tl, regs, grid, alu, trips, every)| Case {
             threads_log2: tl,
             regs,
             grid,
             alu,
             trips,
             every,
-            shards,
         })
 }
 
@@ -194,9 +159,6 @@ proptest! {
         let mut cfg = RunConfig::paper_register_sharing().with_memory_model(MemoryModel::Event);
         cfg.gpu.num_sms = 2;
         cfg.max_cycles = 2_000_000;
-        if c.shards {
-            cfg.shards = Some(2);
-        }
         let straight = Simulator::new(cfg.clone()).try_run(&k);
         let spanned = Simulator::new(cfg.with_checkpoint_every(Some(c.every)))
             .try_run_report(&k)

@@ -1,9 +1,9 @@
 //! Cross-engine differential harness over the generated-kernel corpus.
 //!
 //! The simulator's determinism contract is the oracle: a generated kernel
-//! needs no reference output, because every engine (per-cycle reference,
-//! event-driven fast-forward, sharded epoch), every observation layer
-//! (telemetry, checkpoint/resume) and the idealized event memory model must
+//! needs no reference output, because both engines (per-cycle reference
+//! and event-driven fast-forward), every observation layer (telemetry,
+//! checkpoints) and the idealized event memory model must
 //! produce **bit-identical** `SimStats`. Any divergence is a bug in one of
 //! them — found without ever deciding what the "right" number is.
 //!
@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use workloads::gen::{pinned_corpus, Family, GenSpec, PINNED_SEEDS};
 
 /// Small machine so the per-cycle reference loop stays fast in debug
-/// builds; 2 SMs still exercise cross-SM dispatch and sharding.
+/// builds; 2 SMs still exercise cross-SM dispatch.
 fn base(model: MemoryModel) -> RunConfig {
     let mut cfg = RunConfig::baseline_lrr().with_memory_model(model);
     cfg.gpu.num_sms = 2;
@@ -54,19 +54,13 @@ fn engines_are_bit_identical_on_the_pinned_corpus_functional() {
         let kernel = spec.build();
         let cfg = base(MemoryModel::Functional);
         let reference = reference(&spec, &cfg);
-        for (label, variant) in [
-            ("fast-forward", cfg.clone().with_fast_forward(true)),
-            ("shards-2", cfg.clone().with_shards(Some(2))),
-            ("shards-4", cfg.clone().with_shards(Some(4))),
-        ] {
-            let stats = Simulator::new(variant).run(&kernel);
-            assert_eq!(
-                stats,
-                reference,
-                "{label} diverges from the per-cycle reference on {}",
-                spec.scenario_name()
-            );
-        }
+        let stats = Simulator::new(cfg.with_fast_forward(true)).run(&kernel);
+        assert_eq!(
+            stats,
+            reference,
+            "fast-forward diverges from the per-cycle reference on {}",
+            spec.scenario_name()
+        );
         assert_eq!(reference.blocks_completed, u64::from(kernel.grid_blocks));
     }
 }
@@ -77,18 +71,13 @@ fn engines_are_bit_identical_on_the_pinned_corpus_finite_event() {
         let kernel = spec.build();
         let cfg = base(MemoryModel::Event);
         let reference = reference(&spec, &cfg);
-        for (label, variant) in [
-            ("fast-forward", cfg.clone().with_fast_forward(true)),
-            ("shards-2", cfg.clone().with_shards(Some(2))),
-        ] {
-            let stats = Simulator::new(variant).run(&kernel);
-            assert_eq!(
-                stats,
-                reference,
-                "{label} diverges under the finite event model on {}",
-                spec.scenario_name()
-            );
-        }
+        let stats = Simulator::new(cfg.with_fast_forward(true)).run(&kernel);
+        assert_eq!(
+            stats,
+            reference,
+            "fast-forward diverges under the finite event model on {}",
+            spec.scenario_name()
+        );
     }
 }
 
@@ -133,14 +122,14 @@ fn telemetry_and_checkpoints_are_invisible_on_the_pinned_corpus() {
         );
 
         // A deliberately odd interval so snapshot cuts land at arbitrary
-        // cycles, never aligned with epochs or loop trips.
+        // cycles, never aligned with loop trips.
         let checkpointed = Simulator::new(cfg.with_checkpoint_every(Some(137))).run_report(&kernel);
         assert!(checkpointed.completed(), "{}", spec.scenario_name());
         assert!(checkpointed.checkpoints > 0, "{}", spec.scenario_name());
         assert_eq!(
             checkpointed.stats,
             plain,
-            "checkpoint/resume perturbed {}",
+            "checkpoints perturbed {}",
             spec.scenario_name()
         );
     }
@@ -218,19 +207,14 @@ proptest! {
         for model in [MemoryModel::Functional, MemoryModel::Event] {
             let cfg = base(model);
             let reference = reference(&spec, &cfg);
-            for variant in [
-                cfg.clone().with_fast_forward(true),
-                cfg.clone().with_shards(Some(2)),
-            ] {
-                let stats = Simulator::new(variant).run(&kernel);
-                prop_assert_eq!(
-                    &stats,
-                    &reference,
-                    "divergence under {:?} on {}",
-                    model,
-                    spec.scenario_name()
-                );
-            }
+            let stats = Simulator::new(cfg.with_fast_forward(true)).run(&kernel);
+            prop_assert_eq!(
+                &stats,
+                &reference,
+                "divergence under {:?} on {}",
+                model,
+                spec.scenario_name()
+            );
         }
     }
 

@@ -1,9 +1,9 @@
 //! Correctness battery for the sweep service (`grs_bench::service`): exact
-//! memoization, in-flight dedup, fault recovery through the service path,
-//! key soundness/discrimination, and the `run_all` duplicate-suite fix.
+//! memoization, in-flight dedup, key soundness/discrimination, and the
+//! `run_all` duplicate-suite fix.
 //!
 //! The battery leans on the repo's foundational invariant — the simulator
-//! is a *pure function* of `(RunConfig, Kernel, FaultPlan)` — and checks
+//! is a *pure function* of `(RunConfig, Kernel)` — and checks
 //! the service exploits it without ever violating it: a memo hit must be
 //! **bit-identical** to a re-run, never merely close.
 
@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use gpu_resource_sharing::core::SchedulerKind;
 use gpu_resource_sharing::prelude::*;
-use gpu_resource_sharing::sim::{FaultPlan, ServiceStats};
+use gpu_resource_sharing::sim::ServiceStats;
 use grs_bench::service::{job_key, ServiceConfig};
 use grs_bench::{Job, JobSource, SweepService};
 use proptest::prelude::*;
@@ -120,68 +120,6 @@ fn concurrent_submissions_of_one_job_simulate_exactly_once() {
     assert!(outcomes[0].report.is_ok());
 }
 
-/// The fault-injection recipe `tests/fault_injection.rs` pins, routed
-/// through the service instead of calling the simulator directly.
-fn faulted_cfg() -> RunConfig {
-    let mut cfg = RunConfig::paper_register_sharing()
-        .with_scheduler(SchedulerKind::Owf)
-        .with_memory_model(MemoryModel::Event);
-    cfg.gpu.num_sms = 4;
-    cfg.with_shards(Some(2))
-}
-
-fn faulted_kernel() -> Kernel {
-    let mut conv1 = workloads::set2::conv1();
-    conv1.grid_blocks = 28;
-    conv1
-}
-
-#[test]
-fn a_fault_injected_job_recovers_through_the_service_and_memoizes_its_trail() {
-    let service = SweepService::new(ServiceConfig::default());
-    let (cfg, k) = (faulted_cfg(), faulted_kernel());
-
-    // Undisturbed twin: distinct key (no fault plan), same statistics.
-    let clean = service.submit(cfg.clone(), k.clone()).wait();
-    let clean_report = clean.report.as_ref().expect("clean run");
-    assert!(clean_report.recoveries.is_empty());
-
-    let faulted = service
-        .submit_with_faults(cfg.clone(), k.clone(), FaultPlan::at(&[(0, 1)]))
-        .wait();
-    let report = faulted.report.as_ref().expect("recovered run");
-    assert_eq!(report.recoveries.len(), 1, "one ladder hop");
-    assert_eq!(report.recoveries[0].from_shards, 2);
-    assert!(report.recoveries[0].reason.contains("injected fault"));
-    assert_eq!(
-        report.stats, clean_report.stats,
-        "recovery is bit-identical to the undisturbed run"
-    );
-
-    // Resubmit with a *fresh* plan over the same points: same key, memo
-    // hit, and the memoized report keeps its recovery trail.
-    let resub = service.submit_with_faults(cfg.clone(), k.clone(), FaultPlan::at(&[(0, 1)]));
-    assert_eq!(resub.source(), JobSource::MemoHit);
-    let memoized = resub.wait();
-    let memo_report = memoized.report.as_ref().expect("memoized run");
-    assert_eq!(
-        memo_report.recoveries.len(),
-        1,
-        "trail preserved in the memo"
-    );
-    assert!(Arc::ptr_eq(report, memo_report));
-
-    let s = service.stats();
-    assert_eq!(s.executed, 2, "clean twin + faulted run");
-    assert_eq!(s.memo_hits, 1);
-    assert_eq!(s.recovered, 1, "the faulted job counts as recovered");
-    assert_ne!(
-        job_key(&cfg, &k, None),
-        job_key(&cfg, &k, Some(&FaultPlan::at(&[(0, 1)]))),
-        "faulted and undisturbed twins memoize separately"
-    );
-}
-
 #[test]
 fn flipping_any_semantic_field_produces_a_distinct_key() {
     let base_cfg = RunConfig::baseline_lrr();
@@ -220,8 +158,6 @@ fn flipping_any_semantic_field_produces_a_distinct_key() {
             "memory-model/event",
             base_cfg.clone().with_memory_model(MemoryModel::Event),
         ),
-        ("shards/2", base_cfg.clone().with_shards(Some(2))),
-        ("shards/4", base_cfg.clone().with_shards(Some(4))),
         (
             "checkpoint-every",
             base_cfg.clone().with_checkpoint_every(Some(10_000)),
@@ -455,7 +391,6 @@ fn service_stats_render_in_the_report_summary() {
         "deduped",
         "memo hits",
         "executed",
-        "recovered",
         "failed",
         "evicted",
     ] {
