@@ -412,7 +412,7 @@ pub fn measure_telemetry(
 }
 
 /// Run the telemetry-overhead suite: the primary dead-wait scenario under
-/// both memory models (the event model adds the MEM track and its events).
+/// both memory presets (finite buffers add the MEM track's events).
 pub fn run_telemetry_suite(reps: u32) -> Vec<TelemetryMeasurement> {
     // Each rep is a handful of milliseconds, so a min-of filter needs more
     // draws than the wall-clock-bound engine suites to converge: floor the

@@ -37,11 +37,11 @@
 
 use grs_core::{GpuConfig, LatencyConfig, MemConfig, SchedulerKind, SmConfig};
 use grs_isa::{GlobalPattern, Instr, Kernel, Op, Program};
-use grs_sim::{MemoryModel, RunConfig, SharingMode, TelemetryConfig};
+use grs_sim::{RunConfig, SharingMode, TelemetryConfig};
 
 /// Bump when the hashing scheme itself changes (field order, encoding), so
 /// persisted keys from an older scheme can never alias a newer one.
-const KEY_VERSION: u64 = 2;
+const KEY_VERSION: u64 = 3;
 
 /// Canonical 128-bit identity of a sweep job. Equal keys mean equal
 /// simulation inputs; the service's memo store and in-flight table are both
@@ -341,7 +341,6 @@ pub fn hash_config(h: &mut StableHasher, cfg: &RunConfig) {
         dyn_throttle,
         reorder_decls,
         fast_forward,
-        memory_model,
         checkpoint_every,
         telemetry,
         watchdog,
@@ -358,10 +357,6 @@ pub fn hash_config(h: &mut StableHasher, cfg: &RunConfig) {
     h.write_bool(*dyn_throttle);
     h.write_bool(*reorder_decls);
     h.write_bool(*fast_forward);
-    h.write_u64(match memory_model {
-        MemoryModel::Functional => 0,
-        MemoryModel::Event => 1,
-    });
     h.write_opt_u64(*checkpoint_every);
     match telemetry {
         None => h.write_u64(0),
@@ -420,7 +415,7 @@ mod tests {
         let key = job_key(&cfg, &k, None);
         assert_eq!(key, job_key(&cfg, &k, None));
         assert_eq!(format!("{key}").len(), 32, "128-bit hex rendering");
-        assert_eq!(format!("{key}"), "afa2169ec80e1cdd4ca81ddcbad32473");
+        assert_eq!(format!("{key}"), "7d05a33d2f1864ac4deb8394ac5bec7e");
     }
 
     #[test]

@@ -76,27 +76,19 @@ pub struct MemConfig {
     pub l2_service_q4: u32,
     /// Maximum in-flight global transactions per warp (MSHR-per-warp limit).
     pub max_pending_per_warp: u32,
-    /// Memory partitions of the **event-driven** model (`MemoryModel::Event`
-    /// in `grs-sim`): the L2 is sliced into this many banks, each with its
-    /// own MSHR table and DRAM channel. 768 KB / 6 = 128 KB per slice, the
-    /// Fermi-era arrangement behind the paper's Table I machine. Per-bank
-    /// service intervals are scaled by this count so the *aggregate* L2 and
-    /// DRAM bandwidth matches the functional model. Ignored by
-    /// `MemoryModel::Functional`.
+    /// Memory partitions: the L2 is sliced into this many line-interleaved
+    /// banks, each with its own MSHR table and DRAM channel. Per-bank service
+    /// intervals are scaled by this count so the *aggregate* L2 and DRAM
+    /// bandwidth stays the same at any partition count. The default is 1 (a
+    /// unified L2); `grs-sim`'s `MemoryModel::Event` preset sets Table I's 6.
     pub mem_partitions: u32,
-    /// MSHR entries per partition of the event-driven model; an L2 miss
-    /// holds one from issue until its DRAM fill returns, and a full table
-    /// back-pressures SM issue. `0` = unlimited (the functional model's
-    /// idealization; also disables miss merging). The default is scaled to
-    /// the synthetic coalescer's transaction volume (one line per warp
-    /// access, shrunk grids) rather than raw Fermi entry counts, so that a
-    /// latency-bound kernel exercises back-pressure the way a real one
-    /// saturates a real table. Ignored by `Functional`.
+    /// MSHR entries per partition; an L2 miss holds one from issue until its
+    /// DRAM fill returns, and a full table back-pressures SM issue. `0` (the
+    /// default) = unlimited, which also disables miss merging.
     pub mshr_entries: u32,
-    /// Bounded DRAM request-queue entries per partition of the event-driven
-    /// model; a slot is held from admission until the channel finishes the
-    /// transaction, and a full queue back-pressures SM issue. `0` =
-    /// unbounded. Ignored by `Functional`.
+    /// Bounded DRAM request-queue entries per partition; a slot is held from
+    /// admission until the channel finishes the transaction, and a full queue
+    /// back-pressures SM issue. `0` (the default) = unbounded.
     pub dram_queue_entries: u32,
 }
 
@@ -114,9 +106,9 @@ impl Default for MemConfig {
             dram_service_q4: 2,
             l2_service_q4: 1,
             max_pending_per_warp: 6,
-            mem_partitions: 6,
-            mshr_entries: 8,
-            dram_queue_entries: 16,
+            mem_partitions: 1,
+            mshr_entries: 0,
+            dram_queue_entries: 0,
         }
     }
 }

@@ -23,9 +23,9 @@
 //! the per-warp MSHR limit are never skippable by construction: any warp in
 //! such a state marks its SM's cycle non-quiescent.
 //!
-//! ## Quiescence under the event memory model
+//! ## Quiescence under memory back-pressure
 //!
-//! [`crate::mem::MemoryModel::Event`] adds one external wake source: a warp
+//! Finite MSHR tables and DRAM queues add one external wake source: a warp
 //! blocked by memory back-pressure ([`crate::mem::MemGate`]) unblocks when
 //! an MSHR entry or DRAM-queue slot *drains*, not when a writeback lands.
 //! Such an SM reports [`crate::sm::StepOutcome::gated`] instead of
@@ -46,7 +46,7 @@ use grs_core::{DynThrottle, GpuConfig, LaunchPlan, ResourceKind, SchedulerKind};
 use crate::cache::Cache;
 use crate::dispatch::Dispatcher;
 use crate::kinfo::KernelInfo;
-use crate::mem::{MemoryModel, SharedMem};
+use crate::mem::SharedMem;
 use crate::sm::{Sm, SmMode};
 use crate::stats::SimStats;
 use crate::telemetry::{MemTelemetry, SmTelemetry, TelemetryConfig};
@@ -88,15 +88,15 @@ pub enum SpanEnd {
     ReachedStop,
     /// The forward-progress watchdog tripped: a full window elapsed past
     /// the progress watermark with no issue and no scheduled event left to
-    /// fire — the machine state can never change again.
+    /// fire (see the [`crate::supervise`] module docs).
     Stalled,
 }
 
 /// Deep-copy checkpoint of a run in flight: the complete deterministic
-/// state — per-SM warp/slot/wheel state, event-model MSHR/DRAM partition
-/// tables, dispatcher, throttle RNG streams — plus the engine-loop
-/// bookkeeping. Restoring and running to completion is bit-identical to
-/// never having stopped ([`crate::run::RunConfig::checkpoint_every`]).
+/// state — per-SM warp/slot/wheel state, MSHR/DRAM partition tables,
+/// dispatcher, throttle RNG streams — plus the engine-loop bookkeeping.
+/// Restoring and running to completion is bit-identical to never having
+/// stopped ([`crate::run::RunConfig::checkpoint_every`]).
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     gpu: Gpu,
@@ -128,7 +128,7 @@ pub struct Gpu {
 impl Gpu {
     /// Build the machine for one run. `fast_forward` enables the
     /// event-driven engine (results are identical either way; see the module
-    /// docs); `memory_model` selects the global-memory timing model.
+    /// docs).
     #[allow(clippy::too_many_arguments)] // mirrors RunConfig knob-for-knob
     pub fn new(
         cfg: &GpuConfig,
@@ -138,7 +138,6 @@ impl Gpu {
         dyn_throttle: bool,
         sharing: Option<ResourceKind>,
         fast_forward: bool,
-        memory_model: MemoryModel,
         telemetry: Option<TelemetryConfig>,
     ) -> Self {
         let units = cfg.sm.schedulers as usize;
@@ -170,7 +169,7 @@ impl Gpu {
         } else {
             DynThrottle::disabled(cfg.num_sms as usize)
         };
-        let mut shared = SharedMem::with_model(cfg.mem, memory_model);
+        let mut shared = SharedMem::new(cfg.mem);
         if let Some(t) = telemetry.as_ref() {
             shared.set_telemetry(t);
         }
@@ -246,12 +245,11 @@ impl Gpu {
         snap.engine.clone()
     }
 
-    /// Earliest cycle at which the machine provably cannot make progress
-    /// any more: the latest issue plus the latest event ever scheduled on
-    /// any wheel (SM writebacks, memory capacity releases). Strictly past
-    /// this cycle, every wheel is empty and no warp state can change, so a
-    /// window of silence is a proof of livelock, not a long latency.
-    /// Engine-invariant — see the accessors it reads.
+    /// The progress watermark: the later of the latest issue and the latest
+    /// event ever scheduled on any wheel (SM writebacks, memory capacity
+    /// releases). Strictly past this cycle every wheel is empty, so only an
+    /// issue can still change a warp's state; the watchdog counts its window
+    /// from here. Engine-invariant — see the accessors it reads.
     pub(crate) fn progress_watermark(&self, st: &EngineState) -> u64 {
         let mut wm = st.last_issue;
         for sm in &self.sms {
@@ -365,7 +363,7 @@ impl Gpu {
     }
 
     /// Close out a run at `st.cycle`: credit sleepers interrupted by grid
-    /// completion, timeout or a watchdog trip, flush the event model's
+    /// completion, timeout or a watchdog trip, flush the memory system's
     /// occupancy integrals, and aggregate the statistics. Consumes the
     /// engine state — a finished run cannot be resumed.
     pub fn finish(&mut self, mut st: EngineState) -> SimStats {
@@ -381,7 +379,7 @@ impl Gpu {
                 }
             }
         }
-        // Flush the event model's occupancy integrals through the end.
+        // Flush the memory system's occupancy integrals through the end.
         self.shared.finalize(cycle);
         self.collect(cycle, !self.finished())
     }

@@ -26,8 +26,8 @@ pub struct InstrMeta {
     /// Destination register, [`NO_REG`] when the instruction writes none.
     pub dst: u16,
     /// Line transactions one warp-level execution generates (0 for
-    /// non-global-memory instructions). The event-driven memory model's
-    /// issue gate reserves this much MSHR/DRAM-queue capacity up front.
+    /// non-global-memory instructions). The memory system's issue gate
+    /// reserves this much MSHR/DRAM-queue capacity up front.
     pub mem_txns: u8,
     /// Classification bits, see the `FLAG_*` constants.
     flags: u8,

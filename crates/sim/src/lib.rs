@@ -22,14 +22,15 @@
 //! with optional checkpoints, a forward-progress watchdog, and opt-in
 //! telemetry — none of which changes a statistic.
 //!
-//! Global-memory timing comes in two selectable models
-//! ([`RunConfig::memory_model`]): the default **functional** model computes
-//! each transaction's full latency the cycle it issues, while the
-//! **event-driven** model ([`mem::EventMem`]) slices the L2 into memory
-//! partitions with finite MSHR tables and bounded DRAM queues whose
-//! back-pressure gates SM issue — congestion builds up *after* issue, the
-//! way it does in hardware. See `ARCHITECTURE.md` at the repository root
-//! for the full execution-path map.
+//! Global memory is one model ([`mem::SharedMem`]): the L2 is sliced into
+//! memory partitions with MSHR tables and DRAM request queues, and every
+//! line transaction schedules its own completion. The buffer sizes are
+//! `MemConfig` parameters; [`MemoryModel`] names two presets of them. The
+//! default, `Functional`, buffers without limit, so each transaction's
+//! latency is fixed the cycle it issues. `Event` sets Table I's finite
+//! sizes, whose back-pressure gates SM issue — congestion builds up
+//! *after* issue, the way it does in hardware. See `ARCHITECTURE.md` at the
+//! repository root for the full execution-path map.
 //!
 //! The top-level API is [`Simulator`]: configure a [`RunConfig`], call
 //! [`Simulator::run`] on a [`grs_isa::Kernel`], read the [`SimStats`].

@@ -1,38 +1,31 @@
-//! Global-memory subsystem: coalescer address generation, L1 → L2 → DRAM
-//! timing, in two selectable models.
+//! Global-memory subsystem: coalescer address generation and L1 → L2 →
+//! DRAM timing.
 //!
 //! Each SM owns an L1; everything behind it is shared by every SM (paper
-//! Table I: 16 KB L1 per core, 768 KB unified L2). [`MemoryModel`] selects
-//! how the shared side is timed:
+//! Table I: 16 KB L1 per core, 768 KB unified L2) and timed one transaction
+//! at a time by [`SharedMem`]. The L2 is sliced into
+//! `MemConfig::mem_partitions` line-interleaved banks, each with its own
+//! tag slice, bank bandwidth server, **MSHR table** and **bounded DRAM
+//! request queue**. An L2 miss holds an MSHR entry (and a DRAM-queue slot
+//! for the service time) until its fill returns, releases are scheduled on
+//! a calendar wheel ([`TimingWheel`]), and a full table back-pressures SM
+//! issue through [`MemGate`]. A second miss to a line whose fill is already
+//! in flight **merges** into the existing entry instead of paying for
+//! another DRAM access, and a tag hit on an in-flight line waits for the
+//! fill (hit-under-miss). Tag state updates eagerly, at issue.
 //!
-//! * [`MemoryModel::Functional`] (the default): a unified L2 tag store plus
-//!   two bandwidth [`ServerQueue`]s. Timing is computed functionally at
-//!   issue — a transaction's completion cycle is `now + hit latency (+ L2
-//!   latency + L2 queue) (+ DRAM latency + DRAM queue)` depending on where
-//!   it hits; tag state updates eagerly. Deterministic and fast, and it
-//!   preserves the first-order contention effect the paper's analysis relies
-//!   on (more resident blocks ⇒ bigger combined working set ⇒ more misses ⇒
-//!   longer queues) — but all buffering is infinite, so congestion can never
-//!   push back on SM issue.
-//!
-//! * [`MemoryModel::Event`]: an event-driven memory-partition model
-//!   ([`EventMem`]). The L2 is sliced into `MemConfig::mem_partitions`
-//!   line-interleaved banks, each with its own tag slice, bank bandwidth
-//!   server, **MSHR table** and **bounded DRAM request queue**. An L2 miss
-//!   holds an MSHR entry (and a DRAM-queue slot for the service time) until
-//!   its fill returns, releases are scheduled on a calendar wheel
-//!   ([`TimingWheel`]), and a full table back-pressures SM issue through
-//!   [`MemGate`]. A second miss to a line whose fill is already in flight
-//!   **merges** into the existing entry instead of paying for another DRAM
-//!   access, and a tag hit on an in-flight line waits for the fill
-//!   (hit-under-miss). With unlimited entries (`mshr_entries = 0`,
-//!   `dram_queue_entries = 0`) and a single partition the event model
-//!   reproduces the functional timing bit for bit — the equivalence the
-//!   `event_memory_model` integration suite pins.
+//! The buffer sizes are parameters, and [`MemoryModel`] names two presets
+//! of them. `Functional` (one partition, unlimited MSHRs, an unbounded DRAM
+//! queue: `MemConfig::default()`) buffers without limit, so a transaction's
+//! completion cycle is fixed the cycle it issues and congestion never
+//! pushes back on SM issue. It still keeps the first-order contention
+//! effect the paper's analysis relies on: more resident blocks ⇒ a bigger
+//! combined working set ⇒ more misses ⇒ longer bandwidth queues. `Event`
+//! (Table I's 6 partitions with 8 MSHRs and 16 queue slots each) lets
+//! in-flight misses back-pressure issue.
 
 use grs_core::MemConfig;
 use grs_isa::{GlobalPattern, LINE_BYTES};
-use serde::{Deserialize, Serialize};
 
 use crate::cache::{Cache, CacheOutcome};
 use crate::kinfo::InstrMeta;
@@ -68,24 +61,43 @@ pub mod layout {
 /// Jitter granularity (one cache line).
 pub(crate) const JITTER_UNIT: u64 = LINE_BYTES;
 
-/// Which timing model services the shared side of the memory system. See the
-/// module docs for the two models; `Functional` is the default and keeps
-/// every pre-existing configuration bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// Names for two presets of the memory system's buffer sizes
+/// (`MemConfig::{mem_partitions, mshr_entries, dram_queue_entries}`),
+/// applied by [`crate::RunConfig::with_memory_model`]. Both presets run the
+/// same per-transaction model; only the three sizes differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemoryModel {
-    /// Issue-time latency formula over infinite buffering (the seed model).
+    /// One partition, unlimited MSHRs, an unbounded DRAM queue — the
+    /// `MemConfig::default()` sizes. Buffering is infinite, so every
+    /// transaction's latency is fixed at issue.
     Functional,
-    /// Event-driven per-partition L2 banks with MSHR tables and bounded
-    /// DRAM queues; finite buffers back-pressure SM issue.
+    /// The Table I sizes: 6 partitions (768 KB / 6 = 128 KB per L2 slice,
+    /// the Fermi-era arrangement behind the paper's machine), 8 MSHR entries
+    /// and 16 DRAM-queue slots per partition. The MSHR count is scaled to
+    /// the synthetic coalescer's transaction volume (one line per warp
+    /// access, shrunk grids) rather than raw Fermi entry counts, so that a
+    /// latency-bound kernel saturates it the way a real one saturates a real
+    /// table.
     Event,
 }
 
-/// Per-cycle issue-capacity snapshot of the event-driven memory system: the
-/// worst-case (minimum across partitions) free MSHR entries and DRAM-queue
-/// slots. The SM readiness scan blocks a global-memory instruction whose
-/// transaction count does not fit — the back-pressure that makes post-issue
-/// congestion visible to the paper's stall accounting. The functional model
-/// always reports [`MemGate::OPEN`].
+impl MemoryModel {
+    /// Overwrite `mem`'s three buffer-size fields with this preset; every
+    /// other field is kept.
+    pub fn apply(self, mem: &mut MemConfig) {
+        (mem.mem_partitions, mem.mshr_entries, mem.dram_queue_entries) = match self {
+            MemoryModel::Functional => (1, 0, 0),
+            MemoryModel::Event => (6, 8, 16),
+        };
+    }
+}
+
+/// Per-cycle issue-capacity snapshot of the memory system: the worst-case
+/// (minimum across partitions) free MSHR entries and DRAM-queue slots. The
+/// SM readiness scan blocks a global-memory instruction whose transaction
+/// count does not fit — the back-pressure that makes post-issue congestion
+/// visible to the paper's stall accounting. Unlimited buffers always report
+/// [`MemGate::OPEN`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemGate {
     /// Free MSHR entries in the fullest partition (`u32::MAX` = unlimited).
@@ -96,7 +108,7 @@ pub struct MemGate {
 }
 
 impl MemGate {
-    /// A gate that admits everything (functional model / unlimited buffers).
+    /// A gate that admits everything (unlimited or empty buffers).
     pub const OPEN: MemGate = MemGate {
         mshr_free: u32::MAX,
         dram_free: u32::MAX,
@@ -138,182 +150,7 @@ pub enum GateBlock {
     DramQueue,
 }
 
-/// Shared (cross-SM) part of the memory system.
-#[derive(Debug, Clone)]
-pub struct SharedMem {
-    /// Unified L2 tag store (functional model).
-    pub l2: Cache,
-    /// L2 bank / interconnect bandwidth (functional model).
-    pub l2_server: ServerQueue,
-    /// DRAM channel bandwidth (functional model).
-    pub dram_server: ServerQueue,
-    /// Latency constants.
-    pub cfg: MemConfig,
-    /// Counters.
-    pub stats: MemStats,
-    /// Event-driven partition state; `Some` iff the run uses
-    /// [`MemoryModel::Event`].
-    pub event: Option<EventMem>,
-}
-
-impl SharedMem {
-    /// Build the functional (issue-time) model from a memory configuration.
-    pub fn new(cfg: MemConfig) -> Self {
-        Self::with_model(cfg, MemoryModel::Functional)
-    }
-
-    /// Build with an explicit [`MemoryModel`].
-    pub fn with_model(cfg: MemConfig, model: MemoryModel) -> Self {
-        SharedMem {
-            l2: Cache::new(
-                u64::from(cfg.l2_bytes),
-                cfg.l2_ways,
-                u64::from(cfg.line_bytes),
-            ),
-            l2_server: ServerQueue::new(cfg.l2_service_q4),
-            dram_server: ServerQueue::new(cfg.dram_service_q4),
-            cfg,
-            stats: MemStats::default(),
-            event: match model {
-                MemoryModel::Functional => None,
-                MemoryModel::Event => Some(EventMem::new(&cfg)),
-            },
-        }
-    }
-
-    /// Is the event-driven model active?
-    #[inline]
-    pub fn is_event(&self) -> bool {
-        self.event.is_some()
-    }
-
-    /// Process every capacity release due by `now` and bring the occupancy
-    /// integrals up to date. Idempotent per cycle; the SM step loop calls it
-    /// before consulting the gate, so a clock jump settles lazily.
-    pub fn advance_to(&mut self, now: u64) {
-        if let Some(ev) = &mut self.event {
-            ev.advance_to(now, &mut self.stats);
-        }
-    }
-
-    /// Capacity snapshot for the SM readiness scan at `now` (call after
-    /// [`Self::advance_to`]).
-    pub fn issue_gate(&self) -> MemGate {
-        match &self.event {
-            Some(ev) => ev.gate(),
-            None => MemGate::OPEN,
-        }
-    }
-
-    /// Earliest pending MSHR/DRAM-queue release — the wake-up cycle for an
-    /// SM sleeping on memory back-pressure. `None` for the functional model
-    /// or when nothing is in flight.
-    pub fn next_release(&self) -> Option<u64> {
-        self.event.as_ref().and_then(|ev| ev.next_release())
-    }
-
-    /// In-flight occupancy `(mshr entries, dram-queue slots)` across all
-    /// partitions — `(0, 0)` under the functional model. Surfaced in the
-    /// watchdog's [`crate::supervise::StallDiagnosis`].
-    pub fn in_flight(&self) -> (u32, u32) {
-        self.event
-            .as_ref()
-            .map_or((0, 0), |ev| (ev.total_mshr, ev.total_dram))
-    }
-
-    /// Latest capacity-release cycle ever scheduled (0 if none, and always 0
-    /// under the functional model) — one input to the forward-progress
-    /// watchdog's watermark. Engine-invariant: releases are scheduled at
-    /// issue time with identical due cycles in every engine.
-    pub fn latest_release_scheduled(&self) -> u64 {
-        self.event
-            .as_ref()
-            .map_or(0, |ev| ev.releases.latest_scheduled())
-    }
-
-    /// Flush the occupancy integrals through the end of the run.
-    pub fn finalize(&mut self, end: u64) {
-        self.advance_to(end);
-    }
-
-    /// Enable telemetry recording on the event model (no-op under the
-    /// functional model, which has no observable memory-side events).
-    pub(crate) fn set_telemetry(&mut self, cfg: &TelemetryConfig) {
-        if let Some(ev) = &mut self.event {
-            ev.telemetry = Some(Box::new(MemTelemetry::new(cfg)));
-        }
-    }
-
-    /// Take the memory-side telemetry state for end-of-run assembly.
-    pub(crate) fn take_telemetry(&mut self) -> Option<MemTelemetry> {
-        self.event
-            .as_mut()
-            .and_then(|ev| ev.telemetry.take())
-            .map(|b| *b)
-    }
-
-    /// Timing for one **load** transaction to `addr` from the SM owning
-    /// `l1`, issued at `now`. Returns the transaction latency in cycles.
-    pub fn load(&mut self, l1: &mut Cache, addr: u64, now: u64) -> u64 {
-        self.stats.transactions += 1;
-        let base = u64::from(self.cfg.l1_hit_latency);
-        match l1.access(addr) {
-            CacheOutcome::Hit => {
-                self.stats.l1_hits += 1;
-                base
-            }
-            CacheOutcome::Miss => {
-                self.stats.l1_misses += 1;
-                let queue_l2 = self.l2_server.admit(now);
-                match self.l2.access(addr) {
-                    CacheOutcome::Hit => {
-                        self.stats.l2_hits += 1;
-                        base + u64::from(self.cfg.l2_latency) + queue_l2
-                    }
-                    CacheOutcome::Miss => {
-                        self.stats.l2_misses += 1;
-                        let queue_dram = self.dram_server.admit(now);
-                        base + u64::from(self.cfg.l2_latency)
-                            + queue_l2
-                            + u64::from(self.cfg.dram_latency)
-                            + queue_dram
-                    }
-                }
-            }
-        }
-    }
-
-    /// Timing for one **store** transaction (write-through, no allocate):
-    /// consumes L2/DRAM bandwidth; latency models store-buffer drain.
-    pub fn store(&mut self, l1: &mut Cache, addr: u64, now: u64) -> u64 {
-        self.stats.transactions += 1;
-        let base = u64::from(self.cfg.l1_hit_latency);
-        l1.access_store(addr);
-        let queue_l2 = self.l2_server.admit(now);
-        match self.l2.access_store(addr) {
-            CacheOutcome::Hit => base + u64::from(self.cfg.l2_latency) + queue_l2,
-            CacheOutcome::Miss => {
-                let queue_dram = self.dram_server.admit(now);
-                base + u64::from(self.cfg.l2_latency) + queue_l2 + queue_dram
-                // no dram_latency: stores are posted; only bandwidth matters
-            }
-        }
-    }
-
-    /// Event-model timing for one transaction; returns the **absolute
-    /// completion cycle**. Requires [`MemoryModel::Event`] and a preceding
-    /// [`Self::advance_to`] for `now`.
-    pub fn event_access(&mut self, l1: &mut Cache, addr: u64, now: u64, is_load: bool) -> u64 {
-        let cfg = self.cfg;
-        let ev = self
-            .event
-            .as_mut()
-            .expect("event_access requires MemoryModel::Event");
-        ev.access(l1, addr, now, is_load, &cfg, &mut self.stats)
-    }
-}
-
-/// A capacity release scheduled on the event wheel.
+/// A capacity release scheduled on the release wheel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Release {
     /// A DRAM fill returned: free the MSHR entry holding `line` in partition
@@ -353,19 +190,21 @@ struct Partition {
     dram_in_queue: u32,
 }
 
-/// Event-driven memory-partition model (see the module docs). Capacity
-/// releases live on a calendar wheel and are processed lazily — the step
-/// loop advances the model to "now" before consulting the gate — so the
-/// occupancy integrals in [`MemStats`] are exact even across fast-forward
-/// clock jumps (each release credits `occupancy × elapsed` in closed form).
+/// Shared (cross-SM) part of the memory system: the partitioned L2, its
+/// MSHR tables and DRAM queues (see the module docs). Capacity releases live
+/// on a calendar wheel and are processed lazily — the step loop advances
+/// the model to "now" before consulting the gate — so the occupancy
+/// integrals in [`MemStats`] are exact even across fast-forward clock jumps
+/// (each release credits `occupancy × elapsed` in closed form).
 #[derive(Debug, Clone)]
-pub struct EventMem {
+pub struct SharedMem {
+    /// Latency and size constants.
+    pub cfg: MemConfig,
+    /// Counters.
+    pub stats: MemStats,
     parts: Vec<Partition>,
     releases: TimingWheel<Release>,
     release_buf: Vec<(u64, Release)>,
-    /// Per-partition limits; 0 = unlimited (tracking disabled).
-    mshr_limit: u32,
-    dram_queue_limit: u32,
     /// Totals across partitions, for the occupancy integrals.
     total_mshr: u32,
     total_dram: u32,
@@ -376,7 +215,7 @@ pub struct EventMem {
     telemetry: Option<Box<MemTelemetry>>,
 }
 
-impl EventMem {
+impl SharedMem {
     /// Hard ceiling on `MemConfig::mem_partitions`. Configurations above it
     /// are clamped (behaving bit-identically to a machine configured at the
     /// ceiling). The bound keeps the per-bank service-interval scaling
@@ -386,16 +225,16 @@ impl EventMem {
     /// behaviour the `partition_extremes` tests pin.
     pub const MAX_PARTITIONS: u32 = 4096;
 
-    /// Build the partitioned model from `cfg` (see the `MemConfig` fields
+    /// Build the memory system from `cfg` (see the `MemConfig` fields
     /// `mem_partitions`, `mshr_entries`, `dram_queue_entries`).
     /// `mem_partitions` is clamped to `1..=MAX_PARTITIONS`.
-    pub fn new(cfg: &MemConfig) -> Self {
+    pub fn new(cfg: MemConfig) -> Self {
         let parts_n = cfg.mem_partitions.clamp(1, Self::MAX_PARTITIONS);
         let slice_bytes = (u64::from(cfg.l2_bytes) / u64::from(parts_n))
             .max(u64::from(cfg.line_bytes) * u64::from(cfg.l2_ways.max(1)));
-        // Per-bank service is `partitions`× slower than the functional
-        // aggregate so total bandwidth matches. Saturation policy (decided,
-        // not accidental): a product that would exceed u32::MAX pins to
+        // Per-bank service is `partitions`× slower than one unified bank so
+        // total bandwidth matches. Saturation policy (decided, not
+        // accidental): a product that would exceed u32::MAX pins to
         // u32::MAX quarter-cycles — per-bank bandwidth bottoms out rather
         // than wrapping to a fast interval. Unreachable for any service
         // interval below u32::MAX / MAX_PARTITIONS ≈ 1M quarter-cycles.
@@ -410,12 +249,12 @@ impl EventMem {
                 dram_in_queue: 0,
             })
             .collect();
-        EventMem {
+        SharedMem {
+            cfg,
+            stats: MemStats::default(),
             parts,
             releases: TimingWheel::new(),
             release_buf: Vec::new(),
-            mshr_limit: cfg.mshr_entries,
-            dram_queue_limit: cfg.dram_queue_entries,
             total_mshr: 0,
             total_dram: 0,
             clock: 0,
@@ -424,7 +263,7 @@ impl EventMem {
     }
 
     /// Credit `occupancy × elapsed` for both resources up to `to`.
-    fn integrate(&mut self, to: u64, stats: &mut MemStats) {
+    fn integrate(&mut self, to: u64) {
         // Sample rows due in `(clock, to]` see the occupancy that held over
         // that whole stretch (it only changes at release/admission cycles,
         // which bound every integrate call). A row at cycle `b` therefore
@@ -439,20 +278,22 @@ impl EventMem {
         }
         let span = to.saturating_sub(self.clock);
         if span > 0 {
-            stats.mshr_occupancy_cycles += span * u64::from(self.total_mshr);
-            stats.dram_queue_occupancy_cycles += span * u64::from(self.total_dram);
+            self.stats.mshr_occupancy_cycles += span * u64::from(self.total_mshr);
+            self.stats.dram_queue_occupancy_cycles += span * u64::from(self.total_dram);
             self.clock = to;
         }
     }
 
-    /// Process releases due by `now`, integrating occupancy piecewise at
-    /// each release cycle (exact across arbitrarily long jumps).
-    fn advance_to(&mut self, now: u64, stats: &mut MemStats) {
+    /// Process every capacity release due by `now`, integrating occupancy
+    /// piecewise at each release cycle (exact across arbitrarily long
+    /// jumps). Idempotent per cycle; the SM step loop calls it before
+    /// consulting the gate, so a clock jump settles lazily.
+    pub fn advance_to(&mut self, now: u64) {
         while let Some(due) = self.releases.next_due() {
             if due > now {
                 break;
             }
-            self.integrate(due, stats);
+            self.integrate(due);
             let mut buf = std::mem::take(&mut self.release_buf);
             self.releases.drain_due_into(due, &mut buf);
             for &(_, r) in &buf {
@@ -482,70 +323,101 @@ impl EventMem {
             }
             self.release_buf = buf;
         }
-        self.integrate(now, stats);
+        self.integrate(now);
     }
 
-    /// Worst-case free capacity across partitions. Soft-limit semantics: an
-    /// *empty* table accepts any instruction whole (even one whose
-    /// transaction count exceeds the nominal limit), which is what makes
-    /// finite tables deadlock-free — entries drain on their own, so a
-    /// blocked instruction always eventually sees an empty table.
-    fn gate(&self) -> MemGate {
+    /// Capacity snapshot for the SM readiness scan at `now` (call after
+    /// [`Self::advance_to`]): the worst-case free capacity across
+    /// partitions. Soft-limit semantics: an *empty* table accepts any
+    /// instruction whole (even one whose transaction count exceeds the
+    /// nominal limit), which is what makes finite tables deadlock-free —
+    /// entries drain on their own, so a blocked instruction always
+    /// eventually sees an empty table.
+    pub fn issue_gate(&self) -> MemGate {
+        let (mshr_limit, dram_limit) = (self.cfg.mshr_entries, self.cfg.dram_queue_entries);
         let mut gate = MemGate::OPEN;
         for p in &self.parts {
-            if self.mshr_limit > 0 && !p.mshr.is_empty() {
-                let free = self.mshr_limit.saturating_sub(p.mshr.len() as u32);
+            if mshr_limit > 0 && !p.mshr.is_empty() {
+                let free = mshr_limit.saturating_sub(p.mshr.len() as u32);
                 gate.mshr_free = gate.mshr_free.min(free);
             }
-            if self.dram_queue_limit > 0 && p.dram_in_queue > 0 {
-                let free = self.dram_queue_limit.saturating_sub(p.dram_in_queue);
+            if dram_limit > 0 && p.dram_in_queue > 0 {
+                let free = dram_limit.saturating_sub(p.dram_in_queue);
                 gate.dram_free = gate.dram_free.min(free);
             }
         }
         gate
     }
 
-    /// Earliest pending capacity release, if any.
-    fn next_release(&self) -> Option<u64> {
+    /// Earliest pending MSHR/DRAM-queue release — the wake-up cycle for an
+    /// SM sleeping on memory back-pressure. `None` when nothing is held
+    /// (always, with unlimited buffers).
+    pub fn next_release(&self) -> Option<u64> {
         self.releases.next_due()
     }
 
-    /// Partition index and partition-local probe address of `addr`
-    /// (line-interleaved slicing; the local address renumbers the
-    /// partition's lines densely so each slice uses all its sets).
+    /// In-flight occupancy `(mshr entries, dram-queue slots)` across all
+    /// partitions. Surfaced in the watchdog's
+    /// [`crate::supervise::StallDiagnosis`].
+    pub fn in_flight(&self) -> (u32, u32) {
+        (self.total_mshr, self.total_dram)
+    }
+
+    /// Latest capacity-release cycle ever scheduled (0 if none) — one input
+    /// to the forward-progress watchdog's watermark. Engine-invariant:
+    /// releases are scheduled at issue time with identical due cycles in
+    /// every engine.
+    pub fn latest_release_scheduled(&self) -> u64 {
+        self.releases.latest_scheduled()
+    }
+
+    /// Flush the occupancy integrals through the end of the run.
+    pub fn finalize(&mut self, end: u64) {
+        self.advance_to(end);
+    }
+
+    /// Enable telemetry recording.
+    pub(crate) fn set_telemetry(&mut self, cfg: &TelemetryConfig) {
+        self.telemetry = Some(Box::new(MemTelemetry::new(cfg)));
+    }
+
+    /// Take the memory-side telemetry state for end-of-run assembly.
+    pub(crate) fn take_telemetry(&mut self) -> Option<MemTelemetry> {
+        self.telemetry.take().map(|b| *b)
+    }
+
+    /// Partition index, global line number and partition-local probe
+    /// address of `addr` (line-interleaved slicing; the local address
+    /// renumbers the partition's lines densely so each slice uses all its
+    /// sets).
     #[inline]
-    fn route(&self, addr: u64, line_bytes: u64) -> (usize, u64, u64) {
+    fn route(&self, addr: u64) -> (usize, u64, u64) {
+        let line_bytes = u64::from(self.cfg.line_bytes);
         let line = addr / line_bytes;
         let part = (line % self.parts.len() as u64) as usize;
         let local_addr = (line / self.parts.len() as u64) * line_bytes;
         (part, line, local_addr)
     }
 
-    /// Time one transaction; returns the absolute completion cycle. Tag
-    /// state updates eagerly (as in the functional model); MSHR entries and
-    /// DRAM-queue slots are held via wheel-scheduled releases.
-    fn access(
-        &mut self,
-        l1: &mut Cache,
-        addr: u64,
-        now: u64,
-        is_load: bool,
-        cfg: &MemConfig,
-        stats: &mut MemStats,
-    ) -> u64 {
+    /// Time one transaction to `addr` from the SM owning `l1`, issued at
+    /// `now`; returns its **absolute completion cycle**. Requires a
+    /// preceding [`Self::advance_to`] for `now`. MSHR entries and DRAM-queue
+    /// slots are held via wheel-scheduled releases.
+    pub fn access(&mut self, l1: &mut Cache, addr: u64, now: u64, is_load: bool) -> u64 {
         debug_assert!(self.clock == now, "advance_to(now) must precede access");
-        stats.transactions += 1;
+        let cfg = self.cfg;
+        self.stats.transactions += 1;
         let base = u64::from(cfg.l1_hit_latency);
         if is_load {
             if l1.access(addr) == CacheOutcome::Hit {
-                stats.l1_hits += 1;
+                self.stats.l1_hits += 1;
                 return now + base;
             }
-            stats.l1_misses += 1;
+            self.stats.l1_misses += 1;
         } else {
             l1.access_store(addr);
         }
-        let (part, line, local_addr) = self.route(addr, u64::from(cfg.line_bytes));
+        let (part, line, local_addr) = self.route(addr);
         let p = &mut self.parts[part];
         let queue_l2 = p.l2_server.admit(now);
         let l2_time = now + base + u64::from(cfg.l2_latency) + queue_l2;
@@ -556,31 +428,23 @@ impl EventMem {
                 CacheOutcome::Hit => l2_time,
                 CacheOutcome::Miss => {
                     let (queue_dram, service_end) = p.dram_server.admit_timed(now);
-                    if self.dram_queue_limit > 0 {
-                        p.dram_in_queue += 1;
-                        self.total_dram += 1;
-                        stats.peak_dram_queue_occupancy =
-                            stats.peak_dram_queue_occupancy.max(self.total_dram);
-                        self.releases
-                            .push(service_end, Release::DramSlot { part: part as u16 });
-                        if let Some(t) = self.telemetry.as_deref_mut() {
-                            t.record(now, TelemetryEvent::DramAdmit { part: part as u32 });
-                        }
+                    if cfg.dram_queue_entries > 0 {
+                        self.hold_dram_slot(part, now, service_end);
                     }
                     l2_time + queue_dram // posted: no dram_latency
                 }
             };
         }
         let outcome = p.l2.access(local_addr);
-        if self.mshr_limit > 0 {
+        if cfg.mshr_entries > 0 {
             // Hit-under-miss / miss merging: any request touching a line
             // whose fill is still in flight completes with that fill.
             if let Some(e) = p.mshr.iter().find(|e| e.line == line) {
                 match outcome {
-                    CacheOutcome::Hit => stats.l2_hits += 1,
-                    CacheOutcome::Miss => stats.l2_misses += 1,
+                    CacheOutcome::Hit => self.stats.l2_hits += 1,
+                    CacheOutcome::Miss => self.stats.l2_misses += 1,
                 }
-                stats.mshr_merges += 1;
+                self.stats.mshr_merges += 1;
                 let merged_at = l2_time.max(e.fill_at + base);
                 if let Some(t) = self.telemetry.as_deref_mut() {
                     t.record(now, TelemetryEvent::MshrMerge { part: part as u32 });
@@ -590,18 +454,18 @@ impl EventMem {
         }
         match outcome {
             CacheOutcome::Hit => {
-                stats.l2_hits += 1;
+                self.stats.l2_hits += 1;
                 l2_time
             }
             CacheOutcome::Miss => {
-                stats.l2_misses += 1;
+                self.stats.l2_misses += 1;
                 let (queue_dram, service_end) = p.dram_server.admit_timed(now);
                 let fill_at = now
                     + u64::from(cfg.l2_latency)
                     + queue_l2
                     + u64::from(cfg.dram_latency)
                     + queue_dram;
-                if self.mshr_limit > 0 {
+                if cfg.mshr_entries > 0 {
                     p.mshr.push(MshrEntry { line, fill_at });
                     self.total_mshr += 1;
                     // Sample the cross-partition total at admission: totals
@@ -610,7 +474,8 @@ impl EventMem {
                     // table length — the old behaviour — understated the
                     // machine-wide peak whenever misses spread across
                     // partitions.
-                    stats.peak_mshr_occupancy = stats.peak_mshr_occupancy.max(self.total_mshr);
+                    self.stats.peak_mshr_occupancy =
+                        self.stats.peak_mshr_occupancy.max(self.total_mshr);
                     self.releases.push(
                         fill_at,
                         Release::Mshr {
@@ -619,19 +484,25 @@ impl EventMem {
                         },
                     );
                 }
-                if self.dram_queue_limit > 0 {
-                    p.dram_in_queue += 1;
-                    self.total_dram += 1;
-                    stats.peak_dram_queue_occupancy =
-                        stats.peak_dram_queue_occupancy.max(self.total_dram);
-                    self.releases
-                        .push(service_end, Release::DramSlot { part: part as u16 });
-                    if let Some(t) = self.telemetry.as_deref_mut() {
-                        t.record(now, TelemetryEvent::DramAdmit { part: part as u32 });
-                    }
+                if cfg.dram_queue_entries > 0 {
+                    self.hold_dram_slot(part, now, service_end);
                 }
                 fill_at + base
             }
+        }
+    }
+
+    /// Hold a DRAM-queue slot of partition `part` from its admission at
+    /// `now` until the channel finishes the transaction at `service_end`.
+    fn hold_dram_slot(&mut self, part: usize, now: u64, service_end: u64) {
+        self.parts[part].dram_in_queue += 1;
+        self.total_dram += 1;
+        self.stats.peak_dram_queue_occupancy =
+            self.stats.peak_dram_queue_occupancy.max(self.total_dram);
+        self.releases
+            .push(service_end, Release::DramSlot { part: part as u16 });
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.record(now, TelemetryEvent::DramAdmit { part: part as u32 });
         }
     }
 }
@@ -695,21 +566,64 @@ mod tests {
     use super::*;
     use grs_core::MemConfig;
 
-    fn mem() -> (SharedMem, Cache) {
-        let cfg = MemConfig::default();
-        let l1 = Cache::new(
+    fn l1_for(cfg: &MemConfig) -> Cache {
+        Cache::new(
             u64::from(cfg.l1_bytes),
             cfg.l1_ways,
             u64::from(cfg.line_bytes),
+        )
+    }
+
+    /// The memory system at the default (`Functional` preset) sizes.
+    fn mem() -> (SharedMem, Cache) {
+        let cfg = MemConfig::default();
+        (SharedMem::new(cfg), l1_for(&cfg))
+    }
+
+    /// The `Event` preset's sizes over default timing.
+    fn event_cfg() -> MemConfig {
+        let mut cfg = MemConfig::default();
+        MemoryModel::Event.apply(&mut cfg);
+        cfg
+    }
+
+    /// The memory system with explicit partition / MSHR / DRAM-queue sizes.
+    fn mem_with(parts: u32, mshr: u32, dramq: u32) -> (SharedMem, Cache) {
+        let cfg = MemConfig {
+            mem_partitions: parts,
+            mshr_entries: mshr,
+            dram_queue_entries: dramq,
+            ..MemConfig::default()
+        };
+        (SharedMem::new(cfg), l1_for(&cfg))
+    }
+
+    #[test]
+    fn the_functional_preset_is_the_default_and_event_sets_table_i_sizes() {
+        let mut functional = MemConfig::default();
+        MemoryModel::Functional.apply(&mut functional);
+        assert_eq!(functional, MemConfig::default());
+        let mut event = MemConfig {
+            l2_latency: 7,
+            ..MemConfig::default()
+        };
+        MemoryModel::Event.apply(&mut event);
+        assert_eq!(
+            (
+                event.mem_partitions,
+                event.mshr_entries,
+                event.dram_queue_entries
+            ),
+            (6, 8, 16)
         );
-        (SharedMem::new(cfg), l1)
+        assert_eq!(event.l2_latency, 7, "only the three sizes change");
     }
 
     #[test]
     fn l1_hit_is_cheapest() {
         let (mut sm, mut l1) = mem();
-        let cold = sm.load(&mut l1, 0x1000, 0);
-        let warm = sm.load(&mut l1, 0x1000, 0);
+        let cold = sm.access(&mut l1, 0x1000, 0, true);
+        let warm = sm.access(&mut l1, 0x1000, 0, true);
         assert!(warm < cold);
         assert_eq!(warm, u64::from(sm.cfg.l1_hit_latency));
         assert_eq!(sm.stats.l1_hits, 1);
@@ -719,15 +633,10 @@ mod tests {
     #[test]
     fn l2_hit_cheaper_than_dram() {
         let (mut sm, mut l1a) = mem();
-        let cfg = sm.cfg;
-        let mut l1b = Cache::new(
-            u64::from(cfg.l1_bytes),
-            cfg.l1_ways,
-            u64::from(cfg.line_bytes),
-        );
+        let mut l1b = l1_for(&sm.cfg);
         // SM A warms L2; SM B misses L1 but hits L2.
-        let dram = sm.load(&mut l1a, 0x8000, 0);
-        let l2hit = sm.load(&mut l1b, 0x8000, 0);
+        let dram = sm.access(&mut l1a, 0x8000, 0, true);
+        let l2hit = sm.access(&mut l1b, 0x8000, 0, true);
         assert!(l2hit < dram);
         assert_eq!(sm.stats.l2_hits, 1);
         assert_eq!(sm.stats.l2_misses, 1);
@@ -736,14 +645,14 @@ mod tests {
     #[test]
     fn dram_bandwidth_builds_queues() {
         let (mut sm, mut l1) = mem();
-        // Distinct lines all missing to DRAM at the same cycle: latencies
-        // must grow (non-strictly, thanks to sub-cycle service resolution)
-        // as the service queue backs up.
-        let lats: Vec<u64> = (0u64..8)
-            .map(|i| sm.load(&mut l1, 0x100_0000 + i * 0x10_0000, 0))
+        // Distinct lines all missing to DRAM at the same cycle: completion
+        // cycles must grow (non-strictly, thanks to sub-cycle service
+        // resolution) as the service queue backs up.
+        let done: Vec<u64> = (0u64..8)
+            .map(|i| sm.access(&mut l1, 0x100_0000 + i * 0x10_0000, 0, true))
             .collect();
-        assert!(lats.windows(2).all(|w| w[0] <= w[1]), "{lats:?}");
-        assert!(lats[7] > lats[0], "{lats:?}");
+        assert!(done.windows(2).all(|w| w[0] <= w[1]), "{done:?}");
+        assert!(done[7] > done[0], "{done:?}");
     }
 
     #[test]
@@ -800,34 +709,19 @@ mod tests {
         assert_eq!(a[0], a[1]); // same position → same address despite block
     }
 
-    fn event_mem(parts: u32, mshr: u32, dramq: u32) -> (SharedMem, Cache) {
-        let cfg = MemConfig {
-            mem_partitions: parts,
-            mshr_entries: mshr,
-            dram_queue_entries: dramq,
-            ..MemConfig::default()
-        };
-        let l1 = Cache::new(
-            u64::from(cfg.l1_bytes),
-            cfg.l1_ways,
-            u64::from(cfg.line_bytes),
-        );
-        (SharedMem::with_model(cfg, MemoryModel::Event), l1)
-    }
-
     #[test]
     fn peak_mshr_occupancy_sums_across_partitions() {
         // Two same-cycle misses routed to different partitions (lines 0 and
         // 1 under 2-way interleaving): the machine-wide peak is 2 entries,
         // not the per-partition maximum of 1 the old sampling reported.
-        let (mut sm, mut l1) = event_mem(2, 8, 0);
-        sm.event_access(&mut l1, 0, 0, true);
-        sm.event_access(&mut l1, 128, 0, true);
+        let (mut sm, mut l1) = mem_with(2, 8, 0);
+        sm.access(&mut l1, 0, 0, true);
+        sm.access(&mut l1, 128, 0, true);
         assert_eq!(sm.stats.peak_mshr_occupancy, 2);
         // Same shape for the DRAM queue peak.
-        let (mut sm, mut l1) = event_mem(2, 0, 8);
-        sm.event_access(&mut l1, 0, 0, true);
-        sm.event_access(&mut l1, 128, 0, true);
+        let (mut sm, mut l1) = mem_with(2, 0, 8);
+        sm.access(&mut l1, 0, 0, true);
+        sm.access(&mut l1, 128, 0, true);
         assert_eq!(sm.stats.peak_dram_queue_occupancy, 2);
     }
 
@@ -836,10 +730,10 @@ mod tests {
         // Admissions at different cycles with no release processed in
         // between must still raise the recorded peak monotonically: the
         // sample happens at every admission, not at release processing.
-        let (mut sm, mut l1) = event_mem(1, 16, 0);
+        let (mut sm, mut l1) = mem_with(1, 16, 0);
         for i in 0..4u64 {
             sm.advance_to(i);
-            sm.event_access(&mut l1, i * 128, i, true);
+            sm.access(&mut l1, i * 128, i, true);
             assert_eq!(sm.stats.peak_mshr_occupancy, (i + 1) as u32);
         }
     }
@@ -853,8 +747,8 @@ mod tests {
         // cycle, never one later. Same-cycle SM writebacks drain before
         // `advance_to` runs (see `Sm::step`), so the order within the wake
         // cycle is: writebacks, then releases, then the gate read.
-        let (mut sm, mut l1) = event_mem(1, 1, 0);
-        sm.event_access(&mut l1, 0, 0, true);
+        let (mut sm, mut l1) = mem_with(1, 1, 0);
+        sm.access(&mut l1, 0, 0, true);
         let r = sm.next_release().expect("miss holds an MSHR entry");
         assert_eq!(sm.issue_gate().mshr_free, 0);
         sm.advance_to(r - 1);
@@ -869,27 +763,20 @@ mod tests {
     fn partition_count_above_the_cap_clamps_bit_identically() {
         let over = MemConfig {
             mem_partitions: u32::MAX,
-            ..MemConfig::default()
+            ..event_cfg()
         };
         let at_cap = MemConfig {
-            mem_partitions: EventMem::MAX_PARTITIONS,
-            ..MemConfig::default()
+            mem_partitions: SharedMem::MAX_PARTITIONS,
+            ..event_cfg()
         };
-        let mut a = SharedMem::with_model(over, MemoryModel::Event);
-        let mut b = SharedMem::with_model(at_cap, MemoryModel::Event);
-        let mk_l1 = |cfg: &MemConfig| {
-            Cache::new(
-                u64::from(cfg.l1_bytes),
-                cfg.l1_ways,
-                u64::from(cfg.line_bytes),
-            )
-        };
-        let (mut l1a, mut l1b) = (mk_l1(&over), mk_l1(&at_cap));
+        let mut a = SharedMem::new(over);
+        let mut b = SharedMem::new(at_cap);
+        let (mut l1a, mut l1b) = (l1_for(&over), l1_for(&at_cap));
         for i in 0..64u64 {
             let addr = i * 128 * 4097; // spread across many partitions
             assert_eq!(
-                a.event_access(&mut l1a, addr, 0, true),
-                b.event_access(&mut l1b, addr, 0, true),
+                a.access(&mut l1a, addr, 0, true),
+                b.access(&mut l1b, addr, 0, true),
             );
         }
         assert_eq!(a.stats, b.stats);
@@ -904,19 +791,15 @@ mod tests {
             mem_partitions: 2,
             l2_service_q4: u32::MAX,
             dram_service_q4: u32::MAX,
-            ..MemConfig::default()
+            ..event_cfg()
         };
-        let mut sm = SharedMem::with_model(cfg, MemoryModel::Event);
-        let mut l1 = Cache::new(
-            u64::from(cfg.l1_bytes),
-            cfg.l1_ways,
-            u64::from(cfg.line_bytes),
-        );
-        let first = sm.event_access(&mut l1, 0, 0, true);
-        let second = sm.event_access(&mut l1, 2 * 128, 0, true); // same partition
-                                                                 // Back-to-back transactions on one bank must queue behind the
-                                                                 // (saturated, enormous) service interval — a wrapped interval would
-                                                                 // make them nearly free.
+        let mut sm = SharedMem::new(cfg);
+        let mut l1 = l1_for(&cfg);
+        // Back-to-back transactions on one bank (lines 0 and 2 share a
+        // partition) must queue behind the saturated, enormous service
+        // interval — a wrapped interval would make them nearly free.
+        let first = sm.access(&mut l1, 0, 0, true);
+        let second = sm.access(&mut l1, 2 * 128, 0, true);
         assert!(second - first >= u64::from(u32::MAX) / 8);
     }
 

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::gpu::Gpu;
 use crate::kinfo::KernelInfo;
-use crate::mem::MemoryModel;
+use crate::mem::{MemoryModel, SharedMem};
 use crate::stats::SimStats;
 use crate::supervise::RunReport;
 use crate::telemetry::TelemetryConfig;
@@ -42,8 +42,8 @@ impl SharingMode {
 ///
 /// # Example
 ///
-/// The paper's register-sharing machine with GTO scheduling and the
-/// event-driven memory model, on a 2-SM machine for a quick run:
+/// The paper's register-sharing machine with GTO scheduling and the Table I
+/// MSHR and DRAM-queue sizes, on a 2-SM machine for a quick run:
 ///
 /// ```
 /// use grs_core::SchedulerKind;
@@ -86,12 +86,6 @@ pub struct RunConfig {
     /// are bit-identical with the engine on or off; the knob exists so tests
     /// and benches can diff the fast path against the per-cycle reference.
     pub fast_forward: bool,
-    /// How the shared memory system is timed (see the `grs_sim::mem` module
-    /// docs). `Functional` (the default) computes each transaction's full
-    /// latency at issue over infinite buffering; `Event` models
-    /// per-partition L2 banks with finite MSHR tables and bounded DRAM
-    /// queues whose back-pressure gates SM issue.
-    pub memory_model: MemoryModel,
     /// Snapshot the complete machine state every this many cycles (see the
     /// `grs_sim::supervise` module docs). `None` (the default) never
     /// checkpoints mid-run. Checkpointing is unobservable in the
@@ -103,7 +97,7 @@ pub struct RunConfig {
     /// default) records nothing and adds no per-cycle work. Tracing is
     /// **observation-only**: [`SimStats`] are bit-identical with telemetry
     /// on or off, pinned by `tests/telemetry.rs` across the full scheduler ×
-    /// sharing × memory-model matrix on both engines.
+    /// sharing × memory-preset matrix on both engines.
     pub telemetry: Option<TelemetryConfig>,
     /// Forward-progress watchdog window, in cycles. If the run reaches a
     /// cycle at least this far past the last provable progress (an issued
@@ -112,7 +106,9 @@ pub struct RunConfig {
     /// [`RunOutcome::Stalled`](crate::supervise::RunOutcome) and a
     /// structured [`StallDiagnosis`](crate::supervise::StallDiagnosis)
     /// instead of spinning to [`Self::max_cycles`]. `None` (the default)
-    /// disables the watchdog. The trip cycle is engine-invariant.
+    /// disables the watchdog; windows below
+    /// [`MIN_WATCHDOG_WINDOW`](crate::supervise::MIN_WATCHDOG_WINDOW) are
+    /// raised to it. The trip cycle is engine-invariant.
     pub watchdog: Option<u64>,
     /// Safety bound on simulated cycles.
     pub max_cycles: u64,
@@ -132,7 +128,6 @@ impl RunConfig {
             dyn_throttle: false,
             reorder_decls: false,
             fast_forward: true,
-            memory_model: MemoryModel::Functional,
             checkpoint_every: None,
             telemetry: None,
             watchdog: None,
@@ -218,9 +213,13 @@ impl RunConfig {
         self
     }
 
-    /// Replace the memory model (`Functional` by default).
+    /// Set the memory system's three buffer sizes to preset `m` (see
+    /// [`MemoryModel`]; the defaults are the `Functional` preset). This
+    /// overwrites `gpu.mem.{mem_partitions, mshr_entries,
+    /// dram_queue_entries}`, so adjust any of them by hand *after* picking
+    /// the preset.
     pub fn with_memory_model(mut self, m: MemoryModel) -> Self {
-        self.memory_model = m;
+        m.apply(&mut self.gpu.mem);
         self
     }
 
@@ -276,6 +275,18 @@ pub enum RunError {
         /// The offending `GpuConfig` field.
         field: &'static str,
     },
+    /// A cache's associativity exceeds the lines it holds (for the L2, the
+    /// lines of one partition's slice), so not even one set fits. Checked
+    /// before building the machine, whose tag store would otherwise grow to
+    /// `ways` lines.
+    CacheWaysExceedLines {
+        /// The offending `GpuConfig` field.
+        field: &'static str,
+        /// The configured associativity.
+        ways: u32,
+        /// Lines the cache (or L2 slice) holds.
+        lines: u64,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -291,6 +302,12 @@ impl std::fmt::Display for RunError {
             RunError::KernelDoesNotFit => write!(f, "kernel does not fit on one SM"),
             RunError::DegenerateMachine { field } => {
                 write!(f, "machine config `{field}` must be nonzero")
+            }
+            RunError::CacheWaysExceedLines { field, ways, lines } => {
+                write!(
+                    f,
+                    "machine config `{field}` = {ways} exceeds the {lines} lines it indexes"
+                )
             }
         }
     }
@@ -363,6 +380,21 @@ impl Simulator {
                 return Err(RunError::DegenerateMachine { field });
             }
         }
+        let mem = &gpu.mem;
+        let l2_slices = mem.mem_partitions.clamp(1, SharedMem::MAX_PARTITIONS);
+        for (field, ways, bytes) in [
+            ("mem.l1_ways", mem.l1_ways, u64::from(mem.l1_bytes)),
+            (
+                "mem.l2_ways",
+                mem.l2_ways,
+                u64::from(mem.l2_bytes) / u64::from(l2_slices),
+            ),
+        ] {
+            let lines = bytes / u64::from(mem.line_bytes);
+            if u64::from(ways) > lines {
+                return Err(RunError::CacheWaysExceedLines { field, ways, lines });
+            }
+        }
         grs_isa::validate(kernel).map_err(RunError::InvalidKernel)?;
         if kernel.regs_per_thread > 64 {
             return Err(RunError::TooManyRegisters {
@@ -386,7 +418,6 @@ impl Simulator {
             self.cfg.dyn_throttle,
             self.cfg.sharing.resource(),
             self.cfg.fast_forward,
-            self.cfg.memory_model,
             self.cfg.telemetry,
         );
         Ok((gpu, kinfo))
@@ -488,6 +519,39 @@ mod tests {
             let err = Simulator::new(cfg).try_run_report(&small_kernel());
             assert_eq!(err, Err(RunError::DegenerateMachine { field }));
         }
+    }
+
+    #[test]
+    fn cache_ways_above_the_line_count_are_rejected() {
+        for field in ["mem.l1_ways", "mem.l2_ways"] {
+            let mut cfg = RunConfig::baseline_lrr();
+            match field {
+                "mem.l1_ways" => cfg.gpu.mem.l1_ways = u32::MAX,
+                _ => cfg.gpu.mem.l2_ways = u32::MAX,
+            }
+            match Simulator::new(cfg).try_run_report(&small_kernel()) {
+                Err(RunError::CacheWaysExceedLines { field: f, ways, .. }) => {
+                    assert_eq!((f, ways), (field, u32::MAX));
+                }
+                other => panic!("{field}: {other:?}"),
+            }
+        }
+        // The L2 bound is one partition's slice: 768 KB / 6 / 128 B.
+        let mut cfg = RunConfig::baseline_lrr().with_memory_model(MemoryModel::Event);
+        cfg.gpu.num_sms = 2;
+        cfg.gpu.mem.l2_ways = 1025;
+        let err = Simulator::new(cfg.clone()).try_run(&small_kernel());
+        assert_eq!(
+            err,
+            Err(RunError::CacheWaysExceedLines {
+                field: "mem.l2_ways",
+                ways: 1025,
+                lines: 1024
+            })
+        );
+        // A fully associative slice is fine.
+        cfg.gpu.mem.l2_ways = 1024;
+        assert!(Simulator::new(cfg).try_run(&small_kernel()).is_ok());
     }
 
     #[test]

@@ -41,8 +41,8 @@ impl ServerQueue {
     /// Admit a transaction at cycle `now`; returns `(queueing delay, service
     /// end)` — the delay in whole cycles (rounded down, like [`Self::admit`])
     /// and the first cycle by which the server has finished this transaction
-    /// (rounded up). The event-driven memory model holds a DRAM-queue slot
-    /// until the service end.
+    /// (rounded up). The memory system holds a DRAM-queue slot until the
+    /// service end.
     pub fn admit_timed(&mut self, now: u64) -> (u64, u64) {
         let now_q = now * Q;
         let start = self.next_free_q.max(now_q);

@@ -60,9 +60,6 @@ use crate::wheel::TimingWheel;
 pub struct Writeback {
     /// Target warp slot.
     pub slot: u32,
-    /// Register to clear ([`NO_REG`] for none); unused by `MemTxn` events,
-    /// whose register lives in the warp's pending-group table.
-    pub reg: u16,
     /// What completed.
     pub kind: WbKind,
 }
@@ -70,13 +67,11 @@ pub struct Writeback {
 /// Kind of completion a [`Writeback`] delivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WbKind {
-    /// An ALU/SFU/scratchpad result.
-    Alu,
-    /// A whole global-memory instruction (functional memory model: one
-    /// event at the max transaction latency).
-    MemInstr,
-    /// One transaction of pending-group `.0` (event memory model: the group
-    /// coalesces its transactions into a single warp wake-up on the last).
+    /// An ALU/SFU/scratchpad result for register `.0`.
+    Alu(u16),
+    /// One global-memory transaction of pending-group `.0`; the group
+    /// coalesces its transactions into a single warp wake-up on the last,
+    /// which clears the register the group holds.
     MemTxn(u16),
 }
 
@@ -95,7 +90,7 @@ enum SlotScan {
     /// MSHR-full — evaluation has per-cycle side effects (stat counters,
     /// RNG draws) or can change without time passing.
     Volatile,
-    /// Blocked solely by event-memory-model back-pressure ([`MemGate`]).
+    /// Blocked solely by memory back-pressure ([`MemGate`]).
     /// Re-evaluated every stepped cycle (the per-cycle block counters are
     /// side effects), but — unlike [`SlotScan::Volatile`] — it does not
     /// prevent the SM from sleeping: the block can only end at a capacity
@@ -112,9 +107,9 @@ enum Blocked {
     /// Pipeline stall (lock busy-wait, per-warp MSHR limit): never
     /// skippable.
     Hard,
-    /// Event-model MSHR back-pressure: stall cycles, but sleepable.
+    /// MSHR back-pressure: stall cycles, but sleepable.
     GateMshr,
-    /// Event-model DRAM-queue back-pressure: stall cycles, but sleepable.
+    /// DRAM-queue back-pressure: stall cycles, but sleepable.
     GateDram,
 }
 
@@ -171,11 +166,10 @@ pub struct StepOutcome {
     /// Zero issues, no stall reason, no volatile warp: nothing on this SM
     /// can change before its next writeback drains.
     pub quiescent: bool,
-    /// Like `quiescent`, except ≥1 warp is blocked by event-memory-model
-    /// back-pressure: the SM may sleep, but it must also wake on the next
-    /// MSHR/DRAM-queue release and the skipped span counts as *stall*
-    /// cycles, credited by [`Sm::credit_gated`]. Mutually exclusive with
-    /// `quiescent`.
+    /// Like `quiescent`, except ≥1 warp is blocked by memory back-pressure:
+    /// the SM may sleep, but it must also wake on the next MSHR/DRAM-queue
+    /// release and the skipped span counts as *stall* cycles, credited by
+    /// [`Sm::credit_gated`]. Mutually exclusive with `quiescent`.
     pub gated: bool,
     /// Did the SM issue at least one instruction this cycle? The
     /// forward-progress watchdog treats issues as progress even when they
@@ -546,7 +540,7 @@ impl Sm {
             self.telemetry = Some(t);
         }
         self.drain_writebacks(now);
-        shared.advance_to(now); // event model: settle capacity releases
+        shared.advance_to(now); // settle capacity releases
         let max_pending = shared.cfg.max_pending_per_warp;
         let gate = shared.issue_gate();
         let scan = self.scan_readiness(now, kinfo, throttle, max_pending, gate);
@@ -633,11 +627,7 @@ impl Sm {
             let slot = wb.slot as usize;
             if let Some(w) = self.warps[slot].as_mut() {
                 match wb.kind {
-                    WbKind::Alu => w.clear_pending(wb.reg),
-                    WbKind::MemInstr => {
-                        w.clear_pending(wb.reg);
-                        w.outstanding_mem = w.outstanding_mem.saturating_sub(1);
-                    }
+                    WbKind::Alu(reg) => w.clear_pending(reg),
                     // Intermediate transactions of a group dirty the slot
                     // harmlessly (a still-blocked warp re-evaluates to the
                     // same view with no side effects); the group's last
@@ -793,7 +783,7 @@ impl Sm {
             }
             let mut gated = false;
             if !hazard && !drain_for_exit && !mshr_full {
-                // Event-model issue gate: the shared memory system cannot
+                // Memory issue gate: the shared memory system cannot
                 // take this instruction's transactions. Same stall class as
                 // `mshr_full`, but sleepable (see `SlotScan::Gated`).
                 match gate.blocks(meta) {
@@ -888,7 +878,7 @@ impl Sm {
         };
         let meta = kinfo.meta[pc];
 
-        // Re-check the event-model issue gate: a peer scheduler unit's issue
+        // Re-check the memory issue gate: a peer scheduler unit's issue
         // this cycle may have consumed the capacity the readiness scan saw.
         // Nothing has been mutated yet, so bailing out is side-effect-free
         // (like a lost same-cycle lock race below).
@@ -991,40 +981,17 @@ impl Sm {
                         NO_REG
                     };
                     w.outstanding_mem += 1;
-                    if shared.is_event() {
-                        // Event model: each transaction runs the partition
-                        // pipeline and schedules its own completion; the
-                        // group coalesces them into one warp wake-up.
-                        let group = w.alloc_mem_group(reg, self.addr_buf.len() as u32);
-                        for &addr in &self.addr_buf {
-                            let done = shared.event_access(&mut self.l1, addr, now, is_load);
-                            self.writebacks.push(
-                                done,
-                                Writeback {
-                                    slot: slot as u32,
-                                    reg: NO_REG,
-                                    kind: WbKind::MemTxn(group),
-                                },
-                            );
-                        }
-                    } else {
-                        // Functional model: one completion at the slowest
-                        // transaction's issue-time latency.
-                        let mut max_lat = 0u64;
-                        for &addr in &self.addr_buf {
-                            let l = if is_load {
-                                shared.load(&mut self.l1, addr, now)
-                            } else {
-                                shared.store(&mut self.l1, addr, now)
-                            };
-                            max_lat = max_lat.max(l);
-                        }
+                    // Each transaction runs the partition pipeline and
+                    // schedules its own completion; the group coalesces
+                    // them into one warp wake-up.
+                    let group = w.alloc_mem_group(reg, self.addr_buf.len() as u32);
+                    for &addr in &self.addr_buf {
+                        let done = shared.access(&mut self.l1, addr, now, is_load);
                         self.writebacks.push(
-                            now + max_lat,
+                            done,
                             Writeback {
                                 slot: slot as u32,
-                                reg,
-                                kind: WbKind::MemInstr,
+                                kind: WbKind::MemTxn(group),
                             },
                         );
                     }
@@ -1164,8 +1131,7 @@ fn advance_alu(
             now + latency,
             Writeback {
                 slot: slot as u32,
-                reg: dst,
-                kind: WbKind::Alu,
+                kind: WbKind::Alu(dst),
             },
         );
     }

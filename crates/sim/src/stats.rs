@@ -27,14 +27,14 @@ pub struct SmStats {
     pub lock_retries: u64,
     /// Non-owner memory instructions suppressed by the dynamic throttle.
     pub throttled_issues: u64,
-    /// Warp-cycles a global **load** was blocked by event-memory-model
-    /// back-pressure: the MSHR table (or the DRAM queue behind it) could not
-    /// reserve room for its transactions. Always 0 under the functional
-    /// model.
+    /// Warp-cycles a global **load** was blocked by memory back-pressure:
+    /// the MSHR table (or the DRAM queue behind it) could not reserve room
+    /// for its transactions. Always 0 with unlimited MSHRs and an unbounded
+    /// DRAM queue (the `Functional` preset).
     pub mshr_full_stalls: u64,
     /// Warp-cycles a global **store** was blocked by a full DRAM request
-    /// queue (stores take no MSHR entry). Always 0 under the functional
-    /// model.
+    /// queue (stores take no MSHR entry). Always 0 with an unbounded DRAM
+    /// queue.
     pub dram_queue_full_stalls: u64,
     /// Idle cycles in which ≥1 live warp was blocked on a register hazard
     /// (scoreboard). Part of the per-reason breakdown:
@@ -68,25 +68,24 @@ pub struct MemStats {
     pub l2_misses: u64,
     /// Total global-memory transactions issued by coalescers.
     pub transactions: u64,
-    /// Event model: requests that merged into an in-flight MSHR entry for
-    /// the same line (hit-under-miss / miss merging) instead of paying for
-    /// another DRAM access.
+    /// Requests that merged into an in-flight MSHR entry for the same line
+    /// (hit-under-miss / miss merging) instead of paying for another DRAM
+    /// access. Always 0 with unlimited MSHRs, which track no entries.
     pub mshr_merges: u64,
-    /// Event model: sum over cycles of occupied MSHR entries (all
-    /// partitions) — the integral `∫ occupancy dt`, credited in closed form
-    /// at release events so it is exact across fast-forward jumps. Divide by
+    /// Sum over cycles of occupied MSHR entries (all partitions) — the
+    /// integral `∫ occupancy dt`, credited in closed form at release events
+    /// so it is exact across fast-forward jumps. Divide by
     /// `SimStats::cycles` for the mean outstanding-miss count.
     pub mshr_occupancy_cycles: u64,
-    /// Event model: sum over cycles of held DRAM request-queue slots (all
-    /// partitions); exact across fast-forward jumps like
-    /// [`Self::mshr_occupancy_cycles`].
+    /// Sum over cycles of held DRAM request-queue slots (all partitions);
+    /// exact across fast-forward jumps like [`Self::mshr_occupancy_cycles`].
     pub dram_queue_occupancy_cycles: u64,
-    /// Event model: most MSHR entries ever occupied **across all
-    /// partitions**, sampled at every admission (admissions are the only
-    /// point totals grow, so the sample sees every peak).
+    /// Most MSHR entries ever occupied **across all partitions**, sampled at
+    /// every admission (admissions are the only point totals grow, so the
+    /// sample sees every peak).
     pub peak_mshr_occupancy: u32,
-    /// Event model: most DRAM-queue slots ever held across all partitions,
-    /// sampled at admission like [`Self::peak_mshr_occupancy`].
+    /// Most DRAM-queue slots ever held across all partitions, sampled at
+    /// admission like [`Self::peak_mshr_occupancy`].
     pub peak_dram_queue_occupancy: u32,
 }
 
@@ -162,10 +161,10 @@ pub struct SimStats {
     pub lock_retries: u64,
     /// Throttle suppressions.
     pub throttled_issues: u64,
-    /// Sum of per-SM load-side memory-gate stalls (event model; see
+    /// Sum of per-SM load-side memory-gate stalls (see
     /// [`SmStats::mshr_full_stalls`]).
     pub mshr_full_stalls: u64,
-    /// Sum of per-SM store-side memory-gate stalls (event model).
+    /// Sum of per-SM store-side memory-gate stalls.
     pub dram_queue_full_stalls: u64,
     /// Sum of per-SM scoreboard-blocked idle cycles (see
     /// [`SmStats::stall_scoreboard_cycles`]).

@@ -4,14 +4,14 @@
 //! ## Checkpoint/resume
 //!
 //! A [`crate::gpu::Snapshot`] is a deep copy of the whole deterministic
-//! machine — per-SM warp/slot/wheel state, event-model MSHR/DRAM partition
-//! tables, dispatcher, throttle RNG streams — plus the engine-loop
-//! bookkeeping ([`crate::gpu::EngineState`]). With
+//! machine — per-SM warp/slot/wheel state, MSHR/DRAM partition tables,
+//! dispatcher, throttle RNG streams — plus the engine-loop bookkeeping
+//! ([`crate::gpu::EngineState`]). With
 //! [`crate::run::RunConfig::checkpoint_every`] set, the supervisor runs the
 //! simulation as a sequence of bounded spans and snapshots at each
 //! boundary; restoring any snapshot and running on is **bit-identical** to
 //! a straight run (`tests/checkpoint_resume.rs` pins this across the
-//! scheduler × sharing × memory-model matrix). The boundary itself is
+//! scheduler × sharing × memory-preset matrix). The boundary itself is
 //! unobservable: no SM steps before its wake-up cycle and the throttle's
 //! lazy crediting is path-independent, so re-entering the loop at the stop
 //! cycle replays nothing and skips nothing.
@@ -24,18 +24,29 @@
 //! ([`crate::run::RunConfig::watchdog`]) trips when a full window of `w`
 //! cycles elapses past the *progress watermark* — the latest issue and the
 //! latest event ever scheduled on any timing wheel
-//! ([`crate::gpu::Gpu::progress_watermark`]). Past the watermark every
-//! wheel is provably empty and no warp state can ever change, so the trip
-//! is a proof of livelock, not a guess; and because the watermark's inputs
-//! are engine-invariant, the per-cycle and fast-forward engines trip at
-//! the same cycle with bit-identical statistics. The run ends with a
-//! populated [`StallDiagnosis`] in the [`RunReport`].
+//! ([`crate::gpu::Gpu::progress_watermark`]). Past the watermark no wheel
+//! holds an event, so no writeback or capacity release can change a warp
+//! any more. One cycle of slack remains: an issue at the watermark cycle
+//! can make another issue possible on the next cycle with nothing scheduled
+//! (after a branch, a barrier release or a block refill), so windows below
+//! [`MIN_WATCHDOG_WINDOW`] are raised to it. From then on a warp's
+//! readiness depends only on state that issues and wheel events change,
+//! plus the dynamic throttle's draws: with the throttle off a trip proves a
+//! livelock, and with it on the window bounds how long throttled warps may
+//! wait. Because the watermark's inputs are engine-invariant, the
+//! per-cycle and fast-forward engines trip at the same cycle with
+//! bit-identical statistics. The run ends with a populated
+//! [`StallDiagnosis`] in the [`RunReport`].
 
 use crate::gpu::{EngineState, Gpu, SpanEnd};
 use crate::kinfo::KernelInfo;
 use crate::run::RunConfig;
 use crate::stats::SimStats;
 use crate::telemetry::{assemble, Ring, TelemetryEvent, TelemetryReport};
+
+/// Smallest effective watchdog window, in cycles: the slack one issue with
+/// nothing scheduled leaves before the next (see the module docs).
+pub const MIN_WATCHDOG_WINDOW: u64 = 2;
 
 /// Why a supervised run ended, beyond what [`SimStats`] carries.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +66,8 @@ pub enum RunOutcome {
 pub struct StallDiagnosis {
     /// Cycle the watchdog tripped at (`last_progress` + `window`).
     pub at_cycle: u64,
-    /// The configured watchdog window.
+    /// The effective watchdog window (the configured one, raised to at
+    /// least [`MIN_WATCHDOG_WINDOW`]).
     pub window: u64,
     /// The progress watermark: the latest issue or scheduled event.
     pub last_progress: u64,
@@ -116,10 +128,9 @@ pub struct SmDiag {
     pub live_warps: bool,
     /// Earliest pending writeback, if any (none in a livelock).
     pub next_wake: Option<u64>,
-    /// Warps blocked by event-model MSHR back-pressure at the last scan.
+    /// Warps blocked by MSHR back-pressure at the last scan.
     pub gate_mshr: u32,
-    /// Warps blocked by event-model DRAM-queue back-pressure at the last
-    /// scan.
+    /// Warps blocked by DRAM-queue back-pressure at the last scan.
     pub gate_dram: u32,
     /// Was the SM inside a sleep span when the watchdog tripped?
     pub sleeping: bool,
@@ -303,7 +314,7 @@ fn diagnose(gpu: &Gpu, st: &EngineState, window: u64) -> StallDiagnosis {
 /// to [`Gpu::run`] (a single unbounded span).
 pub(crate) fn supervise(cfg: &RunConfig, mut gpu: Gpu, kinfo: &KernelInfo) -> RunReport {
     let max_cycles = cfg.max_cycles;
-    let watchdog = cfg.watchdog.map(|w| w.max(1));
+    let watchdog = cfg.watchdog.map(|w| w.max(MIN_WATCHDOG_WINDOW));
     let mut st = gpu.start(kinfo);
     let mut checkpoints = 0u64;
     let mut stalled = false;

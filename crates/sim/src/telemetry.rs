@@ -5,10 +5,10 @@
 //! `Option` that is `None` unless a [`TelemetryConfig`] was supplied, and
 //! the hard contract (pinned by `tests/telemetry.rs`) is that enabling it
 //! never perturbs `SimStats` — traced and untraced runs are bit-identical
-//! across all schedulers, sharing modes, memory models, and both engines.
+//! across all schedulers, sharing modes, memory presets, and both engines.
 //!
 //! Events are appended to per-track ring buffers — one per SM, one for the
-//! event-driven memory system, one for the supervision engine — each with a
+//! shared memory system, one for the supervision engine — each with a
 //! configurable capacity and a drop counter. At run end the tracks are
 //! merged into one stream in the canonical `(cycle, track rank, seq)`
 //! order, the same (cycle, SM id) order the engine steps in, so the merged
@@ -141,7 +141,7 @@ pub enum TelemetryEvent {
 pub enum Track {
     /// A streaming multiprocessor, by id.
     Sm(u32),
-    /// The shared L2/MSHR/DRAM system (event memory model only).
+    /// The shared L2/MSHR/DRAM system.
     Mem,
     /// The supervision engine (checkpoints, watchdog).
     Engine,
@@ -211,7 +211,7 @@ pub struct SampleRow {
     pub no_ready: u64,
 }
 
-/// One sampled memory-system timeline row (event model only).
+/// One sampled memory-system timeline row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemSampleRow {
     /// Sample boundary cycle.
@@ -391,8 +391,8 @@ impl SmTelemetry {
     }
 }
 
-/// Memory-system recording state (event model only). Lives on `EventMem`
-/// so it clones with snapshots and is restored with them.
+/// Memory-system recording state. Lives on `SharedMem` so it clones with
+/// snapshots and is restored with them.
 #[derive(Debug, Clone)]
 pub(crate) struct MemTelemetry {
     pub(crate) ring: Ring<(u64, TelemetryEvent)>,

@@ -2,16 +2,16 @@
 
 use crate::rng::XorShift64;
 
-/// Sentinel register id used in writeback events that carry no destination
-/// (store completions).
+/// Sentinel register id for "no destination": instructions that write no
+/// register and the transaction groups of stores.
 pub const NO_REG: u16 = u16::MAX;
 
-/// One in-flight global-memory **instruction** of a warp under the
-/// event-driven memory model: the destination register it will release and
-/// the per-line transactions still outstanding. The instruction's scoreboard
-/// entry (and its [`Warp::outstanding_mem`] slot) clears when the *last*
-/// transaction returns — per-transaction completions coalesce into one
-/// warp-level wake-up.
+/// One in-flight global-memory **instruction** of a warp: the destination
+/// register it will release and the per-line transactions still
+/// outstanding. The instruction's scoreboard entry (and its
+/// [`Warp::outstanding_mem`] slot) clears when the *last* transaction
+/// returns — per-transaction completions coalesce into one warp-level
+/// wake-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingMem {
     /// Destination register, [`NO_REG`] for stores.
@@ -44,9 +44,9 @@ pub struct Warp {
     pub pending_regs: u64,
     /// In-flight global-memory operations.
     pub outstanding_mem: u32,
-    /// Per-instruction transaction groups of the event-driven memory model
-    /// (empty under the functional model). Indexed by the group id carried
-    /// in `MemTxn` writeback events; slots are recycled once drained.
+    /// Per-instruction transaction groups of in-flight global-memory
+    /// instructions. Indexed by the group id carried in `MemTxn` writeback
+    /// events; slots are recycled once drained.
     pub pending_mem: Vec<PendingMem>,
     /// Waiting at a block barrier.
     pub at_barrier: bool,

@@ -8,8 +8,8 @@
 //! append/drain and keeps the exact minimum on hand.
 //!
 //! The wheel is generic over its payload: [`crate::sm::Sm`] schedules
-//! [`crate::sm::Writeback`] completions on it, and the event-driven memory
-//! model ([`crate::mem::EventMem`]) schedules MSHR-entry and DRAM-queue-slot
+//! [`crate::sm::Writeback`] completions on it, and the shared memory system
+//! ([`crate::mem::SharedMem`]) schedules MSHR-entry and DRAM-queue-slot
 //! releases. Events scheduled for the same cycle land in the same bucket and
 //! drain together in insertion order — which is what lets a warp's N
 //! per-transaction completions coalesce into one wake-up without any extra

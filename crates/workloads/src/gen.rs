@@ -20,8 +20,8 @@
 //!   in a low register window, then wide-tile compute — the shape the
 //!   paper's declaration-reordering pass targets.
 //! * [`Family::MshrThrash`] — back-to-back wide scatter loads over a span
-//!   far larger than the L2: drives the event memory model's finite MSHR
-//!   tables and DRAM queues into sustained back-pressure
+//!   far larger than the L2: drives the finite MSHR tables and DRAM
+//!   queues of the `Event` memory preset into sustained back-pressure
 //!   (`mshr_full_stalls > 0` on the bench machine).
 //! * [`Family::Mixed`] — a seeded composition of the other families'
 //!   phases, one small loop per segment.
@@ -31,7 +31,7 @@
 //! a pure function of its [`GenSpec`] — which is what lets the differential
 //! harness (`tests/generated_differential.rs`) use the simulator's own
 //! determinism contract as an oracle: the same kernel must produce
-//! bit-identical `SimStats` across every engine, memory model, telemetry
+//! bit-identical `SimStats` across every engine, memory preset, telemetry
 //! setting and checkpoint cut.
 //!
 //! Specs have a stable string form, `gen:<family>:<seed>[:<size>]`

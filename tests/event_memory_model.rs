@@ -1,24 +1,21 @@
-//! Contract of the event-driven memory model (`MemoryModel::Event`):
+//! Contract of the memory system under finite buffers (the
+//! `MemoryModel::Event` preset and smaller):
 //!
-//! 1. **Reduction to the functional model.** With its buffers idealized —
-//!    one partition (so the bank topology collapses to the functional
-//!    unified L2/DRAM servers), unlimited MSHR entries, an unbounded DRAM
-//!    queue — the event model must reproduce `MemoryModel::Functional`
-//!    **bit-identically**, over the full 4-scheduler × 3-sharing matrix.
-//!    This is not vacuous: the event path still delivers one completion per
-//!    line transaction through the per-warp pending groups (coalesced to a
-//!    single wake-up), rather than one precomputed writeback per
-//!    instruction.
-//! 2. **Engine equivalence under back-pressure.** With *finite* buffers the
+//! 1. **Engine equivalence under back-pressure.** With *finite* buffers the
 //!    fast-forward engine must credit gated sleep spans (stall cycles,
 //!    MSHR-full / queue-full counters, throttle windows) in closed form:
 //!    `fast_forward` on ≡ off, bit for bit.
-//! 3. **Back-pressure exists.** On the latency-bound bench scenario
-//!    (CONV1 at one wave, DRAM round-trip 1600) the default Event machine
-//!    reports nonzero MSHR-full stalls and queue-occupancy integrals.
+//! 2. **Back-pressure exists.** On the latency-bound bench scenario
+//!    (CONV1 at one wave, DRAM round-trip 1600) the `Event` preset reports
+//!    nonzero MSHR-full stalls and queue-occupancy integrals.
+//! 3. **Merges exist.** Warps reading one kernel-wide tile merge into
+//!    in-flight MSHR entries instead of re-paying DRAM.
 //! 4. **No deadlock.** Finite (even tiny) MSHR tables and DRAM queues never
 //!    wedge a run — a property test over random kernels, seeds pinned in
 //!    `proptest-regressions/`.
+//!
+//! The unlimited-buffer default (`Functional` preset) is pinned to absolute
+//! numbers by `tests/golden_stats.rs`.
 
 use gpu_resource_sharing::core::SchedulerKind;
 use gpu_resource_sharing::isa::GlobalPattern as GP;
@@ -48,14 +45,6 @@ fn config(sched: SchedulerKind, sharing: SharingMode) -> RunConfig {
     cfg
 }
 
-/// The idealization under which Event must equal Functional exactly.
-fn idealize(mut cfg: RunConfig) -> RunConfig {
-    cfg.gpu.mem.mem_partitions = 1;
-    cfg.gpu.mem.mshr_entries = 0; // unlimited
-    cfg.gpu.mem.dram_queue_entries = 0; // unbounded
-    cfg.with_memory_model(MemoryModel::Event)
-}
-
 const SCHEDULERS: [SchedulerKind; 4] = [
     SchedulerKind::Lrr,
     SchedulerKind::Gto,
@@ -68,33 +57,15 @@ const SHARING: [SharingMode; 3] = [
     SharingMode::Scratchpad,
 ];
 
-#[test]
-fn idealized_event_model_reproduces_functional_bit_identically() {
-    for kernel in kernels() {
-        for sched in SCHEDULERS {
-            for sharing in SHARING {
-                let cfg = config(sched, sharing);
-                let functional = Simulator::new(cfg.clone()).run(&kernel);
-                let event = Simulator::new(idealize(cfg)).run(&kernel);
-                assert_eq!(
-                    event, functional,
-                    "{} under {sched:?} × {sharing:?}: idealized Event diverges",
-                    kernel.name
-                );
-                assert!(!event.timed_out, "{}", kernel.name);
-            }
-        }
-    }
-}
-
-/// Finite-buffer Event configuration used by the engine-equivalence and
-/// back-pressure tests: small enough tables that CONV1's streaming misses
-/// saturate them.
-fn constrained(mut cfg: RunConfig) -> RunConfig {
+/// Finite-buffer configuration used by the engine-equivalence test: small
+/// enough tables that CONV1's streaming misses saturate them. The sizes are
+/// set after the preset, which would otherwise overwrite them.
+fn constrained(cfg: RunConfig) -> RunConfig {
+    let mut cfg = cfg.with_memory_model(MemoryModel::Event);
     cfg.gpu.mem.mem_partitions = 2;
     cfg.gpu.mem.mshr_entries = 4;
     cfg.gpu.mem.dram_queue_entries = 4;
-    cfg.with_memory_model(MemoryModel::Event)
+    cfg
 }
 
 #[test]
@@ -119,10 +90,10 @@ fn finite_buffers_are_bit_identical_under_fast_forward() {
 
 #[test]
 fn latency_bound_scenario_builds_up_post_issue_contention() {
-    // The bench scenario (conv1-28 at DRAM round-trip 1600) on the default
-    // Event machine: in-flight misses pile up in the MSHR tables and DRAM
-    // queues, back-pressure SM issue, and show up in the new counters — the
-    // load-dependent latency the functional model cannot express.
+    // The bench scenario (conv1-28 at DRAM round-trip 1600) at the Event
+    // preset's sizes: in-flight misses pile up in the MSHR tables and DRAM
+    // queues, back-pressure SM issue, and show up in the counters — the
+    // load-dependent latency that unlimited buffers cannot express.
     let mut kernel = workloads::set2::conv1();
     kernel.grid_blocks = 28;
     let mut cfg = RunConfig::baseline_lrr().with_memory_model(MemoryModel::Event);
@@ -236,13 +207,13 @@ proptest! {
     fn finite_mshrs_never_deadlock(s in spec()) {
         let k = build(&s);
         for base in [RunConfig::baseline_lrr(), RunConfig::paper_register_sharing()] {
-            let mut cfg = base;
+            // Sizes after the preset, which would otherwise overwrite them.
+            let mut cfg = base.with_memory_model(MemoryModel::Event);
             cfg.gpu.num_sms = 2;
             cfg.gpu.mem.mem_partitions = 2;
             cfg.gpu.mem.mshr_entries = 2;
             cfg.gpu.mem.dram_queue_entries = 2;
             cfg.max_cycles = 3_000_000;
-            let cfg = cfg.with_memory_model(MemoryModel::Event);
             let fast = Simulator::new(cfg.clone().with_fast_forward(true)).try_run(&k);
             let reference = Simulator::new(cfg.with_fast_forward(false)).try_run(&k);
             prop_assert_eq!(&fast, &reference, "spec {:?}", s);

@@ -2,15 +2,15 @@
 //!
 //! The simulator's determinism contract is the oracle: a generated kernel
 //! needs no reference output, because both engines (per-cycle reference
-//! and event-driven fast-forward), every observation layer (telemetry,
-//! checkpoints) and the idealized event memory model must
-//! produce **bit-identical** `SimStats`. Any divergence is a bug in one of
-//! them — found without ever deciding what the "right" number is.
+//! and event-driven fast-forward) and every observation layer (telemetry,
+//! checkpoints) must produce **bit-identical** `SimStats`. Any divergence
+//! is a bug in one of them — found without ever deciding what the "right"
+//! number is. (`tests/golden_stats.rs` pins the corpus's absolute numbers.)
 //!
 //! Coverage:
 //! * the pinned corpus (`workloads::gen::pinned_corpus()`: every family ×
-//!   pinned seed, small size) across all of the above, under the functional
-//!   and the finite event memory model;
+//!   pinned seed, small size) across all of the above, under both memory
+//!   presets (unlimited `Functional` and finite `Event` buffers);
 //! * a seeded fresh-band property test over arbitrary `(family, seed)`
 //!   draws — `GRS_GEN_SEEDS` raises the case count for nightly fuzz runs
 //!   (pinned regressions in `proptest-regressions/generated_differential.txt`);
@@ -30,14 +30,6 @@ fn base(model: MemoryModel) -> RunConfig {
     cfg.gpu.num_sms = 2;
     cfg.max_cycles = 20_000_000;
     cfg
-}
-
-/// The idealization under which Event must equal Functional exactly.
-fn idealized(mut cfg: RunConfig) -> RunConfig {
-    cfg.gpu.mem.mem_partitions = 1;
-    cfg.gpu.mem.mshr_entries = 0; // unlimited
-    cfg.gpu.mem.dram_queue_entries = 0; // unbounded
-    cfg.with_memory_model(MemoryModel::Event)
 }
 
 /// Per-cycle reference stats for `spec` under `cfg` — the value every
@@ -76,21 +68,6 @@ fn engines_are_bit_identical_on_the_pinned_corpus_finite_event() {
             stats,
             reference,
             "fast-forward diverges under the finite event model on {}",
-            spec.scenario_name()
-        );
-    }
-}
-
-#[test]
-fn idealized_event_model_equals_functional_on_the_pinned_corpus() {
-    for spec in pinned_corpus() {
-        let kernel = spec.build();
-        let functional = reference(&spec, &base(MemoryModel::Functional));
-        let event = Simulator::new(idealized(base(MemoryModel::Functional))).run(&kernel);
-        assert_eq!(
-            event,
-            functional,
-            "idealized event model diverges from functional on {}",
             spec.scenario_name()
         );
     }
@@ -148,8 +125,8 @@ fn mshr_thrash_actually_saturates_the_finite_mshrs() {
             spec.scenario_name()
         );
     }
-    // ...and the functional model, which has no MSHRs, must count none,
-    // for any family (the counter belongs to the event model alone).
+    // ...and the Functional preset, whose MSHRs are unlimited, must count
+    // none, for any family (only a finite table can fill).
     for family in Family::ALL {
         let spec = GenSpec::new(family, PINNED_SEEDS[0]);
         let stats = Simulator::new(base(MemoryModel::Functional)).run(&spec.build());

@@ -1,6 +1,6 @@
 //! The telemetry contract: tracing is pure observation. `SimStats` are
 //! **bit-identical** with telemetry on or off across the scheduler ×
-//! sharing × memory-model matrix and both engines; the merged event
+//! sharing × memory-preset matrix and both engines; the merged event
 //! stream is invariant to checkpoint boundaries (the engine track excepted
 //! — checkpoints are real engine-level occurrences); sampled timeline rows
 //! are exact across
@@ -135,7 +135,10 @@ fn sampled_rows_and_machine_events_are_exact_across_fast_forward_jumps() {
     let (fast, reference) = (fast.telemetry.unwrap(), reference.telemetry.unwrap());
     assert_eq!(fast.sm_samples, reference.sm_samples);
     assert_eq!(fast.mem_samples, reference.mem_samples);
-    assert!(!fast.mem_samples.is_empty(), "event model emits MEM rows");
+    assert!(
+        !fast.mem_samples.is_empty(),
+        "the memory system emits MEM rows"
+    );
     let strip_sleep = |t: &TelemetryReport| -> Vec<TraceRecord> {
         t.events
             .iter()
@@ -192,8 +195,6 @@ fn telemetry_off_and_sampling_off_edges() {
         .unwrap();
     assert!(!t.events.is_empty());
     assert!(t.sm_samples.is_empty() && t.mem_samples.is_empty());
-    // The functional model has no MEM track.
-    assert!(t.tracks.iter().all(|ts| ts.track != Track::Mem));
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! **well** before `max_cycles` — with a populated `StallDiagnosis`; the
 //! trip cycle and statistics are identical across the per-cycle and
 //! fast-forward engines; and a healthy run with the watchdog armed is
-//! completely unaffected.
+//! completely unaffected, even at windows below the 2-cycle minimum.
 
 use gpu_resource_sharing::isa::GlobalPattern as GP;
 use gpu_resource_sharing::prelude::*;
@@ -100,14 +100,37 @@ fn the_trip_is_identical_across_both_engines() {
 fn a_healthy_run_is_unaffected_by_an_armed_watchdog() {
     let mut conv1 = workloads::set2::conv1();
     conv1.grid_blocks = 28;
-    let mut cfg = RunConfig::paper_register_sharing().with_memory_model(MemoryModel::Event);
-    cfg.gpu.num_sms = 4;
-    let plain = Simulator::new(cfg.clone()).run(&conv1);
-    // Far smaller than the run, far larger than any real gap between events
-    // (DRAM latency bounds quiet spans).
-    let report = Simulator::new(cfg.with_watchdog(Some(10_000))).run_report(&conv1);
-    assert_eq!(report.outcome, RunOutcome::Completed);
-    assert_eq!(report.stats, plain);
+    let mut sharing = RunConfig::paper_register_sharing().with_memory_model(MemoryModel::Event);
+    sharing.gpu.num_sms = 4;
+    // Both of these issue a branch, barrier or exit at the watermark cycle
+    // and issue again one cycle later with nothing scheduled in between —
+    // the slack the 2-cycle minimum window covers. An unclamped 1-cycle
+    // window reports them stalled at cycles 485 and 488.
+    let barrier_heavy = workloads::benchmark("gen:barrier-heavy:42:small").unwrap();
+    let mut conv1_8 = workloads::set2::conv1();
+    conv1_8.grid_blocks = 8;
+    let mut baseline = RunConfig::baseline_lrr();
+    baseline.gpu.num_sms = 2;
+    for (kernel, cfg) in [
+        (&conv1, &sharing),
+        (&barrier_heavy, &sharing),
+        (&conv1_8, &baseline),
+    ] {
+        let plain = Simulator::new(cfg.clone()).run(kernel);
+        // 0 and 1 are raised to the minimum window; 10_000 is far smaller
+        // than the run and far larger than any real gap between events
+        // (DRAM latency bounds quiet spans).
+        for window in [0, 1, 10_000] {
+            let report = Simulator::new(cfg.clone().with_watchdog(Some(window))).run_report(kernel);
+            assert_eq!(
+                report.outcome,
+                RunOutcome::Completed,
+                "{} with window {window}",
+                kernel.name
+            );
+            assert_eq!(report.stats, plain, "{} with window {window}", kernel.name);
+        }
+    }
 }
 
 #[test]
