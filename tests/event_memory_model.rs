@@ -1,16 +1,22 @@
-//! Contract of the memory system under finite buffers (the
+//! Contract of the memory system's two presets and of finite buffers (the
 //! `MemoryModel::Event` preset and smaller):
 //!
-//! 1. **Engine equivalence under back-pressure.** With *finite* buffers the
+//! 1. **The presets differ only in buffer sizes.** The `Event` preset with
+//!    its three sizes idealized — one partition, unlimited MSHR entries, an
+//!    unbounded DRAM queue — must reproduce the `Functional` preset
+//!    **bit-identically**, over the full 4-scheduler × 3-sharing matrix.
+//!    A preset that touched any other field, or a code path keyed on the
+//!    preset rather than on the sizes, breaks it.
+//! 2. **Engine equivalence under back-pressure.** With *finite* buffers the
 //!    fast-forward engine must credit gated sleep spans (stall cycles,
 //!    MSHR-full / queue-full counters, throttle windows) in closed form:
 //!    `fast_forward` on ≡ off, bit for bit.
-//! 2. **Back-pressure exists.** On the latency-bound bench scenario
+//! 3. **Back-pressure exists.** On the latency-bound bench scenario
 //!    (CONV1 at one wave, DRAM round-trip 1600) the `Event` preset reports
 //!    nonzero MSHR-full stalls and queue-occupancy integrals.
-//! 3. **Merges exist.** Warps reading one kernel-wide tile merge into
+//! 4. **Merges exist.** Warps reading one kernel-wide tile merge into
 //!    in-flight MSHR entries instead of re-paying DRAM.
-//! 4. **No deadlock.** Finite (even tiny) MSHR tables and DRAM queues never
+//! 5. **No deadlock.** Finite (even tiny) MSHR tables and DRAM queues never
 //!    wedge a run — a property test over random kernels, seeds pinned in
 //!    `proptest-regressions/`.
 //!
@@ -56,6 +62,37 @@ const SHARING: [SharingMode; 3] = [
     SharingMode::Registers,
     SharingMode::Scratchpad,
 ];
+
+/// The `Event` preset with its buffers idealized. The sizes are set after
+/// the preset, which would otherwise overwrite them.
+fn idealize(cfg: RunConfig) -> RunConfig {
+    let mut cfg = cfg.with_memory_model(MemoryModel::Event);
+    cfg.gpu.mem.mem_partitions = 1;
+    cfg.gpu.mem.mshr_entries = 0; // unlimited
+    cfg.gpu.mem.dram_queue_entries = 0; // unbounded
+    cfg
+}
+
+#[test]
+fn idealized_event_model_reproduces_functional_bit_identically() {
+    for kernel in kernels() {
+        for sched in SCHEDULERS {
+            for sharing in SHARING {
+                let cfg = config(sched, sharing);
+                let functional =
+                    Simulator::new(cfg.clone().with_memory_model(MemoryModel::Functional))
+                        .run(&kernel);
+                let event = Simulator::new(idealize(cfg)).run(&kernel);
+                assert_eq!(
+                    event, functional,
+                    "{} under {sched:?} × {sharing:?}: idealized Event diverges",
+                    kernel.name
+                );
+                assert!(!event.timed_out, "{}", kernel.name);
+            }
+        }
+    }
+}
 
 /// Finite-buffer configuration used by the engine-equivalence test: small
 /// enough tables that CONV1's streaming misses saturate them. The sizes are

@@ -10,7 +10,8 @@
 //! Coverage:
 //! * the pinned corpus (`workloads::gen::pinned_corpus()`: every family ×
 //!   pinned seed, small size) across all of the above, under both memory
-//!   presets (unlimited `Functional` and finite `Event` buffers);
+//!   presets (unlimited `Functional` and finite `Event` buffers), and the
+//!   `Event` preset with its buffers idealized ≡ `Functional`;
 //! * a seeded fresh-band property test over arbitrary `(family, seed)`
 //!   draws — `GRS_GEN_SEEDS` raises the case count for nightly fuzz runs
 //!   (pinned regressions in `proptest-regressions/generated_differential.txt`);
@@ -29,6 +30,17 @@ fn base(model: MemoryModel) -> RunConfig {
     let mut cfg = RunConfig::baseline_lrr().with_memory_model(model);
     cfg.gpu.num_sms = 2;
     cfg.max_cycles = 20_000_000;
+    cfg
+}
+
+/// The `Event` preset with its buffers idealized, under which it must equal
+/// `Functional` exactly. The sizes are set after the preset, which would
+/// otherwise overwrite them.
+fn idealized(cfg: RunConfig) -> RunConfig {
+    let mut cfg = cfg.with_memory_model(MemoryModel::Event);
+    cfg.gpu.mem.mem_partitions = 1;
+    cfg.gpu.mem.mshr_entries = 0; // unlimited
+    cfg.gpu.mem.dram_queue_entries = 0; // unbounded
     cfg
 }
 
@@ -68,6 +80,21 @@ fn engines_are_bit_identical_on_the_pinned_corpus_finite_event() {
             stats,
             reference,
             "fast-forward diverges under the finite event model on {}",
+            spec.scenario_name()
+        );
+    }
+}
+
+#[test]
+fn idealized_event_model_equals_functional_on_the_pinned_corpus() {
+    for spec in pinned_corpus() {
+        let kernel = spec.build();
+        let functional = reference(&spec, &base(MemoryModel::Functional));
+        let event = Simulator::new(idealized(base(MemoryModel::Functional))).run(&kernel);
+        assert_eq!(
+            event,
+            functional,
+            "idealized event preset diverges from functional on {}",
             spec.scenario_name()
         );
     }
