@@ -15,9 +15,8 @@
 //!   fig12    Fig. 12 Set-3 policy equivalences
 //!   table5   Table V/VI  IPC and blocks vs %register sharing
 //!   table7   Table VII/VIII IPC and blocks vs %scratchpad sharing
-//!   perf     simulator-engine throughput (fast-forward vs reference, the
-//!            supervision layer's overhead, and the telemetry subsystem's
-//!            overhead); writes BENCH_pr2.json, BENCH_pr7.json and
+//!   perf     simulator-engine throughput (fast-forward vs reference) and
+//!            the telemetry subsystem's overhead; writes BENCH_pr2.json and
 //!            BENCH_pr8.json (not paper artifacts)
 //!   trace    run one scenario with cycle-level telemetry and export a
 //!            Perfetto-loadable Chrome trace (and optionally a metrics
@@ -71,7 +70,6 @@ fn main() {
         "perf" => {
             let reps = if quick { 3 } else { 20 };
             perf::write_report(reps).expect("writing BENCH_pr2.json failed");
-            perf::write_supervision_report(reps).expect("writing BENCH_pr7.json failed");
             perf::write_telemetry_report(reps).expect("writing BENCH_pr8.json failed");
         }
         "trace" => {

@@ -15,10 +15,10 @@
 //! [`write_report`] emits `BENCH_pr2.json` (used by `repro perf`); the
 //! criterion bench `perf_engine` wraps the same scenario.
 //!
-//! [`write_supervision_report`] emits `BENCH_pr7.json`: the wall-clock
-//! overhead of checkpointing, with every supervised run asserted
-//! bit-identical to its plain twin (a benchmark that drifted would be
-//! measuring a different simulation).
+//! [`write_telemetry_report`] emits `BENCH_pr8.json`: the wall-clock
+//! overhead of tracing, with every traced run asserted bit-identical to its
+//! plain twin (a benchmark that drifted would be measuring a different
+//! simulation).
 //! [`check_speedup_gate`] is the scheduled perf-regression gate over the
 //! primary fast-forward speedup ratio.
 
@@ -201,135 +201,6 @@ pub fn write_report(reps: u32) -> std::io::Result<()> {
     Ok(())
 }
 
-/// One timed supervision-overhead comparison: the same run plain and under
-/// a supervision feature (checkpointing), with the statistics asserted
-/// bit-identical — the robustness
-/// layer's whole contract is that it is invisible in the results.
-#[derive(Debug, Clone)]
-pub struct SupervisionMeasurement {
-    /// Scenario label.
-    pub name: String,
-    /// Simulated cycles per run (identical in both modes by construction).
-    pub cycles: u64,
-    /// Best-of-reps wall seconds, supervision feature off.
-    pub plain_s: f64,
-    /// Best-of-reps wall seconds, supervision feature on.
-    pub supervised_s: f64,
-    /// Checkpoints written per supervised run.
-    pub checkpoints: u64,
-}
-
-impl SupervisionMeasurement {
-    /// Wall-clock cost of the feature: supervised over plain (≥ ~1.0).
-    pub fn overhead(&self) -> f64 {
-        self.supervised_s / self.plain_s
-    }
-}
-
-/// Time `plain` against `supervised` (same kernel), asserting bit-identical
-/// statistics.
-fn measure_supervised(
-    name: &str,
-    kernel: &Kernel,
-    plain: &RunConfig,
-    supervised: &RunConfig,
-    reps: u32,
-) -> SupervisionMeasurement {
-    let mut plain_s = f64::MAX;
-    let mut supervised_s = f64::MAX;
-    let base_sim = Simulator::new(plain.clone());
-    let sup_sim = Simulator::new(supervised.clone());
-    let mut baseline = None;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        let stats = base_sim.run(kernel);
-        plain_s = plain_s.min(t.elapsed().as_secs_f64());
-        baseline = Some(stats);
-    }
-    let baseline = baseline.expect("reps >= 1");
-    let mut checkpoints = 0;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        let report = sup_sim.run_report(kernel);
-        supervised_s = supervised_s.min(t.elapsed().as_secs_f64());
-        assert_eq!(
-            report.stats, baseline,
-            "supervision changed the statistics in scenario {name}"
-        );
-        checkpoints = report.checkpoints;
-    }
-    SupervisionMeasurement {
-        name: name.to_string(),
-        cycles: baseline.cycles,
-        plain_s,
-        supervised_s,
-        checkpoints,
-    }
-}
-
-/// Run the supervision-overhead suite: checkpointing every 5k cycles on
-/// the primary event-model scenario.
-pub fn run_supervision_suite(reps: u32) -> Vec<SupervisionMeasurement> {
-    let kernel = scenario_kernel();
-    let event = scenario_config_event();
-    vec![measure_supervised(
-        "checkpoint-5k",
-        &kernel,
-        &event,
-        &event.clone().with_checkpoint_every(Some(5_000)),
-        reps,
-    )]
-}
-
-/// Serialize supervision measurements as the `BENCH_pr7.json` document
-/// (hand-rolled JSON; the offline serde shim has no serializer).
-/// `stats_identical` is asserted, not sampled — a report only exists if
-/// every supervised run matched its plain twin bit for bit.
-pub fn render_supervision_report(ms: &[SupervisionMeasurement]) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut s = format!(
-        "{{\n  \"bench\": \"perf_supervise\",\n  \"primary\": \"checkpoint-5k\",\n  \"available_parallelism\": {cores},\n  \"stats_identical\": true,\n  \"scenarios\": [\n"
-    );
-    for (i, m) in ms.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"name\": \"{}\", \"cycles\": {}, \"plain_s\": {:.6}, \"supervised_s\": {:.6}, \"overhead\": {:.3}, \"checkpoints\": {}}}{}\n",
-            m.name,
-            m.cycles,
-            m.plain_s,
-            m.supervised_s,
-            m.overhead(),
-            m.checkpoints,
-            if i + 1 == ms.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Execute the supervision suite, print a table, and write `BENCH_pr7.json`
-/// into the current directory.
-pub fn write_supervision_report(reps: u32) -> std::io::Result<()> {
-    let ms = run_supervision_suite(reps);
-    println!(
-        "{:<24} {:>9} {:>10} {:>10} {:>9} {:>12}",
-        "scenario", "cycles", "plain", "supervised", "overhead", "checkpoints"
-    );
-    for m in &ms {
-        println!(
-            "{:<24} {:>9} {:>9.4}s {:>9.4}s {:>8.3}x {:>12}",
-            m.name,
-            m.cycles,
-            m.plain_s,
-            m.supervised_s,
-            m.overhead(),
-            m.checkpoints
-        );
-    }
-    std::fs::write("BENCH_pr7.json", render_supervision_report(&ms))?;
-    println!("wrote BENCH_pr7.json");
-    Ok(())
-}
-
 /// One timed telemetry-overhead comparison: the same run with tracing off
 /// and on, statistics asserted bit-identical (telemetry's whole contract
 /// is that it only observes).
@@ -375,10 +246,6 @@ pub fn measure_telemetry(
         cfg.clone()
             .with_telemetry(Some(TelemetryConfig::default().with_sample_every(1000))),
     );
-    // Time `run_report` on both sides so the ratio isolates *telemetry*:
-    // the report path itself (supervision bookkeeping, report assembly)
-    // costs a few percent over `run`, and that cost exists with tracing
-    // off too, so it must not be charged to the telemetry subsystem.
     let mut plain_s = f64::MAX;
     let mut baseline = None;
     for _ in 0..reps.max(1) {
@@ -539,23 +406,6 @@ mod tests {
             stats.idle_cycles
         );
         assert_eq!(stats.stall_cycles, 0);
-    }
-
-    #[test]
-    fn supervision_measurement_math_and_json_shape() {
-        let m = SupervisionMeasurement {
-            name: "x".into(),
-            cycles: 1000,
-            plain_s: 0.5,
-            supervised_s: 0.6,
-            checkpoints: 7,
-        };
-        assert!((m.overhead() - 1.2).abs() < 1e-9);
-        let json = render_supervision_report(std::slice::from_ref(&m));
-        assert!(json.contains("\"bench\": \"perf_supervise\""));
-        assert!(json.contains("\"stats_identical\": true"));
-        assert!(json.contains("\"checkpoints\": 7"));
-        assert!(json.trim_end().ends_with('}'));
     }
 
     #[test]

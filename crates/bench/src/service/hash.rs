@@ -16,11 +16,10 @@
 //!   wrong result; a compile error is the cheap way to make that
 //!   impossible.
 //! * **Everything is semantic.** Even knobs proven stats-invariant
-//!   (`fast_forward`, `telemetry`, `checkpoint_every`) are hashed: the
-//!   memoized artifact is the whole `RunReport` — checkpoint counts,
-//!   telemetry — and those *do* depend on the knobs. Keying conservatively
-//!   costs a re-simulation; keying loosely could hand a telemetry-less
-//!   report to a telemetry-on submission.
+//!   (`fast_forward`, `telemetry`) are hashed: the memoized artifact is the
+//!   whole `RunReport`, telemetry included, and that *does* depend on the
+//!   knobs. Keying conservatively costs a re-simulation; keying loosely
+//!   could hand a telemetry-less report to a telemetry-on submission.
 //! * **Stable by construction.** The mixing function is a fixed SplitMix64
 //!   chain over two lanes — no `std::hash` machinery whose output may
 //!   change across releases — so keys are reproducible across processes
@@ -41,7 +40,7 @@ use grs_sim::{RunConfig, SharingMode, TelemetryConfig};
 
 /// Bump when the hashing scheme itself changes (field order, encoding), so
 /// persisted keys from an older scheme can never alias a newer one.
-const KEY_VERSION: u64 = 3;
+const KEY_VERSION: u64 = 4;
 
 /// Canonical 128-bit identity of a sweep job. Equal keys mean equal
 /// simulation inputs; the service's memo store and in-flight table are both
@@ -341,7 +340,6 @@ pub fn hash_config(h: &mut StableHasher, cfg: &RunConfig) {
         dyn_throttle,
         reorder_decls,
         fast_forward,
-        checkpoint_every,
         telemetry,
         watchdog,
         max_cycles,
@@ -357,7 +355,6 @@ pub fn hash_config(h: &mut StableHasher, cfg: &RunConfig) {
     h.write_bool(*dyn_throttle);
     h.write_bool(*reorder_decls);
     h.write_bool(*fast_forward);
-    h.write_opt_u64(*checkpoint_every);
     match telemetry {
         None => h.write_u64(0),
         Some(TelemetryConfig {
@@ -415,7 +412,7 @@ mod tests {
         let key = job_key(&cfg, &k, None);
         assert_eq!(key, job_key(&cfg, &k, None));
         assert_eq!(format!("{key}").len(), 32, "128-bit hex rendering");
-        assert_eq!(format!("{key}"), "7d05a33d2f1864ac4deb8394ac5bec7e");
+        assert_eq!(format!("{key}"), "1764879f3bd630b954566607fd1a550e");
     }
 
     #[test]

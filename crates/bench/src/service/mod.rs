@@ -13,7 +13,7 @@
 //!                 │            miss
 //!                 ▼
 //!           pending queue ──▶ worker pool ──▶ supervised run
-//!                                   │    (checkpoints/watchdog)
+//!                                   │          (watchdog)
 //!                                   ▼
 //!                           memoize + resolve cell
 //! ```
@@ -25,7 +25,7 @@
 //! from the memo store is indistinguishable from re-running it — modulo
 //! the saved CPU-hours. The same argument covers in-flight dedup: a late
 //! subscriber to a running job attaches to the first submission's
-//! [`JobCell`](queue::JobCell) and receives the one shared outcome.
+//! write-once job cell and receives the one shared outcome.
 //!
 //! The queue is *persistent* at process scope: [`SweepService::global`]
 //! hands out one process-wide instance that [`crate::run_all`] /
@@ -251,7 +251,7 @@ impl SweepService {
         }
     }
 
-    /// Snapshot of the service counters.
+    /// The service counters as they stand.
     pub fn stats(&self) -> ServiceStats {
         self.shared.state.lock().unwrap().stats
     }

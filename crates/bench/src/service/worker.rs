@@ -1,11 +1,11 @@
 //! Job execution: the worker loop and the inline helper.
 //!
-//! Every job runs under the simulator's supervision stack —
-//! [`Simulator::try_run_report`] brings checkpoints and the livelock
-//! watchdog — and this module adds `catch_unwind` around the whole run. A
-//! job that panics or returns a `RunError` is recorded as a failed
-//! [`JobOutcome`] and memoized like any other: the simulator is
-//! deterministic, so a retry would fail the same way.
+//! Every job runs under the simulator's supervisor —
+//! [`Simulator::try_run_report`] brings the livelock watchdog — and this
+//! module adds `catch_unwind` around the whole run. A job that panics or
+//! returns a `RunError` is recorded as a failed [`JobOutcome`] and memoized
+//! like any other: the simulator is deterministic, so a retry would fail
+//! the same way.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;

@@ -14,12 +14,11 @@
 use grs_sim::{StallReason, TelemetryEvent, TelemetryReport, Track};
 
 /// Stable Chrome-trace thread id for a track: SMs by id, then the memory
-/// system, then the engine.
+/// system.
 fn tid(track: Track) -> u64 {
     match track {
         Track::Sm(id) => id as u64,
         Track::Mem => 1_000_000,
-        Track::Engine => 1_000_001,
     }
 }
 
@@ -46,8 +45,7 @@ fn reason_label(r: StallReason) -> &'static str {
     }
 }
 
-/// `(name, args)` rendering of one event payload; `None` args render as
-/// an empty object.
+/// `(name, args)` rendering of one event payload.
 fn event_parts(e: &TelemetryEvent) -> (&'static str, String) {
     match *e {
         TelemetryEvent::BlockLaunch { grid_id, slot } => (
@@ -73,10 +71,6 @@ fn event_parts(e: &TelemetryEvent) -> (&'static str, String) {
         TelemetryEvent::MshrMerge { part } => ("mshr_merge", format!("{{\"part\":{part}}}")),
         TelemetryEvent::DramAdmit { part } => ("dram_admit", format!("{{\"part\":{part}}}")),
         TelemetryEvent::DramService { part } => ("dram_service", format!("{{\"part\":{part}}}")),
-        TelemetryEvent::CheckpointCut => ("checkpoint", "{}".to_string()),
-        TelemetryEvent::WatermarkUpdate { watermark } => {
-            ("watermark", format!("{{\"watermark\":{watermark}}}"))
-        }
     }
 }
 

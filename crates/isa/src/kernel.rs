@@ -82,7 +82,7 @@ impl Kernel {
 
     /// Replace the declaration order. `seq` must be a permutation of
     /// `0..regs_per_thread`; validated in debug builds and by
-    /// [`crate::validate`].
+    /// [`crate::validate()`].
     pub fn set_decl_order(&mut self, seq: Vec<u16>) {
         debug_assert_eq!(seq.len(), self.regs_per_thread as usize);
         self.decl_seq = seq;

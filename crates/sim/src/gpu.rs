@@ -51,13 +51,11 @@ use crate::sm::{Sm, SmMode};
 use crate::stats::SimStats;
 use crate::telemetry::{MemTelemetry, SmTelemetry, TelemetryConfig};
 
-/// Engine-loop state carried between [`Gpu::run_until`] spans: the per-SM
-/// wake/sleep bookkeeping plus the clock. Splitting it out of the run loop
-/// is what makes checkpoint/resume possible — a [`Snapshot`] is exactly
-/// `(cloned Gpu, cloned EngineState)`, and resuming a span from either a
-/// fresh [`Gpu::start`] or a restored snapshot is bit-identical to a
-/// straight run (the loop body never reads anything else).
-#[derive(Debug, Clone)]
+/// Engine-loop state of one run: the per-SM wake/sleep bookkeeping plus
+/// the clock. [`Gpu::start`] creates it, [`Gpu::run_until`] advances it,
+/// and [`Gpu::finish`] consumes it; the watchdog's diagnosis reads it at a
+/// trip.
+#[derive(Debug)]
 pub struct EngineState {
     /// Per-SM wake-up cycle (`u64::MAX`: empty, nothing can ever wake it).
     pub(crate) wake_at: Vec<u64>,
@@ -79,7 +77,7 @@ impl EngineState {
     }
 }
 
-/// How a bounded [`Gpu::run_until`] span ended.
+/// How a [`Gpu::run_until`] call ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanEnd {
     /// The grid drained.
@@ -92,26 +90,8 @@ pub enum SpanEnd {
     Stalled,
 }
 
-/// Deep-copy checkpoint of a run in flight: the complete deterministic
-/// state — per-SM warp/slot/wheel state, MSHR/DRAM partition tables,
-/// dispatcher, throttle RNG streams — plus the engine-loop bookkeeping.
-/// Restoring and running to completion is bit-identical to never having
-/// stopped ([`crate::run::RunConfig::checkpoint_every`]).
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    gpu: Gpu,
-    engine: EngineState,
-}
-
-impl Snapshot {
-    /// Cycle the checkpoint resumes at.
-    pub fn cycle(&self) -> u64 {
-        self.engine.cycle
-    }
-}
-
 /// A configured GPU mid-simulation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Gpu {
     /// The SM array.
     pub sms: Vec<Sm>,
@@ -207,14 +187,6 @@ impl Gpu {
         self.dispatcher.remaining() == 0 && self.sms.iter().all(|s| s.live_blocks() == 0)
     }
 
-    /// Run until the grid completes or `max_cycles` elapse; returns the
-    /// aggregated statistics.
-    pub fn run(&mut self, kinfo: &KernelInfo, max_cycles: u64) -> SimStats {
-        let mut st = self.start(kinfo);
-        self.run_until(&mut st, kinfo, max_cycles, None);
-        self.finish(st)
-    }
-
     /// Dispatch the grid's initial wave and hand back a fresh engine state
     /// positioned at cycle 0.
     pub fn start(&mut self, kinfo: &KernelInfo) -> EngineState {
@@ -227,22 +199,6 @@ impl Gpu {
             cycle: 0,
             last_issue: 0,
         }
-    }
-
-    /// Deep-copy checkpoint of the machine and engine state as they stand.
-    pub fn snapshot(&self, engine: &EngineState) -> Snapshot {
-        Snapshot {
-            gpu: self.clone(),
-            engine: engine.clone(),
-        }
-    }
-
-    /// Overwrite this machine with `snap`'s state and return the engine
-    /// state to resume from. The snapshot is reusable: restoring it twice
-    /// resumes from the same state twice.
-    pub fn restore(&mut self, snap: &Snapshot) -> EngineState {
-        *self = snap.gpu.clone();
-        snap.engine.clone()
     }
 
     /// The progress watermark: the later of the latest issue and the latest
@@ -260,10 +216,9 @@ impl Gpu {
 
     /// Run from `st.cycle` until the grid completes, `stop` arrives, or —
     /// with `watchdog: Some(w)` — a window of `w` cycles elapses past the
-    /// progress watermark (livelock; see [`Self::progress_watermark`]).
-    /// Stopping and resuming at any cycle is bit-identical to a straight
-    /// run: the boundary evaluation is a no-op (no SM is due before its
-    /// wake-up, and the throttle's lazy crediting is path-independent).
+    /// progress watermark (livelock; see `Gpu::progress_watermark`). A
+    /// fast-forward jump never overshoots `stop`; sleepers the bound
+    /// interrupts are credited by [`Self::finish`].
     pub fn run_until(
         &mut self,
         st: &mut EngineState,
@@ -364,8 +319,7 @@ impl Gpu {
 
     /// Close out a run at `st.cycle`: credit sleepers interrupted by grid
     /// completion, timeout or a watchdog trip, flush the memory system's
-    /// occupancy integrals, and aggregate the statistics. Consumes the
-    /// engine state — a finished run cannot be resumed.
+    /// occupancy integrals, and aggregate the statistics.
     pub fn finish(&mut self, mut st: EngineState) -> SimStats {
         let cycle = st.cycle;
         for (i, (sm, slept)) in self.sms.iter_mut().zip(&mut st.sleep_from).enumerate() {

@@ -18,9 +18,9 @@
 //! bit-identical with [`RunConfig::fast_forward`] on or off, and the
 //! per-cycle loop stays as the oracle the fast path is diffed against.
 //!
-//! Every run goes through a small supervisor ([`supervise`]): bounded spans
-//! with optional checkpoints, a forward-progress watchdog, and opt-in
-//! telemetry — none of which changes a statistic.
+//! Every run goes through a small supervisor ([`supervise`]): an optional
+//! forward-progress watchdog and opt-in telemetry, neither of which changes
+//! a statistic.
 //!
 //! Global memory is one model ([`mem::SharedMem`]): the L2 is sliced into
 //! memory partitions with MSHR tables and DRAM request queues, and every

@@ -210,8 +210,7 @@ pub struct SharedMem {
     total_dram: u32,
     /// Cycle the integrals are valid through.
     clock: u64,
-    /// Telemetry recording state (`None` unless tracing is on). Rides the
-    /// clone into snapshots so a restore carries the buffers.
+    /// Telemetry recording state (`None` unless tracing is on).
     telemetry: Option<Box<MemTelemetry>>,
 }
 

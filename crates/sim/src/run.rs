@@ -86,12 +86,6 @@ pub struct RunConfig {
     /// are bit-identical with the engine on or off; the knob exists so tests
     /// and benches can diff the fast path against the per-cycle reference.
     pub fast_forward: bool,
-    /// Snapshot the complete machine state every this many cycles (see the
-    /// `grs_sim::supervise` module docs). `None` (the default) never
-    /// checkpoints mid-run. Checkpointing is unobservable in the
-    /// statistics — resuming from any snapshot is bit-identical to the
-    /// straight run, pinned by `tests/checkpoint_resume.rs`.
-    pub checkpoint_every: Option<u64>,
     /// Cycle-level telemetry: structured event tracing and periodic metric
     /// sampling (see the [`crate::telemetry`] module docs). `None` (the
     /// default) records nothing and adds no per-cycle work. Tracing is
@@ -128,7 +122,6 @@ impl RunConfig {
             dyn_throttle: false,
             reorder_decls: false,
             fast_forward: true,
-            checkpoint_every: None,
             telemetry: None,
             watchdog: None,
             max_cycles: Self::DEFAULT_MAX_CYCLES,
@@ -223,13 +216,6 @@ impl RunConfig {
         self
     }
 
-    /// Checkpoint the machine state every `c` cycles (`None` = never; see
-    /// [`Self::checkpoint_every`]).
-    pub fn with_checkpoint_every(mut self, c: Option<u64>) -> Self {
-        self.checkpoint_every = c;
-        self
-    }
-
     /// Enable cycle-level telemetry (`None` = off; see [`Self::telemetry`]).
     pub fn with_telemetry(mut self, t: Option<TelemetryConfig>) -> Self {
         self.telemetry = t;
@@ -287,6 +273,17 @@ pub enum RunError {
         /// Lines the cache (or L2 slice) holds.
         lines: u64,
     },
+    /// `sm.schedulers` exceeds the SM's warp slots (`sm.max_threads` /
+    /// [`grs_isa::WARP_SIZE`]). Unit `u` owns the slots with
+    /// `slot % schedulers == u`, so a unit past the slot count could never
+    /// issue; checked before building the machine, whose schedulers
+    /// allocate state per unit.
+    TooManySchedulers {
+        /// The configured scheduler units per SM.
+        schedulers: u32,
+        /// Warp slots per SM.
+        warp_slots: u32,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -309,6 +306,14 @@ impl std::fmt::Display for RunError {
                     "machine config `{field}` = {ways} exceeds the {lines} lines it indexes"
                 )
             }
+            RunError::TooManySchedulers {
+                schedulers,
+                warp_slots,
+            } => write!(
+                f,
+                "machine config `sm.schedulers` = {schedulers} exceeds the {warp_slots} \
+                 warp slots per SM"
+            ),
         }
     }
 }
@@ -354,13 +359,13 @@ impl Simulator {
     /// Simulate `kernel`; returns statistics or a configuration error.
     ///
     /// Equivalent to [`Self::try_run_report`] with the outcome and
-    /// checkpoint count discarded.
+    /// telemetry discarded.
     pub fn try_run(&self, kernel: &Kernel) -> Result<SimStats, RunError> {
         self.try_run_report(kernel).map(|r| r.stats)
     }
 
     /// Simulate `kernel` under supervision; returns the full
-    /// [`RunReport`] (statistics plus outcome and checkpoint count) or a
+    /// [`RunReport`] (statistics, outcome and telemetry) or a
     /// configuration error.
     pub fn try_run_report(&self, kernel: &Kernel) -> Result<RunReport, RunError> {
         let (gpu, kinfo) = self.prepare(kernel)?;
@@ -379,6 +384,13 @@ impl Simulator {
             if value == 0 {
                 return Err(RunError::DegenerateMachine { field });
             }
+        }
+        let warp_slots = gpu.sm.max_threads / grs_isa::WARP_SIZE;
+        if gpu.sm.schedulers > warp_slots {
+            return Err(RunError::TooManySchedulers {
+                schedulers: gpu.sm.schedulers,
+                warp_slots,
+            });
         }
         let mem = &gpu.mem;
         let l2_slices = mem.mem_partitions.clamp(1, SharedMem::MAX_PARTITIONS);
@@ -552,6 +564,26 @@ mod tests {
         // A fully associative slice is fine.
         cfg.gpu.mem.l2_ways = 1024;
         assert!(Simulator::new(cfg).try_run(&small_kernel()).is_ok());
+    }
+
+    #[test]
+    fn schedulers_above_the_warp_slots_are_rejected() {
+        // Table I: 1536 threads = 48 warp slots per SM.
+        let mut cfg = RunConfig::baseline_lrr();
+        cfg.gpu.num_sms = 2;
+        cfg.gpu.sm.schedulers = 48;
+        assert!(Simulator::new(cfg.clone()).try_run(&small_kernel()).is_ok());
+        for schedulers in [49, u32::MAX] {
+            cfg.gpu.sm.schedulers = schedulers;
+            let err = Simulator::new(cfg.clone()).try_run_report(&small_kernel());
+            assert_eq!(
+                err,
+                Err(RunError::TooManySchedulers {
+                    schedulers,
+                    warp_slots: 48
+                })
+            );
+        }
     }
 
     #[test]

@@ -35,9 +35,10 @@
 //! [`Sm::step`] reports whether the cycle was *quiescent* — zero issues, no
 //! stall reason, and no volatile warp, i.e. a cycle whose outcome is fully
 //! determined until the next writeback drains. [`Sm::next_wake`] exposes that
-//! drain cycle (the timing wheel's minimum); [`crate::gpu::Gpu::run`] jumps
-//! the clock when every SM is quiescent and credits the skipped span through
-//! [`Sm::credit_skipped`], preserving the idle/empty split bit for bit.
+//! drain cycle (the timing wheel's minimum); [`crate::gpu::Gpu::run_until`]
+//! jumps the clock when every SM is quiescent and credits the skipped span
+//! through [`Sm::credit_skipped`], preserving the idle/empty split bit for
+//! bit.
 
 use grs_core::{
     DynThrottle, LatencyConfig, LaunchPlan, RegAccess, RegPairLocks, Scheduler, SchedulerKind,
@@ -215,8 +216,7 @@ pub struct Sm {
     /// engine (dirty tracking, idle shortcut) against it.
     incremental: bool,
     /// Telemetry recording state (`None` unless tracing is on). Boxed so the
-    /// disabled case costs one pointer; cloned with the SM, so snapshots and
-    /// restores carry the buffers automatically.
+    /// disabled case costs one pointer.
     telemetry: Option<Box<SmTelemetry>>,
     /// Current stall reason per warp slot (0 = none, 1 = scoreboard,
     /// 2 = barrier, 3 = memory gate), maintained by [`Sm::set_reason`] so

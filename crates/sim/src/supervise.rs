@@ -1,20 +1,5 @@
-//! Supervised execution: checkpoint/resume and the forward-progress
-//! watchdog.
-//!
-//! ## Checkpoint/resume
-//!
-//! A [`crate::gpu::Snapshot`] is a deep copy of the whole deterministic
-//! machine — per-SM warp/slot/wheel state, MSHR/DRAM partition tables,
-//! dispatcher, throttle RNG streams — plus the engine-loop bookkeeping
-//! ([`crate::gpu::EngineState`]). With
-//! [`crate::run::RunConfig::checkpoint_every`] set, the supervisor runs the
-//! simulation as a sequence of bounded spans and snapshots at each
-//! boundary; restoring any snapshot and running on is **bit-identical** to
-//! a straight run (`tests/checkpoint_resume.rs` pins this across the
-//! scheduler × sharing × memory-preset matrix). The boundary itself is
-//! unobservable: no SM steps before its wake-up cycle and the throttle's
-//! lazy crediting is path-independent, so re-entering the loop at the stop
-//! cycle replays nothing and skips nothing.
+//! Supervised execution: one run to completion, `max_cycles` or a
+//! forward-progress watchdog trip, and the [`RunReport`] saying which.
 //!
 //! ## Watchdog
 //!
@@ -24,10 +9,10 @@
 //! ([`crate::run::RunConfig::watchdog`]) trips when a full window of `w`
 //! cycles elapses past the *progress watermark* — the latest issue and the
 //! latest event ever scheduled on any timing wheel
-//! ([`crate::gpu::Gpu::progress_watermark`]). Past the watermark no wheel
-//! holds an event, so no writeback or capacity release can change a warp
-//! any more. One cycle of slack remains: an issue at the watermark cycle
-//! can make another issue possible on the next cycle with nothing scheduled
+//! (`Gpu::progress_watermark`). Past the watermark no wheel holds an
+//! event, so no writeback or capacity release can change a warp any more.
+//! One cycle of slack remains: an issue at the watermark cycle can make
+//! another issue possible on the next cycle with nothing scheduled
 //! (after a branch, a barrier release or a block refill), so windows below
 //! [`MIN_WATCHDOG_WINDOW`] are raised to it. From then on a warp's
 //! readiness depends only on state that issues and wheel events change,
@@ -42,7 +27,7 @@ use crate::gpu::{EngineState, Gpu, SpanEnd};
 use crate::kinfo::KernelInfo;
 use crate::run::RunConfig;
 use crate::stats::SimStats;
-use crate::telemetry::{assemble, Ring, TelemetryEvent, TelemetryReport};
+use crate::telemetry::{assemble, TelemetryReport};
 
 /// Smallest effective watchdog window, in cycles: the slack one issue with
 /// nothing scheduled leaves before the next (see the module docs).
@@ -198,17 +183,14 @@ impl std::fmt::Display for ServiceStats {
     }
 }
 
-/// Everything a supervised run reports: the statistics (bit-identical to an
-/// unsupervised run of the same configuration), how it ended, and how many
-/// checkpoints were written.
+/// Everything a supervised run reports: the statistics, how the run ended,
+/// and the telemetry it collected.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// Aggregated simulation statistics.
     pub stats: SimStats,
     /// Why the run ended.
     pub outcome: RunOutcome,
-    /// Snapshots taken at `checkpoint_every` boundaries.
-    pub checkpoints: u64,
     /// Collected telemetry, when [`crate::run::RunConfig::telemetry`] was
     /// set (`None` otherwise).
     pub telemetry: Option<TelemetryReport>,
@@ -221,8 +203,7 @@ impl RunReport {
     }
 
     /// Multi-line human-readable summary of the run: outcome, headline
-    /// statistics, the stall breakdown, and the supervision/telemetry
-    /// footprint.
+    /// statistics, the stall breakdown, and the telemetry footprint.
     pub fn summary(&self) -> String {
         self.summary_with(None)
     }
@@ -263,7 +244,6 @@ impl RunReport {
             s.idle_cycles,
             s.stall_mem_gate_cycles,
         );
-        let _ = writeln!(out, "supervision: {} checkpoints", self.checkpoints);
         if let Some(t) = &self.telemetry {
             let _ = writeln!(out, "telemetry: {}", t.summary());
         }
@@ -309,102 +289,26 @@ fn diagnose(gpu: &Gpu, st: &EngineState, window: u64) -> StallDiagnosis {
     }
 }
 
-/// Run `gpu` to completion under supervision: bounded spans with optional
-/// checkpoints and the watchdog. With every knob off this reduces exactly
-/// to [`Gpu::run`] (a single unbounded span).
+/// Run `gpu` until the grid drains, `cfg.max_cycles` elapse or the
+/// watchdog trips, and report how the run ended.
 pub(crate) fn supervise(cfg: &RunConfig, mut gpu: Gpu, kinfo: &KernelInfo) -> RunReport {
-    let max_cycles = cfg.max_cycles;
     let watchdog = cfg.watchdog.map(|w| w.max(MIN_WATCHDOG_WINDOW));
     let mut st = gpu.start(kinfo);
-    let mut checkpoints = 0u64;
-    let mut stalled = false;
-    // The engine track lives here, outside the machine, alongside the
-    // per-SM and memory tracks the machine records itself.
-    let trace = cfg.telemetry.is_some();
-    let mut engine: Ring<(u64, TelemetryEvent)> =
-        Ring::new(cfg.telemetry.map_or(1, |t| t.capacity));
-    let mut last_watermark: Option<u64> = None;
-    while !gpu.finished() && st.cycle < max_cycles && !stalled {
-        if trace && watchdog.is_some() {
-            let wm = gpu.progress_watermark(&st);
-            if last_watermark != Some(wm) {
-                engine.push((st.cycle, TelemetryEvent::WatermarkUpdate { watermark: wm }));
-                last_watermark = Some(wm);
-            }
+    let outcome = match gpu.run_until(&mut st, kinfo, cfg.max_cycles, watchdog) {
+        SpanEnd::Finished => RunOutcome::Completed,
+        SpanEnd::ReachedStop => RunOutcome::TimedOut,
+        SpanEnd::Stalled => {
+            RunOutcome::Stalled(Box::new(diagnose(&gpu, &st, watchdog.unwrap_or(0))))
         }
-        let stop = match cfg.checkpoint_every {
-            Some(k) if k > 0 => max_cycles.min((st.cycle / k + 1) * k),
-            _ => max_cycles,
-        };
-        stalled = gpu.run_until(&mut st, kinfo, stop, watchdog) == SpanEnd::Stalled;
-        if cfg.checkpoint_every.is_some() && !stalled && !gpu.finished() && st.cycle < max_cycles {
-            // A deep copy that `Gpu::restore` resumes from bit-identically;
-            // nothing in a healthy run reads it back.
-            let _ = gpu.snapshot(&st);
-            checkpoints += 1;
-            if trace {
-                engine.push((st.cycle, TelemetryEvent::CheckpointCut));
-            }
-        }
-    }
-    let outcome = if stalled {
-        RunOutcome::Stalled(Box::new(diagnose(&gpu, &st, watchdog.unwrap_or(0))))
-    } else if gpu.finished() {
-        RunOutcome::Completed
-    } else {
-        RunOutcome::TimedOut
     };
     let stats = gpu.finish(st);
-    let telemetry = trace.then(|| {
+    let telemetry = cfg.telemetry.is_some().then(|| {
         let (sms, mem) = gpu.take_telemetry();
-        assemble(sms, mem, engine)
+        assemble(sms, mem)
     });
     RunReport {
         stats,
         outcome,
-        checkpoints,
         telemetry,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::gpu::SpanEnd;
-    use crate::mem::MemoryModel;
-    use crate::run::{RunConfig, Simulator};
-    use grs_isa::{GlobalPattern, KernelBuilder};
-
-    #[test]
-    fn restoring_a_checkpoint_resumes_bit_identically() {
-        let kernel = KernelBuilder::new("k")
-            .threads_per_block(64)
-            .regs_per_thread(24)
-            .grid_blocks(12)
-            .ld_global(GlobalPattern::Stream)
-            .ffma(4)
-            .st_global(GlobalPattern::Stream)
-            .build();
-        let mut cfg = RunConfig::paper_register_sharing().with_memory_model(MemoryModel::Event);
-        cfg.gpu.num_sms = 2;
-        let sim = Simulator::new(cfg.clone());
-        let straight = sim.run(&kernel);
-
-        let (mut gpu, kinfo) = sim.prepare(&kernel).unwrap();
-        let mut st = gpu.start(&kinfo);
-        let cut = straight.cycles / 2;
-        assert_eq!(
-            gpu.run_until(&mut st, &kinfo, cut, None),
-            SpanEnd::ReachedStop
-        );
-        let snap = gpu.snapshot(&st);
-        assert_eq!(snap.cycle(), cut);
-        // Run on past the cut, then rewind twice: the snapshot is reusable.
-        gpu.run_until(&mut st, &kinfo, cfg.max_cycles, None);
-        assert_eq!(gpu.finish(st), straight);
-        for _ in 0..2 {
-            let mut st = gpu.restore(&snap);
-            gpu.run_until(&mut st, &kinfo, cfg.max_cycles, None);
-            assert_eq!(gpu.finish(st), straight);
-        }
     }
 }

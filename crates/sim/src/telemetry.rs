@@ -7,12 +7,11 @@
 //! never perturbs `SimStats` — traced and untraced runs are bit-identical
 //! across all schedulers, sharing modes, memory presets, and both engines.
 //!
-//! Events are appended to per-track ring buffers — one per SM, one for the
-//! shared memory system, one for the supervision engine — each with a
-//! configurable capacity and a drop counter. At run end the tracks are
-//! merged into one stream in the canonical `(cycle, track rank, seq)`
-//! order, the same (cycle, SM id) order the engine steps in, so the merged
-//! stream is identical across engines and checkpoint boundaries.
+//! Events are appended to per-track ring buffers — one per SM and one for
+//! the shared memory system — each with a configurable capacity and a drop
+//! counter. At run end the tracks are merged into one stream in the
+//! canonical `(cycle, track rank, seq)` order, the same (cycle, SM id)
+//! order the engine steps in.
 //!
 //! On top of events, a periodic sampler (`sample_every` cycles) emits
 //! per-SM timeline rows (occupancy, instruction deltas, stall breakdown)
@@ -32,9 +31,9 @@ use std::collections::VecDeque;
 /// default records events into 65 536-entry rings with sampling disabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
-    /// Per-track ring-buffer capacity (events kept per SM / memory /
-    /// engine track). When a ring overflows, the oldest events are
-    /// dropped and counted in [`TrackStats::dropped`].
+    /// Per-track ring-buffer capacity (events kept per SM / memory
+    /// track). When a ring overflows, the oldest events are dropped and
+    /// counted in [`TrackStats::dropped`].
     pub capacity: usize,
     /// Sampling period in cycles; `0` disables the sampler. The first
     /// row is emitted at cycle `sample_every`, and each row reports
@@ -73,8 +72,8 @@ pub enum StallReason {
 
 /// One structured, cycle-stamped telemetry event.
 ///
-/// Every variant is recorded on exactly one track (SM, memory, or
-/// engine), and the stream per track is monotone in cycle.
+/// Every variant is recorded on exactly one track (SM or memory), and the
+/// stream per track is monotone in cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TelemetryEvent {
     /// A thread block was launched into an SM slot.
@@ -127,13 +126,6 @@ pub enum TelemetryEvent {
         /// Memory partition index.
         part: u32,
     },
-    /// The supervisor cut a checkpoint snapshot at the stamped cycle.
-    CheckpointCut,
-    /// The watchdog observed a new forward-progress watermark.
-    WatermarkUpdate {
-        /// The new watermark cycle.
-        watermark: u64,
-    },
 }
 
 /// Which lane of the merged trace an event belongs to.
@@ -143,18 +135,15 @@ pub enum Track {
     Sm(u32),
     /// The shared L2/MSHR/DRAM system.
     Mem,
-    /// The supervision engine (checkpoints, watchdog).
-    Engine,
 }
 
 impl Track {
-    /// Canonical merge rank: SMs by id, then memory, then engine —
-    /// mirroring the sequential engine's (cycle, SM id) step order.
+    /// Canonical merge rank: SMs by id, then memory — mirroring the
+    /// engine's (cycle, SM id) step order.
     pub fn rank(&self) -> (u8, u32) {
         match *self {
             Track::Sm(id) => (0, id),
             Track::Mem => (1, 0),
-            Track::Engine => (2, 0),
         }
     }
 
@@ -163,7 +152,6 @@ impl Track {
         match *self {
             Track::Sm(id) => format!("SM {id}"),
             Track::Mem => "MEM".to_string(),
-            Track::Engine => "ENGINE".to_string(),
         }
     }
 }
@@ -321,14 +309,10 @@ impl<T> Ring<T> {
     pub(crate) fn first_seq(&self) -> u64 {
         self.appended - self.buf.len() as u64
     }
-
-    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        self.buf.iter()
-    }
 }
 
-/// Per-SM recording state. Lives on `Sm` (boxed) so it rides snapshots and
-/// restores with the SM it belongs to.
+/// Per-SM recording state. Lives on `Sm` (boxed), so each SM records its
+/// own track.
 #[derive(Debug, Clone)]
 pub(crate) struct SmTelemetry {
     pub(crate) ring: Ring<(u64, TelemetryEvent)>,
@@ -391,8 +375,7 @@ impl SmTelemetry {
     }
 }
 
-/// Memory-system recording state. Lives on `SharedMem` so it clones with
-/// snapshots and is restored with them.
+/// Memory-system recording state. Lives on `SharedMem`.
 #[derive(Debug, Clone)]
 pub(crate) struct MemTelemetry {
     pub(crate) ring: Ring<(u64, TelemetryEvent)>,
@@ -446,36 +429,21 @@ fn track_stats(ring: &Ring<(u64, TelemetryEvent)>, track: Track) -> TrackStats {
 /// `(cycle, rank, seq)` order.
 ///
 /// Every track records in nondecreasing cycle order by construction (each
-/// SM's own clock is monotone, MEM events are drained in due order, and the
-/// supervisor stamps ENGINE events at its current cycle), so the merge
-/// reads the machine tracks as sorted runs straight out of the rings — no
+/// SM's own clock is monotone and MEM events are drained in due order), so
+/// the merge reads the tracks as sorted runs straight out of the rings — no
 /// intermediate copy.
 ///
 /// The k-way merge keeps one packed `cycle << 48 | rank` head key per
 /// track (ranks are unique per track, so head keys never tie) and picks
-/// the minimum by linear scan: for k ≤ SMs + 2 the keys stay in L1 and
+/// the minimum by linear scan: for k ≤ SMs + 1 the keys stay in L1 and
 /// the compare is one integer op, which beats both a `BinaryHeap` and a
 /// comparison sort by 2–3× — and this merge is most of a short traced
 /// run's telemetry bill.
 pub(crate) fn assemble(
     mut sms: Vec<SmTelemetry>,
     mut mem: Option<MemTelemetry>,
-    engine: Ring<(u64, TelemetryEvent)>,
 ) -> TelemetryReport {
-    let mut tracks = Vec::with_capacity(sms.len() + 2);
-    let engine_run: Vec<TraceRecord> = {
-        let base = engine.first_seq();
-        engine
-            .iter()
-            .enumerate()
-            .map(|(i, &(cycle, event))| TraceRecord {
-                cycle,
-                track: Track::Engine,
-                seq: base + i as u64,
-                event,
-            })
-            .collect()
-    };
+    let mut tracks = Vec::with_capacity(sms.len() + 1);
     for sm in &mut sms {
         sm.ring.make_contiguous();
     }
@@ -499,7 +467,6 @@ pub(crate) fn assemble(
             base_of.push(m.ring.first_seq());
             srcs.push(m.ring.as_slice());
         }
-        tracks.push(track_stats(&engine, Track::Engine));
         debug_assert!(srcs
             .iter()
             .all(|run| run.windows(2).all(|w| w[0].0 <= w[1].0)));
@@ -518,10 +485,10 @@ pub(crate) fn assemble(
         };
         let total: usize = srcs.iter().map(|run| run.len()).sum();
         let k = srcs.len();
-        let mut machine = Vec::with_capacity(total + engine_run.len());
+        let mut merged = Vec::with_capacity(total);
         let mut pos = vec![0usize; k];
         // Cursor list kept sorted ascending by head key: the next event is
-        // always `order[0]`, and because machine tracks advance in near
+        // always `order[0]`, and because the tracks advance in near
         // lockstep the advanced cursor usually re-inserts at or near the
         // front — a couple of compares per event instead of a k-wide
         // rescan. Exhausted runs carry `u128::MAX` and sink to the back.
@@ -532,7 +499,7 @@ pub(crate) fn assemble(
             let i = order[0].1;
             let p = pos[i];
             let (cycle, event) = srcs[i][p];
-            machine.push(TraceRecord {
+            merged.push(TraceRecord {
                 cycle,
                 track: track_of[i],
                 seq: base_of[i] + p as u64,
@@ -547,23 +514,7 @@ pub(crate) fn assemble(
             }
             order[j - 1] = (advanced, i);
         }
-        if engine_run.is_empty() {
-            machine
-        } else {
-            // ENGINE events are rare (checkpoint cuts, watermarks) and rank
-            // last, so fold them in with a cold-path
-            // 2-way merge instead of taxing every machine-event advance.
-            let mut merged = Vec::with_capacity(machine.len() + engine_run.len());
-            let mut e = engine_run.into_iter().peekable();
-            for rec in machine {
-                while e.peek().is_some_and(|er| er.cycle < rec.cycle) {
-                    merged.push(e.next().expect("peeked"));
-                }
-                merged.push(rec);
-            }
-            merged.extend(e);
-            merged
-        }
+        merged
     };
     let mut sm_samples = Vec::with_capacity(sms.iter().map(|s| s.samples.len()).sum());
     for sm in sms {

@@ -26,13 +26,13 @@
 //! * [`Family::Mixed`] — a seeded composition of the other families'
 //!   phases, one small loop per segment.
 //!
-//! Every generated kernel passes [`grs_isa::validate`] *by construction*
+//! Every generated kernel passes [`grs_isa::validate()`] *by construction*
 //! (the builder's `build()` re-validates), fits the Table I machine, and is
 //! a pure function of its [`GenSpec`] — which is what lets the differential
 //! harness (`tests/generated_differential.rs`) use the simulator's own
 //! determinism contract as an oracle: the same kernel must produce
-//! bit-identical `SimStats` across every engine, memory preset, telemetry
-//! setting and checkpoint cut.
+//! bit-identical `SimStats` across every engine, memory preset and
+//! telemetry setting.
 //!
 //! Specs have a stable string form, `gen:<family>:<seed>[:<size>]`
 //! (e.g. `gen:pointer-chase:42:small`), accepted by
@@ -219,8 +219,8 @@ impl GenSpec {
 
 /// The pinned differential corpus: every family × [`PINNED_SEEDS`], small
 /// size class. `tests/generated_differential.rs` asserts bit-identical
-/// `SimStats` for each entry across every engine/memory/telemetry/
-/// checkpoint combination.
+/// `SimStats` for each entry across every engine/memory/telemetry
+/// combination.
 pub fn pinned_corpus() -> Vec<GenSpec> {
     Family::ALL
         .into_iter()
@@ -284,7 +284,7 @@ fn draw_threads(rng: &mut GenRng, min_warps: u64, max_warps: u64) -> u32 {
 
 /// Generate the `family` kernel for `(seed, size)`. Pure and total: every
 /// `(family, seed, size)` triple yields a kernel that passes
-/// [`grs_isa::validate`] and fits the Table I machine.
+/// [`grs_isa::validate()`] and fits the Table I machine.
 pub fn generate(family: Family, seed: u64, size: SizeClass) -> Kernel {
     let rng = &mut stream_for(family, seed, size);
     let (glo, ghi) = size.grid_band();

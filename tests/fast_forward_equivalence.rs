@@ -2,8 +2,9 @@
 //! the stall/idle/empty cycle split, per-SM breakdowns and memory counters —
 //! is **bit-identical** with `RunConfig::fast_forward` on or off. The matrix
 //! covers all four schedulers crossed with all three sharing modes on one
-//! compute-bound and one memory-latency-bound kernel, plus a property test
-//! over random kernels (pinned seeds in `proptest-regressions/`).
+//! compute-bound and one memory-latency-bound kernel, each run to completion
+//! and cut short by `max_cycles`, plus a property test over random kernels
+//! (pinned seeds in `proptest-regressions/`).
 
 use gpu_resource_sharing::core::SchedulerKind;
 use gpu_resource_sharing::isa::GlobalPattern as GP;
@@ -56,7 +57,7 @@ fn fast_forward_is_bit_identical_across_the_full_matrix() {
             for sharing in sharing_modes {
                 let cfg = config(sched, sharing);
                 let fast = Simulator::new(cfg.clone().with_fast_forward(true)).run(&kernel);
-                let reference = Simulator::new(cfg.with_fast_forward(false)).run(&kernel);
+                let reference = Simulator::new(cfg.clone().with_fast_forward(false)).run(&kernel);
                 assert_eq!(
                     fast, reference,
                     "{} under {sched:?} × {sharing:?} diverges with fast-forward",
@@ -64,6 +65,21 @@ fn fast_forward_is_bit_identical_across_the_full_matrix() {
                 );
                 assert!(!fast.timed_out, "{}", kernel.name);
                 assert_eq!(fast.blocks_completed, u64::from(kernel.grid_blocks));
+
+                // Cut short mid-run: the cycle bound interrupts sleep spans
+                // (credited at the end) and clamps fast-forward jumps. The
+                // odd offset keeps the cut off round cycle counts.
+                let max_cycles = fast.cycles / 2 + 7;
+                let cut = cfg.with_max_cycles(max_cycles);
+                let fast = Simulator::new(cut.clone().with_fast_forward(true)).run(&kernel);
+                let reference = Simulator::new(cut.with_fast_forward(false)).run(&kernel);
+                assert_eq!(
+                    fast, reference,
+                    "{} under {sched:?} × {sharing:?} diverges when cut at {max_cycles}",
+                    kernel.name
+                );
+                assert!(fast.timed_out, "{}", kernel.name);
+                assert_eq!(fast.cycles, max_cycles);
             }
         }
     }

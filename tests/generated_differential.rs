@@ -2,10 +2,10 @@
 //!
 //! The simulator's determinism contract is the oracle: a generated kernel
 //! needs no reference output, because both engines (per-cycle reference
-//! and event-driven fast-forward) and every observation layer (telemetry,
-//! checkpoints) must produce **bit-identical** `SimStats`. Any divergence
-//! is a bug in one of them — found without ever deciding what the "right"
-//! number is. (`tests/golden_stats.rs` pins the corpus's absolute numbers.)
+//! and event-driven fast-forward) and the telemetry layer must produce
+//! **bit-identical** `SimStats`. Any divergence is a bug in one of them —
+//! found without ever deciding what the "right" number is.
+//! (`tests/golden_stats.rs` pins the corpus's absolute numbers.)
 //!
 //! Coverage:
 //! * the pinned corpus (`workloads::gen::pinned_corpus()`: every family ×
@@ -101,15 +101,14 @@ fn idealized_event_model_equals_functional_on_the_pinned_corpus() {
 }
 
 #[test]
-fn telemetry_and_checkpoints_are_invisible_on_the_pinned_corpus() {
+fn telemetry_is_invisible_on_the_pinned_corpus() {
     for spec in pinned_corpus() {
         let kernel = spec.build();
         let cfg = base(MemoryModel::Event);
         let plain = Simulator::new(cfg.clone()).run(&kernel);
 
         let traced = Simulator::new(
-            cfg.clone()
-                .with_telemetry(Some(TelemetryConfig::default().with_sample_every(500))),
+            cfg.with_telemetry(Some(TelemetryConfig::default().with_sample_every(500))),
         )
         .run_report(&kernel);
         assert!(traced.completed(), "{}", spec.scenario_name());
@@ -122,18 +121,6 @@ fn telemetry_and_checkpoints_are_invisible_on_the_pinned_corpus() {
         assert!(
             traced.telemetry.is_some(),
             "telemetry was configured on {}",
-            spec.scenario_name()
-        );
-
-        // A deliberately odd interval so snapshot cuts land at arbitrary
-        // cycles, never aligned with loop trips.
-        let checkpointed = Simulator::new(cfg.with_checkpoint_every(Some(137))).run_report(&kernel);
-        assert!(checkpointed.completed(), "{}", spec.scenario_name());
-        assert!(checkpointed.checkpoints > 0, "{}", spec.scenario_name());
-        assert_eq!(
-            checkpointed.stats,
-            plain,
-            "checkpoints perturbed {}",
             spec.scenario_name()
         );
     }
@@ -223,21 +210,19 @@ proptest! {
     }
 
     #[test]
-    fn fresh_seeds_survive_telemetry_and_checkpoints(spec in fresh_spec()) {
+    fn fresh_seeds_survive_telemetry(spec in fresh_spec()) {
         let kernel = spec.build();
         let cfg = base(MemoryModel::Event);
         let plain = Simulator::new(cfg.clone()).run(&kernel);
         let traced = Simulator::new(
-            cfg.clone()
-                .with_telemetry(Some(TelemetryConfig::default().with_sample_every(500)))
-                .with_checkpoint_every(Some(137)),
+            cfg.with_telemetry(Some(TelemetryConfig::default().with_sample_every(500))),
         )
         .run_report(&kernel);
         prop_assert!(traced.completed(), "{}", spec.scenario_name());
         prop_assert_eq!(
             &traced.stats,
             &plain,
-            "observation layers perturbed {}",
+            "telemetry perturbed {}",
             spec.scenario_name()
         );
     }

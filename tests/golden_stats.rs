@@ -1,9 +1,9 @@
 //! Absolute correctness anchor: statistics pinned to checked-in numbers.
 //!
 //! Every other suite compares the simulator with itself (fast-forward ≡
-//! per-cycle, traced ≡ untraced, checkpointed ≡ straight), so a semantic
-//! change that moves every path the same way passes all of them. This one
-//! compares against `tests/golden_stats.txt`: one line per point,
+//! per-cycle, traced ≡ untraced), so a semantic change that moves every
+//! path the same way passes all of them. This one compares against
+//! `tests/golden_stats.txt`: one line per point,
 //! `<label> field=value ...`, carrying every scalar `SimStats` and
 //! `MemStats` field by name.
 //!

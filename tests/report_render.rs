@@ -97,11 +97,9 @@ fn summary_of_a_completed_run_carries_every_section() {
     let kernel = workloads::benchmark("gen:mixed:1:small").expect("pinned spec");
     let mut cfg = RunConfig::baseline_lrr().with_memory_model(MemoryModel::Event);
     cfg.gpu.num_sms = 2;
-    let report = Simulator::new(
-        cfg.with_checkpoint_every(Some(137))
-            .with_telemetry(Some(TelemetryConfig::default().with_sample_every(500))),
-    )
-    .run_report(&kernel);
+    let report =
+        Simulator::new(cfg.with_telemetry(Some(TelemetryConfig::default().with_sample_every(500))))
+            .run_report(&kernel);
     assert!(report.completed());
     let s = report.summary();
 
@@ -120,8 +118,6 @@ fn summary_of_a_completed_run_carries_every_section() {
     assert!(s.contains(&format!("IPC {:.3}", report.stats.ipc())), "{s}");
     assert!(s.contains("idle breakdown:"), "{s}");
     assert!(s.contains("pipeline-stall cycles (mem gate)"), "{s}");
-    let supervision = format!("supervision: {} checkpoints", report.checkpoints);
-    assert!(s.lines().any(|l| l == supervision), "{s}");
     assert!(s.contains("telemetry:"), "{s}");
     // Every line belongs to a known section — the summary never grows
     // unlabelled output.
@@ -130,7 +126,6 @@ fn summary_of_a_completed_run_carries_every_section() {
             line.starts_with("outcome:")
                 || line.starts_with("blocks:")
                 || line.starts_with("idle breakdown:")
-                || line.starts_with("supervision:")
                 || line.starts_with("telemetry:")
                 || line.starts_with("  "),
             "unexpected summary line: {line}"

@@ -158,10 +158,6 @@ fn flipping_any_semantic_field_produces_a_distinct_key() {
             "memory-model/event",
             base_cfg.clone().with_memory_model(MemoryModel::Event),
         ),
-        (
-            "checkpoint-every",
-            base_cfg.clone().with_checkpoint_every(Some(10_000)),
-        ),
         ("watchdog", {
             let mut c = base_cfg.clone();
             c.watchdog = Some(500_000);
