@@ -1,10 +1,10 @@
 //! # grs-bench — experiment harness
 //!
-//! Library backing the `repro` binary and the Criterion benches: the sweep
-//! service ([`service`]) — a process-wide job queue with content-hash
-//! memoization, in-flight dedup, and supervised workers — its batch client
-//! ([`runner`]), plus one function per paper table/figure
-//! ([`experiments`]). Each experiment prints the same rows/series the paper
+//! Library backing the `repro` binary: the sweep service ([`service`]) — a
+//! process-wide job queue with content-hash memoization, in-flight dedup,
+//! and supervised workers — its batch client ([`runner`]), one function
+//! per paper table/figure ([`experiments`]), and the perf gate
+//! ([`perf`]). Each experiment prints the same rows/series the paper
 //! reports, so its output compares with the paper side by side; the
 //! recorded paper-vs-measured numbers are in `benchmark/README.md`.
 

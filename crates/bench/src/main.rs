@@ -15,9 +15,10 @@
 //!   fig12    Fig. 12 Set-3 policy equivalences
 //!   table5   Table V/VI  IPC and blocks vs %register sharing
 //!   table7   Table VII/VIII IPC and blocks vs %scratchpad sharing
-//!   perf     simulator-engine throughput (fast-forward vs reference) and
-//!            the telemetry subsystem's overhead; writes BENCH_pr2.json and
-//!            BENCH_pr8.json (not paper artifacts)
+//!   inspect=<bench>
+//!            full counter dump of one benchmark (e.g. inspect=hotspot)
+//!            under the baseline and sharing configurations (a
+//!            diagnostic, not a paper artifact)
 //!   trace    run one scenario with cycle-level telemetry and export a
 //!            Perfetto-loadable Chrome trace (and optionally a metrics
 //!            CSV): repro trace [conv1-28|hotspot-28] [--out=trace.json]
@@ -36,15 +37,19 @@
 //!            every spec with the `repro run` config matrix; --warm-check
 //!            resubmits the whole batch and asserts the warm pass is 100%
 //!            memo hits with bit-identical statistics)
-//!   perf-gate  scheduled perf-regression gate: measure the primary
-//!            fast-forward speedup and exit nonzero below the floor
-//!            (default 5x, override with --min-speedup=<x>)
-//!   all      every paper artifact above (perf runs only when asked)
+//!   perf-gate  check both wall-clock ratios on the dead-wait scenario and
+//!            exit 1 if either fails: the fast-forward speedup over the
+//!            per-cycle reference (floor 5x, override with
+//!            --min-speedup=<x>, a finite number above 0) and the median
+//!            telemetry overhead (ceiling 1.25x)
+//!   all      config, suites, hwcost and every figure and table above
 //! ```
 //!
-//! `--quick` divides grid sizes by 4 for fast smoke runs.
+//! `--quick` divides grid sizes by 4 for fast smoke runs (and takes fewer
+//! perf-gate samples). `repro` exits 1 after printing if any simulation
+//! it submitted failed.
 
-use grs_bench::{experiments, perf, scenario, sweep, trace};
+use grs_bench::{experiments, perf, scenario, sweep, trace, SweepService};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -67,11 +72,6 @@ fn main() {
         "fig12" => experiments::fig12(quick),
         "table5" => experiments::table5(quick),
         "table7" => experiments::table7(quick),
-        "perf" => {
-            let reps = if quick { 3 } else { 20 };
-            perf::write_report(reps).expect("writing BENCH_pr2.json failed");
-            perf::write_telemetry_report(reps).expect("writing BENCH_pr8.json failed");
-        }
         "trace" => {
             let args: Vec<String> = std::env::args().skip(1).collect();
             let scenario = args
@@ -122,22 +122,30 @@ fn main() {
             }
         }
         "perf-gate" => {
-            let floor = std::env::args()
-                .find_map(|a| a.strip_prefix("--min-speedup=")?.parse::<f64>().ok())
-                .unwrap_or(5.0);
-            let reps = if quick { 3 } else { 10 };
-            match perf::check_speedup_gate(floor, reps) {
-                Ok(m) => println!(
-                    "perf gate ok: {:.2}x >= {floor:.2}x floor ({} cycles, fast {:.4}s, ref {:.4}s)",
-                    m.speedup(),
-                    m.cycles,
-                    m.fast_s,
-                    m.reference_s
-                ),
+            let floor = match args
+                .iter()
+                .find_map(|a| a.strip_prefix("--min-speedup="))
+                .map_or(Ok(5.0), perf::parse_min_speedup)
+            {
+                Ok(floor) => floor,
                 Err(msg) => {
-                    eprintln!("{msg}");
-                    std::process::exit(1);
+                    eprintln!("{msg}\nusage: repro perf-gate [--min-speedup=<x>] [--quick]");
+                    std::process::exit(2);
                 }
+            };
+            let (reps, pairs) = if quick { (3, 11) } else { (10, 21) };
+            let checks = [
+                perf::check_speedup_gate(floor, reps),
+                perf::check_telemetry_gate(&perf::telemetry_kernel(), pairs),
+            ];
+            for check in &checks {
+                match check {
+                    Ok(summary) => println!("perf gate ok: {summary}"),
+                    Err(msg) => eprintln!("{msg}"),
+                }
+            }
+            if checks.iter().any(Result::is_err) {
+                std::process::exit(1);
             }
         }
         other => {
@@ -159,5 +167,13 @@ fn main() {
         }
     } else {
         run(what);
+    }
+
+    // Experiments print a failed job as zeroed statistics (`run_all`); the
+    // exit code is what tells a script or CI the output is not trustworthy.
+    let failed = SweepService::global().stats().failed;
+    if failed > 0 {
+        eprintln!("error: {failed} simulation job(s) failed");
+        std::process::exit(1);
     }
 }

@@ -81,7 +81,8 @@ pub fn run_all_report(jobs: Vec<Job>) -> Vec<JobResult> {
 /// Run every job, in parallel across available cores; results come back in
 /// job order. A job that fails contributes default (all-zero) statistics
 /// under its label, with a warning on stderr — experiments index results
-/// positionally and must receive exactly one entry per job.
+/// positionally and must receive exactly one entry per job — and `repro`
+/// exits 1 once it has printed.
 pub fn run_all(jobs: Vec<Job>) -> Vec<(String, SimStats)> {
     run_all_report(jobs)
         .into_iter()

@@ -29,8 +29,8 @@
 //!
 //! The queue is *persistent* at process scope: [`SweepService::global`]
 //! hands out one process-wide instance that [`crate::run_all`] /
-//! [`crate::run_all_report`] (and through them every experiment, the perf
-//! harness, and `repro sweep`) share, so duplicate configurations dedupe
+//! [`crate::run_all_report`] (and through them every experiment and
+//! `repro run`) and `repro trace` share, so duplicate configurations dedupe
 //! across sweeps, not just within one. Tests wanting exact counter
 //! assertions build private instances with [`SweepService::new`].
 

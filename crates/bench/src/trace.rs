@@ -295,8 +295,8 @@ pub fn validate_chrome_trace(doc: &str) -> Result<(), String> {
 /// export the Chrome trace (self-validated with [`validate_chrome_trace`])
 /// and optionally the metrics CSV, and print where everything went.
 ///
-/// Scenarios: `conv1-28` (the perf suite's memory-latency-bound CONV1
-/// point under the event memory model) and `hotspot-28` (the Set-1
+/// Scenarios: `conv1-28` (the perf gate's memory-latency-bound CONV1
+/// scenario under the event memory model) and `hotspot-28` (the Set-1
 /// register-sharing showcase). `quick` divides the grid by 4.
 pub fn run_trace(
     scenario: &str,

@@ -84,7 +84,8 @@ pub struct RunConfig {
     /// Event-driven fast-forward engine: skip spans of cycles in which no SM
     /// can make progress (see the `grs_sim::gpu` module docs). Statistics
     /// are bit-identical with the engine on or off; the knob exists so tests
-    /// and benches can diff the fast path against the per-cycle reference.
+    /// and the perf gate can diff the fast path against the per-cycle
+    /// reference.
     pub fast_forward: bool,
     /// Cycle-level telemetry: structured event tracing and periodic metric
     /// sampling (see the [`crate::telemetry`] module docs). `None` (the
@@ -436,7 +437,7 @@ impl Simulator {
     }
 
     /// Simulate `kernel`; panics on configuration errors (convenience for
-    /// examples and benches).
+    /// examples, tests and the perf gate).
     pub fn run(&self, kernel: &Kernel) -> SimStats {
         self.try_run(kernel).expect("simulation failed")
     }

@@ -150,9 +150,27 @@ fn scratchpad_sharing_lifts_resident_blocks_for_set2() {
 
 #[test]
 fn simulated_residency_matches_plan() {
-    let mut k = workloads::set1::hotspot();
-    k.grid_blocks = 168;
-    let sim = Simulator::new(RunConfig::paper_register_sharing());
-    let stats = sim.run(&k);
-    assert_eq!(stats.max_resident_blocks, sim.plan_for(&k).max_blocks);
+    // Every Set-1 kernel under register sharing and every Set-2 kernel
+    // under scratchpad sharing reaches exactly its plan's resident blocks.
+    // Two SMs and a grid of two full waves keep it cheap while giving every
+    // SM enough blocks to fill up to the plan.
+    for (kernels, mut cfg) in [
+        (
+            workloads::set1_benchmarks(),
+            RunConfig::paper_register_sharing(),
+        ),
+        (
+            workloads::set2_benchmarks(),
+            RunConfig::paper_scratchpad_sharing(),
+        ),
+    ] {
+        cfg.gpu.num_sms = 2;
+        let sim = Simulator::new(cfg);
+        for mut k in kernels {
+            let plan = sim.plan_for(&k);
+            k.grid_blocks = 2 * 2 * plan.max_blocks;
+            let stats = sim.run(&k);
+            assert_eq!(stats.max_resident_blocks, plan.max_blocks, "{}", k.name);
+        }
+    }
 }
