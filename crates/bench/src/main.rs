@@ -39,15 +39,13 @@
 //!            memo hits with bit-identical statistics)
 //!   perf-gate  check both wall-clock ratios on the dead-wait scenario and
 //!            exit 1 if either fails: the fast-forward speedup over the
-//!            per-cycle reference (floor 5x, override with
-//!            --min-speedup=<x>, a finite number above 0) and the median
-//!            telemetry overhead (ceiling 1.25x)
+//!            per-cycle reference (floor 5x) and the telemetry overhead
+//!            (ceiling 1.25x), each the median of 21 interleaved pairs
 //!   all      config, suites, hwcost and every figure and table above
 //! ```
 //!
-//! `--quick` divides grid sizes by 4 for fast smoke runs (and takes fewer
-//! perf-gate samples). `repro` exits 1 after printing if any simulation
-//! it submitted failed.
+//! `--quick` divides grid sizes by 4 for fast smoke runs. `repro` exits 1
+//! after printing if any simulation it submitted failed.
 
 use grs_bench::{experiments, perf, scenario, sweep, trace, SweepService};
 
@@ -122,21 +120,9 @@ fn main() {
             }
         }
         "perf-gate" => {
-            let floor = match args
-                .iter()
-                .find_map(|a| a.strip_prefix("--min-speedup="))
-                .map_or(Ok(5.0), perf::parse_min_speedup)
-            {
-                Ok(floor) => floor,
-                Err(msg) => {
-                    eprintln!("{msg}\nusage: repro perf-gate [--min-speedup=<x>] [--quick]");
-                    std::process::exit(2);
-                }
-            };
-            let (reps, pairs) = if quick { (3, 11) } else { (10, 21) };
             let checks = [
-                perf::check_speedup_gate(floor, reps),
-                perf::check_telemetry_gate(&perf::telemetry_kernel(), pairs),
+                perf::check_speedup_gate(perf::SPEEDUP_FLOOR, perf::GATE_PAIRS),
+                perf::check_telemetry_gate(&perf::telemetry_kernel(), perf::GATE_PAIRS),
             ];
             for check in &checks {
                 match check {

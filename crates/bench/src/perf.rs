@@ -16,30 +16,25 @@
 //!
 //! [`check_speedup_gate`] holds the fast-forward engine to a floor over the
 //! per-cycle reference there (the evidence that fast-forward earns its
-//! code); [`check_telemetry_gate`] holds tracing to a ceiling.
+//! code); [`check_telemetry_gate`] holds tracing to a ceiling. Both time
+//! two configurations that must simulate bit-identically, as the median
+//! ratio over interleaved pairs.
 
 use std::time::Instant;
 
 use grs_isa::Kernel;
 use grs_sim::{MemoryModel, RunConfig, Simulator, TelemetryConfig};
 
-/// One timed engine comparison.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Simulated cycles per run (identical in both modes by construction).
-    pub cycles: u64,
-    /// Best-of-reps wall seconds, fast-forward on.
-    pub fast_s: f64,
-    /// Best-of-reps wall seconds, fast-forward off (per-cycle reference).
-    pub reference_s: f64,
-}
+/// Fast-forward speedup floor the perf gate checks. The engine's raison
+/// d'être is ~10×+, so a drop below 5× is a regression, not runner noise.
+pub const SPEEDUP_FLOOR: f64 = 5.0;
 
-impl Measurement {
-    /// Wall-clock speedup of fast-forward over the reference.
-    pub fn speedup(&self) -> f64 {
-        self.reference_s / self.fast_s
-    }
-}
+/// Telemetry-overhead ceiling the perf gate checks: tracing with periodic
+/// sampling may cost at most 25% wall clock on the dead-wait scenario.
+pub const TELEMETRY_OVERHEAD_CEILING: f64 = 1.25;
+
+/// Interleaved pairs per timed configuration in `repro perf-gate`.
+pub const GATE_PAIRS: u32 = 21;
 
 /// The primary scenario kernel: Set-2 CONV1 at one resident wave.
 pub fn scenario_kernel() -> Kernel {
@@ -65,80 +60,54 @@ pub fn scenario_config_event() -> RunConfig {
     scenario_config().with_memory_model(MemoryModel::Event)
 }
 
-/// Time `kernel` under `cfg` with the engine on and off; wall time is the
-/// best of `reps` runs per mode (minimum, the standard noise rejector for
-/// deterministic workloads).
-pub fn measure(kernel: &Kernel, cfg: &RunConfig, reps: u32) -> Measurement {
-    let mut walls = [f64::MAX; 2];
-    let mut cycles = [0u64; 2];
-    for (i, ff) in [true, false].into_iter().enumerate() {
-        let sim = Simulator::new(cfg.clone().with_fast_forward(ff));
-        for _ in 0..reps.max(1) {
-            let t = Instant::now();
-            let stats = sim.run(kernel);
-            walls[i] = walls[i].min(t.elapsed().as_secs_f64());
-            cycles[i] = stats.cycles;
-        }
-    }
-    assert_eq!(
-        cycles[0], cycles[1],
-        "fast-forward changed the simulated cycle count"
-    );
-    Measurement {
-        cycles: cycles[0],
-        fast_s: walls[0],
-        reference_s: walls[1],
-    }
-}
-
-/// A speedup floor a measurement can meaningfully pass or fail: NaN fails
-/// every build, and zero or a negative floor passes every build.
-fn valid_floor(min_speedup: f64) -> bool {
-    min_speedup.is_finite() && min_speedup > 0.0
-}
-
-/// Parse a `--min-speedup=` value: a finite number above zero.
-pub fn parse_min_speedup(arg: &str) -> Result<f64, String> {
-    match arg.parse::<f64>() {
-        Ok(x) if valid_floor(x) => Ok(x),
-        _ => Err(format!(
-            "--min-speedup={arg}: the floor must be a finite number above 0"
-        )),
-    }
+/// Wall-clock cost of running `kernel` under `b` relative to `a`: the
+/// median `b` ÷ `a` ratio over `pairs` interleaved pairs (the upper median
+/// for an even count), which alternate which run goes first so a drift in
+/// host speed hits both sides alike. Panics if the two runs' statistics
+/// differ: both checks compare configurations that may change only how
+/// fast the simulator runs, never what it computes.
+fn median_ratio(kernel: &Kernel, a: &RunConfig, b: &RunConfig, pairs: u32) -> f64 {
+    let (sim_a, sim_b) = (Simulator::new(a.clone()), Simulator::new(b.clone()));
+    // A report's telemetry drops after the clock stops.
+    let timed = |sim: &Simulator| {
+        let t = Instant::now();
+        let report = sim.run_report(kernel);
+        (t.elapsed().as_secs_f64(), report.stats)
+    };
+    let mut ratios: Vec<f64> = (0..pairs.max(1))
+        .map(|pair| {
+            let ((a_s, a_stats), (b_s, b_stats)) = if pair % 2 == 0 {
+                let a = timed(&sim_a);
+                (a, timed(&sim_b))
+            } else {
+                let b = timed(&sim_b);
+                (timed(&sim_a), b)
+            };
+            assert_eq!(a_stats, b_stats, "the timed configurations disagree");
+            b_s / a_s
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
 }
 
 /// The perf gate's speedup check: the fast-forward engine must beat the
-/// per-cycle reference loop by at least `min_speedup` on the primary
-/// dead-wait scenario. Returns a one-line summary, or the failure's; an
-/// invalid floor is rejected before measuring anything. The engine's
-/// raison d'être is ~10×+, so a drop below the 5× default floor is a
-/// regression, not runner noise.
-pub fn check_speedup_gate(min_speedup: f64, reps: u32) -> Result<String, String> {
-    if !valid_floor(min_speedup) {
-        return Err(format!(
-            "speedup floor {min_speedup} is not a finite number above 0"
-        ));
-    }
-    let m = measure(&scenario_kernel(), &scenario_config(), reps);
-    let summary = format!(
-        "fast-forward speedup {:.2}x (fast {:.4}s, reference {:.4}s over {} cycles)",
-        m.speedup(),
-        m.fast_s,
-        m.reference_s,
-        m.cycles
-    );
-    if m.speedup() >= min_speedup {
-        Ok(format!("{summary} >= {min_speedup:.2}x floor"))
+/// per-cycle reference loop by at least `floor` ([`SPEEDUP_FLOOR`] in
+/// `repro perf-gate`) on the primary dead-wait scenario, as the median
+/// over `pairs`. Returns a one-line summary, or the failure's.
+pub fn check_speedup_gate(floor: f64, pairs: u32) -> Result<String, String> {
+    let fast = scenario_config();
+    let reference = fast.clone().with_fast_forward(false);
+    let speedup = median_ratio(&scenario_kernel(), &fast, &reference, pairs);
+    let summary = format!("fast-forward speedup {speedup:.2}x (median of {pairs} pairs)");
+    if speedup >= floor {
+        Ok(format!("{summary} >= {floor:.2}x floor"))
     } else {
         Err(format!(
-            "speedup gate failed: {summary} < {min_speedup:.2}x floor"
+            "speedup gate failed: {summary} < {floor:.2}x floor"
         ))
     }
 }
-
-/// Telemetry-overhead ceiling the perf gate checks: tracing with periodic
-/// sampling may cost at most 25% wall clock on the dead-wait scenario.
-pub const TELEMETRY_OVERHEAD_CEILING: f64 = 1.25;
 
 /// The telemetry check's kernel: the primary scenario at four waves
 /// (conv1-112). One conv1-28 run takes a handful of milliseconds, too
@@ -150,54 +119,21 @@ pub fn telemetry_kernel() -> Kernel {
     k
 }
 
-/// Wall-clock cost of tracing `kernel` under `cfg` (64Ki-event rings,
-/// sampling every 1000 cycles): the median traced ÷ plain ratio over
-/// `pairs` interleaved pairs (the upper median for an even count), which
-/// alternate which run goes first so a drift in host speed hits both
-/// sides alike. Panics if tracing perturbs the statistics — telemetry's
-/// whole contract is that it only observes.
-fn telemetry_overhead(kernel: &Kernel, cfg: &RunConfig, pairs: u32) -> f64 {
-    let plain_sim = Simulator::new(cfg.clone());
-    let traced_sim = Simulator::new(
-        cfg.clone()
-            .with_telemetry(Some(TelemetryConfig::default().with_sample_every(1000))),
-    );
-    let timed = |sim: &Simulator| {
-        let t = Instant::now();
-        let report = sim.run_report(kernel);
-        (t.elapsed().as_secs_f64(), report)
-    };
-    let mut ratios: Vec<f64> = (0..pairs.max(1))
-        .map(|pair| {
-            let ((plain_s, plain), (traced_s, traced)) = if pair % 2 == 0 {
-                let plain = timed(&plain_sim);
-                (plain, timed(&traced_sim))
-            } else {
-                let traced = timed(&traced_sim);
-                (timed(&plain_sim), traced)
-            };
-            assert!(traced.telemetry.is_some(), "telemetry was configured");
-            assert_eq!(
-                traced.stats, plain.stats,
-                "telemetry changed the statistics"
-            );
-            traced_s / plain_s
-        })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    ratios[ratios.len() / 2]
-}
-
-/// The perf gate's telemetry check: the overhead of tracing `kernel` on
-/// the dead-wait machine under both memory presets (finite buffers add
-/// the MEM track's events) must stay within
-/// [`TELEMETRY_OVERHEAD_CEILING`]. Returns a one-line summary naming both
-/// medians, or the failure's.
+/// The perf gate's telemetry check: tracing `kernel` (64Ki-event rings,
+/// sampling every 1000 cycles) on the dead-wait machine under both memory
+/// presets (finite buffers add the MEM track's events) may cost at most
+/// [`TELEMETRY_OVERHEAD_CEILING`], as the median over `pairs`. Every
+/// traced run must match its plain twin — telemetry's whole contract is
+/// that it only observes. Returns a one-line summary naming both medians,
+/// or the failure's.
 pub fn check_telemetry_gate(kernel: &Kernel, pairs: u32) -> Result<String, String> {
     let mut within = true;
     let mut medians = Vec::new();
-    for (suffix, cfg) in [("", scenario_config()), ("/event", scenario_config_event())] {
-        let overhead = telemetry_overhead(kernel, &cfg, pairs);
+    for (suffix, plain) in [("", scenario_config()), ("/event", scenario_config_event())] {
+        let traced = plain
+            .clone()
+            .with_telemetry(Some(TelemetryConfig::default().with_sample_every(1000)));
+        let overhead = median_ratio(kernel, &plain, &traced, pairs);
         within &= overhead <= TELEMETRY_OVERHEAD_CEILING;
         let name = format!("conv1-{}/dram1600{suffix}", kernel.grid_blocks);
         medians.push(format!("{name} {overhead:.3}x"));
@@ -246,17 +182,6 @@ mod tests {
         let err = check_speedup_gate(1e6, 1).unwrap_err();
         assert!(err.contains("speedup gate failed"), "{err}");
 
-        // Floors that would gate nothing (or everything) are rejected at
-        // the CLI and again before any measurement.
-        for bad in ["abc", "nan", "0", "-3"] {
-            assert!(parse_min_speedup(bad).is_err(), "{bad}");
-            if let Ok(x) = bad.parse::<f64>() {
-                let err = check_speedup_gate(x, 1).unwrap_err();
-                assert!(err.contains("not a finite number above 0"), "{err}");
-            }
-        }
-        assert_eq!(parse_min_speedup("5"), Ok(5.0));
-
         // The telemetry half once, at conv1-28 with a single pair: too few
         // draws to hold to the ceiling either way, but every traced run
         // must match its plain twin (asserted inside) and both presets
@@ -264,15 +189,5 @@ mod tests {
         let (Ok(summary) | Err(summary)) = check_telemetry_gate(&scenario_kernel(), 1);
         assert!(summary.contains("conv1-28/dram1600 "), "{summary}");
         assert!(summary.contains("conv1-28/dram1600/event "), "{summary}");
-    }
-
-    #[test]
-    fn measurement_math() {
-        let m = Measurement {
-            cycles: 1000,
-            fast_s: 0.5,
-            reference_s: 2.0,
-        };
-        assert_eq!(m.speedup(), 4.0);
     }
 }
