@@ -61,8 +61,9 @@ pub struct EngineState {
     pub(crate) wake_at: Vec<u64>,
     /// For sleepers, the first slept cycle (for stats crediting).
     pub(crate) sleep_from: Vec<Option<u64>>,
-    /// Whether a slept span is a memory-gated stall span.
-    pub(crate) sleep_gated: Vec<bool>,
+    /// Whether a slept span is a pipeline-stall span (per-warp MSHR limit
+    /// or memory gate) rather than an idle or empty one.
+    pub(crate) sleep_stalled: Vec<bool>,
     /// Next cycle the engine will evaluate.
     pub(crate) cycle: u64,
     /// Latest cycle on which any SM issued an instruction (0 before the
@@ -195,7 +196,7 @@ impl Gpu {
         EngineState {
             wake_at: vec![0u64; n],
             sleep_from: vec![None; n],
-            sleep_gated: vec![false; n],
+            sleep_stalled: vec![false; n],
             cycle: 0,
             last_issue: 0,
         }
@@ -248,7 +249,7 @@ impl Gpu {
                     continue;
                 }
                 if let Some(since) = st.sleep_from[i].take() {
-                    if st.sleep_gated[i] {
+                    if st.sleep_stalled[i] {
                         self.sms[i].credit_gated(since, cycle);
                     } else {
                         self.sms[i].credit_skipped(since, cycle);
@@ -266,7 +267,7 @@ impl Gpu {
                 if out.issued {
                     st.last_issue = cycle;
                 }
-                st.wake_at[i] = if self.fast_forward && (out.quiescent || out.gated) {
+                st.wake_at[i] = if self.fast_forward && out.quiescent {
                     if out.live {
                         let mut wake = self.sms[i].next_wake();
                         if out.gated {
@@ -293,7 +294,7 @@ impl Gpu {
                 };
                 if st.wake_at[i] > cycle + 1 {
                     st.sleep_from[i] = Some(cycle + 1);
-                    st.sleep_gated[i] = out.gated;
+                    st.sleep_stalled[i] = out.stalled;
                     if out.live {
                         self.throttle.sleep_sm(i, cycle + 1);
                     }
@@ -325,7 +326,7 @@ impl Gpu {
         for (i, (sm, slept)) in self.sms.iter_mut().zip(&mut st.sleep_from).enumerate() {
             if let Some(since) = slept.take() {
                 if cycle > since {
-                    if st.sleep_gated[i] {
+                    if st.sleep_stalled[i] {
                         sm.credit_gated(since, cycle);
                     } else {
                         sm.credit_skipped(since, cycle);

@@ -348,6 +348,13 @@ impl SharedMem {
         gate
     }
 
+    /// Can [`Self::issue_gate`] ever block an instruction? Only with finite
+    /// MSHR tables or DRAM queues; with both unlimited (the `Functional`
+    /// preset) the gate is always open.
+    pub fn gate_can_close(&self) -> bool {
+        self.cfg.mshr_entries > 0 || self.cfg.dram_queue_entries > 0
+    }
+
     /// Earliest pending MSHR/DRAM-queue release — the wake-up cycle for an
     /// SM sleeping on memory back-pressure. `None` when nothing is held
     /// (always, with unlimited buffers).

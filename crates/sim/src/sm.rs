@@ -87,9 +87,18 @@ enum SlotScan {
     /// (hazard, exit drain, barrier): cached view valid, no per-cycle side
     /// effects. Skippable.
     Stable,
-    /// Re-evaluate every cycle: ready, lock-blocked, throttle-gated or
-    /// MSHR-full — evaluation has per-cycle side effects (stat counters,
-    /// RNG draws) or can change without time passing.
+    /// Ready, with no throttle draw: cached until something dirties it.
+    Ready,
+    /// Pair-lock busy-wait: cached until a lock grant dirties the pair.
+    /// Every stepped cycle counts one `lock_retries` per such slot.
+    LockWait,
+    /// At the per-warp MSHR limit: cached until a writeback or an issue
+    /// dirties it. Makes the cycle a pipeline stall.
+    MshrLimit,
+    /// Re-evaluate every stepped cycle, and keep the SM awake: the warp
+    /// reaches the throttle draw (a side effect), or it is a global-memory
+    /// warp checked against a finite memory gate, which another SM's issue
+    /// can close without any event on this SM.
     Volatile,
     /// Blocked solely by memory back-pressure ([`MemGate`]).
     /// Re-evaluated every stepped cycle (the per-cycle block counters are
@@ -100,14 +109,26 @@ enum SlotScan {
     Gated,
 }
 
+impl SlotScan {
+    /// Is the cached outcome still valid until something dirties the slot?
+    #[inline]
+    fn cached(self) -> bool {
+        matches!(
+            self,
+            SlotScan::Stable | SlotScan::Ready | SlotScan::LockWait | SlotScan::MshrLimit
+        )
+    }
+}
+
 /// How a warp's evaluation left it blocked, as the scan summary needs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Blocked {
     /// Not blocked (ready, or waiting without stalling).
     No,
-    /// Pipeline stall (lock busy-wait, per-warp MSHR limit): never
-    /// skippable.
-    Hard,
+    /// Pair-lock busy-wait: idle, one `lock_retries` per stepped cycle.
+    Lock,
+    /// Per-warp MSHR limit: a pipeline stall.
+    Mshr,
     /// MSHR back-pressure: stall cycles, but sleepable.
     GateMshr,
     /// DRAM-queue back-pressure: stall cycles, but sleepable.
@@ -118,25 +139,30 @@ enum Blocked {
 #[derive(Debug, Clone, Copy)]
 struct ScanSummary {
     any_live: bool,
-    any_stall: bool,
+    /// Some warp is at the per-warp MSHR limit.
+    any_mshr_limit: bool,
     any_volatile: bool,
     any_ready: bool,
+    /// Warps in a pair-lock busy-wait.
+    locked: u32,
     /// Warps blocked by the memory gate this cycle (MSHR, DRAM queue).
     gate_mshr: u32,
     gate_dram: u32,
 }
 
 impl ScanSummary {
+    /// Fold one slot's current outcome into the summary.
     #[inline]
-    fn note(&mut self, view: &WarpView, state: SlotScan, blocked: Blocked) {
+    fn note(&mut self, ready: bool, state: SlotScan, blocked: Blocked) {
         match blocked {
             Blocked::No => {}
-            Blocked::Hard => self.any_stall = true,
+            Blocked::Lock => self.locked += 1,
+            Blocked::Mshr => self.any_mshr_limit = true,
             Blocked::GateMshr => self.gate_mshr += 1,
             Blocked::GateDram => self.gate_dram += 1,
         }
         self.any_volatile |= state == SlotScan::Volatile;
-        self.any_ready |= view.ready;
+        self.any_ready |= ready;
     }
 
     /// Any warp blocked by the memory gate?
@@ -144,6 +170,17 @@ impl ScanSummary {
     fn any_gated(&self) -> bool {
         self.gate_mshr + self.gate_dram > 0
     }
+}
+
+/// The memory-side inputs of one cycle's warp evaluations.
+#[derive(Debug, Clone, Copy)]
+struct Gate {
+    /// The issue gate as of this cycle.
+    now: MemGate,
+    /// Can the gate ever close (finite MSHR tables or DRAM queues)?
+    can_close: bool,
+    /// Per-warp limit on in-flight global-memory instructions.
+    max_pending: u32,
 }
 
 /// Static per-run SM mode flags.
@@ -164,13 +201,18 @@ pub struct SmMode {
 pub struct StepOutcome {
     /// Did the SM hold any live (unfinished) warp this cycle?
     pub live: bool,
-    /// Zero issues, no stall reason, no volatile warp: nothing on this SM
-    /// can change before its next writeback drains.
+    /// Zero issues, no port conflict, and no warp that must be re-evaluated
+    /// every cycle: nothing on this SM can change before its next writeback
+    /// drains (or, when `gated`, the next capacity release), so it may
+    /// sleep until then.
     pub quiescent: bool,
-    /// Like `quiescent`, except ≥1 warp is blocked by memory back-pressure:
-    /// the SM may sleep, but it must also wake on the next MSHR/DRAM-queue
-    /// release and the skipped span counts as *stall* cycles, credited by
-    /// [`Sm::credit_gated`]. Mutually exclusive with `quiescent`.
+    /// A quiescent cycle that counts as a pipeline stall: ≥1 warp is at the
+    /// per-warp MSHR limit or blocked by memory back-pressure. The skipped
+    /// span is credited by [`Sm::credit_gated`] instead of
+    /// [`Sm::credit_skipped`].
+    pub stalled: bool,
+    /// A stalled cycle with ≥1 warp blocked by memory back-pressure: the SM
+    /// must also wake on the next MSHR/DRAM-queue release.
     pub gated: bool,
     /// Did the SM issue at least one instruction this cycle? The
     /// forward-progress watchdog treats issues as progress even when they
@@ -209,6 +251,9 @@ pub struct Sm {
     /// Gate-blocked warp counts `(mshr, dram)` from the latest scan, kept
     /// for closed-form crediting of a gated sleep span.
     last_gate_blocks: (u32, u32),
+    /// Pair-lock waiters at the latest scan, kept for closed-form crediting
+    /// of `lock_retries` over a sleep span.
+    last_locked: u32,
     /// With `incremental` off (the `fast_forward: false` reference mode)
     /// every scan rebuilds every view from scratch and ready-less cycles
     /// still walk the scheduler units — the seed's exact per-cycle
@@ -276,6 +321,7 @@ impl Sm {
             live_warp_count: 0,
             structural: true,
             last_gate_blocks: (0, 0),
+            last_locked: 0,
             incremental: mode.incremental,
             telemetry: mode.telemetry.map(|c| Box::new(SmTelemetry::new(&c))),
             slot_reason: vec![0; slots * wpb],
@@ -324,9 +370,10 @@ impl Sm {
 
     /// Credit the skipped sleep span `[since, now)` with exactly the
     /// accounting the per-cycle loop would have produced for a quiescent SM:
-    /// idle when live warps wait on latency, empty when no work is resident.
-    /// The per-reason breakdown is frozen for the whole span (no drain can
-    /// occur inside it, so no warp's stall reason can change), and sample
+    /// idle when live warps wait on latency, barriers or pair locks, empty
+    /// when no work is resident, plus one `lock_retries` per lock waiter per
+    /// cycle. The per-reason breakdown is frozen for the whole span (no
+    /// drain can occur inside it, so no warp's stall reason can change), and sample
     /// rows falling inside the span are emitted piecewise at their exact
     /// boundaries — a row at cycle `b` sees precisely the counters the
     /// per-cycle loop would have accumulated through cycle `b - 1`.
@@ -365,6 +412,7 @@ impl Sm {
         if span == 0 {
             return;
         }
+        self.stats.lock_retries += span * u64::from(self.last_locked);
         if self.live_warp_count > 0 {
             self.stats.idle_cycles += span;
             if self.n_hazard > 0 {
@@ -379,12 +427,14 @@ impl Sm {
         }
     }
 
-    /// Credit the sleep span `[since, now)` slept under memory back-pressure
-    /// ([`StepOutcome::gated`]) in closed form: each skipped cycle would have
-    /// counted one pipeline-stall cycle and re-blocked the same warps (the
-    /// gate can only open at a capacity release, which bounds the span), so
-    /// the per-cycle counters scale linearly with the span. Sample rows
-    /// inside the span are emitted piecewise like [`Sm::credit_skipped`].
+    /// Credit the sleep span `[since, now)` slept as a pipeline stall
+    /// ([`StepOutcome::stalled`]: a warp at the per-warp MSHR limit or
+    /// blocked by memory back-pressure) in closed form: each skipped cycle
+    /// would have counted one pipeline-stall cycle and re-blocked the same
+    /// warps (a per-warp limit lifts only at a writeback, the gate only at
+    /// a capacity release, and both bound the span), so the per-cycle
+    /// counters scale linearly with the span. Sample rows inside the span
+    /// are emitted piecewise like [`Sm::credit_skipped`].
     pub fn credit_gated(&mut self, since: u64, now: u64) {
         if now <= since {
             return;
@@ -415,6 +465,7 @@ impl Sm {
     }
 
     fn credit_gated_span(&mut self, span: u64) {
+        self.stats.lock_retries += span * u64::from(self.last_locked);
         self.stats.stall_cycles += span;
         self.stats.stall_mem_gate_cycles += span;
         self.stats.mshr_full_stalls += span * u64::from(self.last_gate_blocks.0);
@@ -541,9 +592,13 @@ impl Sm {
         }
         self.drain_writebacks(now);
         shared.advance_to(now); // settle capacity releases
-        let max_pending = shared.cfg.max_pending_per_warp;
-        let gate = shared.issue_gate();
-        let scan = self.scan_readiness(now, kinfo, throttle, max_pending, gate);
+        let gate = Gate {
+            now: shared.issue_gate(),
+            can_close: shared.gate_can_close(),
+            max_pending: shared.cfg.max_pending_per_warp,
+        };
+        let scan = self.scan_readiness(now, kinfo, throttle, gate);
+        self.stats.lock_retries += u64::from(scan.locked);
 
         let mut issued = 0u32;
         let mut port_conflict = false;
@@ -572,6 +627,7 @@ impl Sm {
                     smem_port_used = true;
                 }
                 if self.issue(slot, now, kinfo, lat, shared, dispatcher) {
+                    self.mark_slot_dirty(slot);
                     issued += 1;
                 } else {
                     port_conflict = true; // same-cycle lock race: counts as stall
@@ -584,8 +640,9 @@ impl Sm {
             self.sched.note_idle_cycle();
         }
 
+        let stalled = scan.any_mshr_limit || scan.any_gated();
         if issued == 0 {
-            if scan.any_stall || port_conflict || scan.any_gated() {
+            if stalled || port_conflict {
                 // Every pipeline-stall cycle is caused by the memory system
                 // or a structural conflict, so the breakdown attributes it
                 // to the mem-gate bucket wholesale.
@@ -612,11 +669,12 @@ impl Sm {
         }
 
         self.last_gate_blocks = (scan.gate_mshr, scan.gate_dram);
-        let sleepable = issued == 0 && !scan.any_stall && !port_conflict && !scan.any_volatile;
+        self.last_locked = scan.locked;
         StepOutcome {
             live: scan.any_live,
-            quiescent: sleepable && !scan.any_gated(),
-            gated: sleepable && scan.any_gated(),
+            quiescent: issued == 0 && !port_conflict && !scan.any_volatile,
+            stalled,
+            gated: scan.any_gated(),
             issued: issued > 0,
         }
     }
@@ -636,16 +694,17 @@ impl Sm {
                         w.mem_txn_done(group);
                     }
                 }
-                if self.scan_state[slot] == SlotScan::Stable {
+                if self.scan_state[slot].cached() {
                     self.scan_state[slot] = SlotScan::Dirty;
                 }
             }
         }
     }
 
+    /// Drop `slot`'s cached outcome so the next scan re-evaluates it.
     #[inline]
     fn mark_slot_dirty(&mut self, slot: usize) {
-        if self.scan_state[slot] == SlotScan::Stable {
+        if self.scan_state[slot].cached() {
             self.scan_state[slot] = SlotScan::Dirty;
         }
     }
@@ -667,23 +726,24 @@ impl Sm {
         self.mark_block_dirty(a + 1, warps_per_block);
     }
 
-    /// Scan resident warps, refreshing the scheduler view. Stable slots are
-    /// skipped; their cached views are still exactly what a full scan would
-    /// produce, with the same (empty) side-effect set. Ready warps are
-    /// always volatile, so `any_ready` only needs the re-evaluated slots.
+    /// Scan resident warps, refreshing the scheduler view. Slots with a
+    /// cached outcome are not re-evaluated: their views are still exactly
+    /// what a full scan would produce, and their only per-cycle side effect
+    /// (one `lock_retries` per lock waiter) is returned in the summary's
+    /// count for the caller to add.
     fn scan_readiness(
         &mut self,
         now: u64,
         kinfo: &KernelInfo,
         throttle: &mut DynThrottle,
-        max_pending: u32,
-        gate: MemGate,
+        gate: Gate,
     ) -> ScanSummary {
         let mut summary = ScanSummary {
             any_live: self.live_warp_count > 0,
-            any_stall: false,
+            any_mshr_limit: false,
             any_volatile: false,
             any_ready: false,
+            locked: 0,
             gate_mshr: 0,
             gate_dram: 0,
         };
@@ -698,9 +758,8 @@ impl Sm {
                     self.set_reason(slot, 0, now);
                     continue;
                 }
-                let (view, state, blocked) =
-                    self.eval_warp(slot, now, kinfo, throttle, max_pending, gate);
-                summary.note(&view, state, blocked);
+                let (view, state, blocked) = self.eval_warp(slot, now, kinfo, throttle, gate);
+                summary.note(view.ready, state, blocked);
                 self.scan_state[slot] = state;
                 self.view_pos[slot] = self.views.len() as u32;
                 self.views.push(view);
@@ -709,10 +768,13 @@ impl Sm {
             for slot in 0..self.warps.len() {
                 match self.scan_state[slot] {
                     SlotScan::Vacant | SlotScan::Stable => {}
+                    SlotScan::Ready => summary.any_ready = true,
+                    SlotScan::LockWait => summary.locked += 1,
+                    SlotScan::MshrLimit => summary.any_mshr_limit = true,
                     SlotScan::Dirty | SlotScan::Volatile | SlotScan::Gated => {
                         let (view, state, blocked) =
-                            self.eval_warp(slot, now, kinfo, throttle, max_pending, gate);
-                        summary.note(&view, state, blocked);
+                            self.eval_warp(slot, now, kinfo, throttle, gate);
+                        summary.note(view.ready, state, blocked);
                         self.scan_state[slot] = state;
                         self.views[self.view_pos[slot] as usize] = view;
                     }
@@ -723,16 +785,16 @@ impl Sm {
     }
 
     /// Evaluate one live warp exactly as the reference per-cycle scan would:
-    /// same checks, same order, same side effects (lock-retry and throttle
-    /// counters, throttle RNG draws).
+    /// same checks, same order, same side effects (throttle and memory-gate
+    /// counters, throttle RNG draws). A lock waiter's `lock_retries` is
+    /// counted by the caller, once per stepped cycle.
     fn eval_warp(
         &mut self,
         slot: usize,
         now: u64,
         kinfo: &KernelInfo,
         throttle: &mut DynThrottle,
-        max_pending: u32,
-        gate: MemGate,
+        gate: Gate,
     ) -> (WarpView, SlotScan, Blocked) {
         let w = self.warps[slot].as_ref().expect("evaluating a live warp");
         let block = self.blocks[w.block_slot as usize]
@@ -772,21 +834,22 @@ impl Sm {
             let meta = &kinfo.meta[w.pc as usize];
             let hazard = w.has_hazard(meta.op_mask);
             let drain_for_exit = meta.is_exit() && (w.outstanding_mem > 0 || w.pending_regs != 0);
-            let mshr_full = meta.is_global_mem() && w.outstanding_mem >= max_pending;
+            let mshr_full = meta.is_global_mem() && w.outstanding_mem >= gate.max_pending;
             if mshr_full {
                 // Structural congestion: the warp has work but the
                 // memory pipeline cannot accept it — a *pipeline stall*
                 // in the paper's Sec. VI-B accounting (and the signal
-                // the Sec. IV-C throttle monitors).
-                blocked = Blocked::Hard;
-                state = SlotScan::Volatile;
+                // the Sec. IV-C throttle monitors). Only the warp's own
+                // writeback or issue can lift it.
+                blocked = Blocked::Mshr;
+                state = SlotScan::MshrLimit;
             }
             let mut gated = false;
             if !hazard && !drain_for_exit && !mshr_full {
                 // Memory issue gate: the shared memory system cannot
                 // take this instruction's transactions. Same stall class as
                 // `mshr_full`, but sleepable (see `SlotScan::Gated`).
-                match gate.blocks(meta) {
+                match gate.now.blocks(meta) {
                     Some(GateBlock::Mshr) => {
                         blocked = Blocked::GateMshr;
                         self.stats.mshr_full_stalls += 1;
@@ -804,7 +867,10 @@ impl Sm {
                 }
             }
             if !hazard && !drain_for_exit && !mshr_full && !gated {
-                state = SlotScan::Volatile;
+                // A finite gate can close under this warp with no event on
+                // this SM (another SM's issue), so such a warp is
+                // re-checked every cycle.
+                let mut volatile = gate.can_close && meta.is_global_mem();
                 ready = true;
                 // Pair-lock busy-wait (Fig. 3 / Fig. 4 step (e)): the
                 // warp is simply not ready; it retries next cycle.
@@ -813,7 +879,7 @@ impl Sm {
                         if let PairLocks::Reg(l) = &self.pairs[pair as usize] {
                             if !l.can_access(member, w.warp_in_block as usize) {
                                 ready = false;
-                                self.stats.lock_retries += 1;
+                                blocked = Blocked::Lock;
                             }
                         }
                     }
@@ -821,22 +887,32 @@ impl Sm {
                         if let PairLocks::Smem(l) = &self.pairs[pair as usize] {
                             if !l.can_access(member) {
                                 ready = false;
-                                self.stats.lock_retries += 1;
+                                blocked = Blocked::Lock;
                             }
                         }
                     }
                 }
                 // Dynamic warp-execution throttle (paper Sec. IV-C):
-                // intentional suppression, not a pipeline stall.
+                // intentional suppression, not a pipeline stall. The draw
+                // is a side effect, so a warp that reaches it is volatile.
                 if ready
                     && meta.is_global_mem()
                     && class == WarpClass::NonOwner
                     && throttle.enabled()
-                    && !throttle.allow(self.id)
                 {
-                    ready = false;
-                    self.stats.throttled_issues += 1;
+                    volatile = true;
+                    if !throttle.allow(self.id) {
+                        ready = false;
+                        self.stats.throttled_issues += 1;
+                    }
                 }
+                state = if volatile {
+                    SlotScan::Volatile
+                } else if ready {
+                    SlotScan::Ready
+                } else {
+                    SlotScan::LockWait
+                };
             }
             // Scoreboard beats the memory gate when both hold; everything
             // else (exit drain, lock busy-wait, throttle, ready) is "none".

@@ -1,10 +1,11 @@
 //! The fast-forward engine's contract: `SimStats` — every field, including
 //! the stall/idle/empty cycle split, per-SM breakdowns and memory counters —
 //! is **bit-identical** with `RunConfig::fast_forward` on or off. The matrix
-//! covers all four schedulers crossed with all three sharing modes on one
-//! compute-bound and one memory-latency-bound kernel, each run to completion
-//! and cut short by `max_cycles`, plus a property test over random kernels
-//! (pinned seeds in `proptest-regressions/`).
+//! covers all four schedulers crossed with all three sharing modes on a
+//! compute-bound kernel, a memory-latency-bound one, a pair-lock-bound one
+//! and one held at the per-warp MSHR limit, each run to completion and cut
+//! short by `max_cycles`, plus a property test over random kernels (pinned
+//! seeds in `proptest-regressions/`).
 
 use gpu_resource_sharing::core::SchedulerKind;
 use gpu_resource_sharing::isa::GlobalPattern as GP;
@@ -20,6 +21,57 @@ fn kernels() -> Vec<gpu_resource_sharing::isa::Kernel> {
     let mut conv1 = workloads::set2::conv1();
     conv1.grid_blocks = 28;
     vec![hotspot, conv1]
+}
+
+/// One matrix kernel with the machine tweak it runs under and a check that
+/// it reaches the engine path it is in the matrix for.
+struct Leg {
+    kernel: gpu_resource_sharing::isa::Kernel,
+    /// Override of `mem.max_pending_per_warp`.
+    max_pending_per_warp: Option<u32>,
+    /// Does a full run under register sharing reach the leg's path?
+    reaches: fn(&SimStats) -> bool,
+    path: &'static str,
+}
+
+/// The matrix legs: hotspot and conv1 ([`kernels`]) plus LIB, whose
+/// register-sharing warps spend most of the run in pair-lock busy-waits
+/// (the SM sleeps through them as idle spans), and backprop with a
+/// per-warp limit of 2 in-flight global-memory instructions (the SM sleeps
+/// through it as stall spans, with the memory gate always open).
+fn legs() -> Vec<Leg> {
+    let [hotspot, conv1]: [_; 2] = kernels().try_into().expect("two kernels");
+    let mut lib = workloads::set1::lib();
+    lib.grid_blocks = 28;
+    let mut backprop = workloads::set1::backprop();
+    backprop.grid_blocks = 28;
+    let any = |_: &SimStats| true;
+    vec![
+        Leg {
+            kernel: hotspot,
+            max_pending_per_warp: None,
+            reaches: any,
+            path: "-",
+        },
+        Leg {
+            kernel: conv1,
+            max_pending_per_warp: None,
+            reaches: any,
+            path: "-",
+        },
+        Leg {
+            kernel: lib,
+            max_pending_per_warp: None,
+            reaches: |s| s.lock_retries > 0,
+            path: "pair-lock busy-waits",
+        },
+        Leg {
+            kernel: backprop,
+            max_pending_per_warp: Some(2),
+            reaches: |s| s.stall_cycles > 0 && s.mshr_full_stalls == 0,
+            path: "stalls at the per-warp MSHR limit",
+        },
+    ]
 }
 
 fn config(sched: SchedulerKind, sharing: SharingMode) -> RunConfig {
@@ -52,12 +104,16 @@ fn fast_forward_is_bit_identical_across_the_full_matrix() {
         SharingMode::Registers,
         SharingMode::Scratchpad,
     ];
-    for kernel in kernels() {
+    for leg in legs() {
+        let kernel = &leg.kernel;
         for sched in schedulers {
             for sharing in sharing_modes {
-                let cfg = config(sched, sharing);
-                let fast = Simulator::new(cfg.clone().with_fast_forward(true)).run(&kernel);
-                let reference = Simulator::new(cfg.clone().with_fast_forward(false)).run(&kernel);
+                let mut cfg = config(sched, sharing);
+                if let Some(n) = leg.max_pending_per_warp {
+                    cfg.gpu.mem.max_pending_per_warp = n;
+                }
+                let fast = Simulator::new(cfg.clone().with_fast_forward(true)).run(kernel);
+                let reference = Simulator::new(cfg.clone().with_fast_forward(false)).run(kernel);
                 assert_eq!(
                     fast, reference,
                     "{} under {sched:?} × {sharing:?} diverges with fast-forward",
@@ -65,14 +121,22 @@ fn fast_forward_is_bit_identical_across_the_full_matrix() {
                 );
                 assert!(!fast.timed_out, "{}", kernel.name);
                 assert_eq!(fast.blocks_completed, u64::from(kernel.grid_blocks));
+                if sharing == SharingMode::Registers {
+                    assert!(
+                        (leg.reaches)(&fast),
+                        "{} under {sched:?} × {sharing:?} no longer reaches {}",
+                        kernel.name,
+                        leg.path
+                    );
+                }
 
                 // Cut short mid-run: the cycle bound interrupts sleep spans
                 // (credited at the end) and clamps fast-forward jumps. The
                 // odd offset keeps the cut off round cycle counts.
                 let max_cycles = fast.cycles / 2 + 7;
                 let cut = cfg.with_max_cycles(max_cycles);
-                let fast = Simulator::new(cut.clone().with_fast_forward(true)).run(&kernel);
-                let reference = Simulator::new(cut.with_fast_forward(false)).run(&kernel);
+                let fast = Simulator::new(cut.clone().with_fast_forward(true)).run(kernel);
+                let reference = Simulator::new(cut.with_fast_forward(false)).run(kernel);
                 assert_eq!(
                     fast, reference,
                     "{} under {sched:?} × {sharing:?} diverges when cut at {max_cycles}",
