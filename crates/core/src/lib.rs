@@ -54,7 +54,7 @@ pub mod transform;
 pub use config::{GpuConfig, LatencyConfig, MemConfig, SmConfig};
 pub use dynwarp::DynThrottle;
 pub use occupancy::{occupancy, Occupancy};
-pub use sched::{Scheduler, SchedulerKind, WarpClass, WarpView};
+pub use sched::{Scheduler, SchedulerKind, SlotView, WarpClass, MAX_WARP_SLOTS};
 pub use sharing::{
     compute_launch_plan, KernelFootprint, LaunchPlan, PairMember, RegAccess, RegPairLocks,
     ResourceKind, SmemPairLock, Threshold,

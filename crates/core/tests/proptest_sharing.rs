@@ -1,9 +1,9 @@
 //! Property tests for the sharing runtime: lock mutual exclusion, the
 //! deadlock-avoidance invariant, ownership transfer, and scheduler contracts.
 
+use grs_core::sched::unit_slots;
 use grs_core::{
-    PairMember, RegAccess, RegPairLocks, Scheduler, SchedulerKind, SmemPairLock, WarpClass,
-    WarpView,
+    PairMember, RegAccess, RegPairLocks, Scheduler, SchedulerKind, SlotView, SmemPairLock,
 };
 use proptest::prelude::*;
 
@@ -93,26 +93,46 @@ proptest! {
     }
 }
 
-fn arb_views() -> impl Strategy<Value = Vec<WarpView>> {
-    proptest::collection::vec(
-        (0u64..100, 0u8..3, any::<bool>()).prop_map(|(id, class, ready)| (id, class, ready)),
-        1..24,
-    )
-    .prop_map(|entries| {
-        entries
-            .into_iter()
-            .enumerate()
-            .map(|(slot, (dynamic_id, class, ready))| WarpView {
-                slot,
-                dynamic_id,
-                class: match class {
-                    0 => WarpClass::Owner,
-                    1 => WarpClass::Unshared,
-                    _ => WarpClass::NonOwner,
-                },
-                ready,
-            })
-            .collect()
+/// A random SM view: per slot, a dynamic id, an OWF class and readiness;
+/// every slot listed.
+#[derive(Debug, Clone)]
+struct Slots {
+    ids: Vec<u64>,
+    ready: u64,
+    owner: u64,
+    non_owner: u64,
+}
+
+impl Slots {
+    fn view(&self) -> SlotView<'_> {
+        SlotView {
+            listed: (1u64 << self.ids.len()) - 1,
+            ready: self.ready,
+            owner: self.owner,
+            non_owner: self.non_owner,
+            dynamic_ids: &self.ids,
+        }
+    }
+}
+
+fn arb_slots() -> impl Strategy<Value = Slots> {
+    proptest::collection::vec((0u64..100, 0u8..3, any::<bool>()), 1..24).prop_map(|entries| {
+        let mut slots = Slots {
+            ids: Vec::with_capacity(entries.len()),
+            ready: 0,
+            owner: 0,
+            non_owner: 0,
+        };
+        for (slot, (id, class, ready)) in entries.into_iter().enumerate() {
+            slots.ids.push(id);
+            slots.ready |= u64::from(ready) << slot;
+            match class {
+                0 => slots.owner |= 1 << slot,
+                1 => {}
+                _ => slots.non_owner |= 1 << slot,
+            }
+        }
+        slots
     })
 }
 
@@ -121,7 +141,7 @@ proptest! {
     /// and picks None iff no such warp exists.
     #[test]
     fn schedulers_pick_ready_warps_in_partition(
-        views in arb_views(),
+        slots in arb_slots(),
         kind in prop_oneof![
             Just(SchedulerKind::Lrr),
             Just(SchedulerKind::Gto),
@@ -131,15 +151,16 @@ proptest! {
         rounds in 1usize..8,
     ) {
         let units = 2;
-        let mut sched: Scheduler = kind.build(views.len(), units);
+        let n = slots.ids.len();
+        let mut sched: Scheduler = kind.build(n, units);
+        let masks = unit_slots(n, units);
         for _ in 0..rounds {
-            for unit in 0..units {
-                let pick = sched.pick(unit, units, &views);
-                let any_candidate = views.iter().any(|v| v.ready && v.slot % units == unit);
+            for (unit, &mine) in masks.iter().enumerate() {
+                let pick = sched.pick(unit, mine, &slots.view());
+                let any_candidate = slots.ready & mine != 0;
                 match pick {
                     Some(slot) => {
-                        let v = views.iter().find(|v| v.slot == slot).expect("picked view exists");
-                        prop_assert!(v.ready, "{kind:?} picked non-ready warp");
+                        prop_assert!(slots.ready >> slot & 1 == 1, "{kind:?} picked non-ready warp");
                         prop_assert_eq!(slot % units, unit, "scheduler {:?} violated partition", kind);
                     }
                     None => prop_assert!(!any_candidate, "{kind:?} missed a ready warp"),
@@ -151,18 +172,17 @@ proptest! {
     /// OWF never picks a lower class while a strictly higher class is ready
     /// (owner > unshared > non-owner, paper Sec. IV-A).
     #[test]
-    fn owf_respects_class_priority(views in arb_views()) {
-        let units = 1;
-        let mut sched = SchedulerKind::Owf.build(views.len(), units);
-        if let Some(slot) = sched.pick(0, units, &views) {
-            let picked = views.iter().find(|v| v.slot == slot).unwrap();
-            let best_rank = views
-                .iter()
-                .filter(|v| v.ready)
-                .map(|v| v.class.rank())
+    fn owf_respects_class_priority(slots in arb_slots()) {
+        let n = slots.ids.len();
+        let mut sched = SchedulerKind::Owf.build(n, 1);
+        let view = slots.view();
+        if let Some(slot) = sched.pick(0, unit_slots(n, 1)[0], &view) {
+            let best_rank = (0..n)
+                .filter(|&s| slots.ready >> s & 1 == 1)
+                .map(|s| view.class(s).rank())
                 .min()
                 .unwrap();
-            prop_assert_eq!(picked.class.rank(), best_rank);
+            prop_assert_eq!(view.class(slot).rank(), best_rank);
         }
     }
 }

@@ -4,31 +4,40 @@
 //! ## Fast-forward
 //!
 //! On memory-bound kernels most cycles are *dead* for most SMs: no ready
-//! warp, nothing blocked on a lock, a port or the throttle, and every state
-//! change until the next writeback drain is fully predetermined. An SM that
-//! reports such a quiescent cycle ([`crate::sm::StepOutcome`]) goes to
-//! *sleep* until its earliest pending writeback (its timing wheel's
-//! minimum): while asleep it cannot act (no ready warps, no issues, no
-//! memory traffic) and nothing external can change its readiness — other
-//! SMs interact only through the shared memory system (touched at issue
-//! time only) and the dispatcher (consulted only on block completion), and
-//! throttle-probability changes only matter to warps the scan classifies
-//! volatile, which a quiescent SM has none of. The run loop steps only the
-//! SMs whose wake-up cycle has arrived and jumps the clock to the next
-//! wake-up when every SM sleeps. Skipped spans are credited to the exact
-//! same per-SM `idle_cycles`/`empty_cycles` counters and throttle stall
-//! windows the per-cycle loop would have produced (see
-//! [`DynThrottle::sleep_sm`]), so [`crate::SimStats`] is bit-identical with
-//! the engine on or off. Stall cycles from locks, ports, the throttle and
-//! the per-warp MSHR limit are never skippable by construction: any warp in
-//! such a state marks its SM's cycle non-quiescent.
+//! warp, no port conflict, no warp drawing from the throttle or checking a
+//! finite memory gate, and every state change until the next writeback
+//! drain is fully predetermined. An SM that reports such a quiescent cycle
+//! ([`crate::sm::StepOutcome`]) goes to *sleep* until its earliest pending
+//! writeback (its timing wheel's minimum): while asleep it cannot act (no
+//! ready warps, no issues, no memory traffic) and nothing external can
+//! change its readiness — other SMs interact only through the shared
+//! memory system (touched at issue time only) and the dispatcher
+//! (consulted only on block completion), pair locks change only at an
+//! issue on their own SM, and throttle-probability changes only matter to
+//! warps that reach the draw, which the scan classifies volatile and a
+//! quiescent SM has none of. The run loop steps only the SMs whose wake-up
+//! cycle has arrived and jumps the clock to the next wake-up when every SM
+//! sleeps. Skipped spans are credited to the exact same per-SM counters
+//! and throttle stall windows the per-cycle loop would have produced (see
+//! [`DynThrottle::sleep_sm`]), so [`crate::SimStats`] is bit-identical
+//! with the engine on or off:
+//!
+//! * an SM whose warps wait only on latency, barriers or pair locks
+//!   sleeps an *idle* span ([`crate::sm::Sm::credit_skipped`]), with one
+//!   `lock_retries` per lock waiter per skipped cycle;
+//! * an SM with a warp at the per-warp MSHR limit sleeps a *stall* span
+//!   ([`crate::sm::Sm::credit_gated`]): the limit lifts only at one of the
+//!   warp's own writebacks.
+//!
+//! Port conflicts, same-cycle lock races and throttle draws are never
+//! skipped: an SM with any of them is stepped again on the next cycle.
 //!
 //! ## Quiescence under memory back-pressure
 //!
 //! Finite MSHR tables and DRAM queues add one external wake source: a warp
 //! blocked by memory back-pressure ([`crate::mem::MemGate`]) unblocks when
 //! an MSHR entry or DRAM-queue slot *drains*, not when a writeback lands.
-//! Such an SM reports [`crate::sm::StepOutcome::gated`] instead of
+//! Such an SM reports [`crate::sm::StepOutcome::gated`] as well as
 //! `quiescent`; it still sleeps, but its wake-up cycle is the minimum of
 //! its own writeback wheel **and** the memory system's next capacity
 //! release ([`crate::mem::SharedMem::next_release`]), and the skipped span

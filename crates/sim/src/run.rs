@@ -285,6 +285,14 @@ pub enum RunError {
         /// Warp slots per SM.
         warp_slots: u32,
     },
+    /// The launch plan needs more warp slots per SM (`max_blocks ×` warps
+    /// per block) than the simulator supports
+    /// ([`grs_core::MAX_WARP_SLOTS`]): the scan and the schedulers keep one
+    /// bit per warp slot in a `u64`. Checked before building the machine.
+    TooManyWarpSlots {
+        /// Warp slots the plan needs per SM.
+        warp_slots: u64,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -314,6 +322,11 @@ impl std::fmt::Display for RunError {
                 f,
                 "machine config `sm.schedulers` = {schedulers} exceeds the {warp_slots} \
                  warp slots per SM"
+            ),
+            RunError::TooManyWarpSlots { warp_slots } => write!(
+                f,
+                "launch plan needs {warp_slots} warp slots per SM; the simulator supports ≤ {}",
+                grs_core::MAX_WARP_SLOTS
             ),
         }
     }
@@ -421,6 +434,10 @@ impl Simulator {
         let plan = self.plan_for(&kernel);
         if plan.max_blocks == 0 {
             return Err(RunError::KernelDoesNotFit);
+        }
+        let warp_slots = u64::from(plan.max_blocks) * u64::from(kernel.warps_per_block());
+        if warp_slots > grs_core::MAX_WARP_SLOTS as u64 {
+            return Err(RunError::TooManyWarpSlots { warp_slots });
         }
         let kinfo = KernelInfo::new(kernel, self.cfg.sharing.resource(), self.cfg.threshold);
         let gpu = Gpu::new(
@@ -585,6 +602,45 @@ mod tests {
                 })
             );
         }
+    }
+
+    #[test]
+    fn warp_slots_above_64_are_rejected() {
+        let kernel = |threads| {
+            KernelBuilder::new("k")
+                .threads_per_block(threads)
+                .regs_per_thread(8)
+                .grid_blocks(8)
+                .ialu(4)
+                .build()
+        };
+        // 4096 threads and 32 blocks of 4 warps: 128 warp slots.
+        let mut cfg = RunConfig::baseline_lrr();
+        cfg.gpu.num_sms = 2;
+        cfg.gpu.sm.max_threads = 4096;
+        cfg.gpu.sm.max_blocks = 32;
+        let err = Simulator::new(cfg.clone()).try_run_report(&kernel(128));
+        assert_eq!(err, Err(RunError::TooManyWarpSlots { warp_slots: 128 }));
+        // Exactly 64 warp slots still run: 16 blocks of 4 warps, and 64
+        // blocks of one partial warp.
+        cfg.gpu.sm.max_threads = 2048;
+        cfg.gpu.sm.max_blocks = 16;
+        assert_eq!(
+            Simulator::new(cfg.clone())
+                .plan_for(&kernel(128))
+                .max_blocks,
+            16
+        );
+        assert!(Simulator::new(cfg.clone()).try_run(&kernel(128)).is_ok());
+        cfg.gpu.sm.max_blocks = 64;
+        assert_eq!(
+            Simulator::new(cfg.clone()).plan_for(&kernel(16)).max_blocks,
+            64
+        );
+        assert!(Simulator::new(cfg.clone()).try_run(&kernel(16)).is_ok());
+        cfg.gpu.sm.max_blocks = 65;
+        let err = Simulator::new(cfg).try_run_report(&kernel(16));
+        assert_eq!(err, Err(RunError::TooManyWarpSlots { warp_slots: 65 }));
     }
 
     #[test]

@@ -11,38 +11,55 @@
 //!    [`grs_core::sched`]) and issues its next instruction, subject to one
 //!    global-memory and one scratchpad instruction per SM per cycle
 //!    (structural ports),
-//! 4. accounts the cycle as productive, *stall* (something was blocked by a
-//!    lock/throttle/port) or *idle* (everything ready-less was waiting on
-//!    latency or barriers) — the paper's Fig. 9(c,d) split.
+//! 4. accounts the cycle as productive, *stall* (a warp was held at the
+//!    per-warp MSHR limit or by the memory gate, or lost a port or a
+//!    same-cycle lock race) or *idle* (every live warp waited on latency, a
+//!    barrier, a pair lock or the throttle) — the paper's Fig. 9(c,d)
+//!    split.
 //!
 //! ## Incremental readiness
 //!
-//! The scan is incremental: each warp slot carries a `SlotScan` state and
-//! the cached [`WarpView`] from its last evaluation. A warp blocked purely on
-//! conditions that only a writeback drain or an issue on this SM can change —
-//! scoreboard hazard, exit drain, barrier wait — is *stable*: its cached view
-//! remains valid and the reference scan would produce no side effects for it,
-//! so it is skipped until something dirties it. Warps whose evaluation has
-//! per-cycle side effects or same-cycle dependencies (ready, lock busy-wait,
-//! throttle gating, MSHR backpressure) are *volatile* and re-evaluated every
-//! cycle, reproducing the reference side-effect sequence (stat counters, RNG
-//! draws) in slot order. Structural changes (block launch/retire) rebuild the
-//! whole view vector, which otherwise keeps the exact composition the
-//! schedulers saw in the reference implementation.
+//! The scan keeps one `u64` bit per warp slot in a handful of masks: the
+//! scheduler's view list (the live slots as of the last rebuild), the
+//! latest outcome of each slot (ready, pair-lock wait, per-warp MSHR limit,
+//! gated; the rest are *stable*), its OWF class, and which slots are
+//! dirty or volatile. A warp is re-evaluated only when an input of its
+//! evaluation can have changed:
+//!
+//! * a writeback, a barrier release, a lock grant on its pair or its own
+//!   issue dirties it;
+//! * a *volatile* warp is re-evaluated every stepped cycle: it reached the
+//!   throttle draw (a side effect), or it passed a global-memory
+//!   instruction through a finite memory gate, which another SM's issue
+//!   can close;
+//! * a gated warp is re-evaluated every stepped cycle (its block counters
+//!   are per-cycle side effects).
+//!
+//! Every other outcome (ready, lock wait, per-warp MSHR limit, hazard,
+//! exit drain, barrier) is cached: a full scan would reproduce it with no
+//! side effect but one `lock_retries` per lock waiter, which each stepped
+//! cycle adds by count. Re-evaluations run in slot order, so the side
+//! effects that remain (gate and throttle counters, throttle RNG draws)
+//! come in the reference order. Block launch and retire rebuild the view
+//! list, which otherwise keeps the exact composition the schedulers saw in
+//! the per-cycle reference.
 //!
 //! ## Fast-forward support
 //!
 //! [`Sm::step`] reports whether the cycle was *quiescent* — zero issues, no
-//! stall reason, and no volatile warp, i.e. a cycle whose outcome is fully
-//! determined until the next writeback drains. [`Sm::next_wake`] exposes that
-//! drain cycle (the timing wheel's minimum); [`crate::gpu::Gpu::run_until`]
-//! jumps the clock when every SM is quiescent and credits the skipped span
-//! through [`Sm::credit_skipped`], preserving the idle/empty split bit for
-//! bit.
+//! port conflict and no volatile warp, i.e. a cycle whose outcome is fully
+//! determined until the next writeback drains (or, with a gated warp, the
+//! next capacity release). [`Sm::next_wake`] exposes that drain cycle (the
+//! timing wheel's minimum); [`crate::gpu::Gpu::run_until`] sleeps the SM
+//! until then and credits the skipped span in closed form: through
+//! [`Sm::credit_skipped`] as idle or empty cycles, or through
+//! [`Sm::credit_gated`] as stall cycles when a warp is at the per-warp MSHR
+//! limit or gated, preserving every counter bit for bit.
 
+use grs_core::sched::unit_slots;
 use grs_core::{
     DynThrottle, LatencyConfig, LaunchPlan, RegAccess, RegPairLocks, Scheduler, SchedulerKind,
-    SmemPairLock, WarpClass, WarpView,
+    SlotView, SmemPairLock, WarpClass, MAX_WARP_SLOTS,
 };
 use grs_isa::Op;
 
@@ -76,95 +93,39 @@ pub enum WbKind {
     MemTxn(u16),
 }
 
-/// Scan bookkeeping for one warp slot.
+/// What one warp evaluation found. Every outcome but [`Outcome::Gated`] is
+/// cached until something dirties the slot, unless the evaluation was
+/// volatile (see [`Sm::scan_readiness`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotScan {
-    /// No live warp in the slot.
-    Vacant,
-    /// State changed since the last evaluation; re-evaluate once.
-    Dirty,
+enum Outcome {
     /// Blocked on conditions only a drain or an SM-local issue can change
-    /// (hazard, exit drain, barrier): cached view valid, no per-cycle side
-    /// effects. Skippable.
+    /// (hazard, exit drain, barrier); no per-cycle side effects.
     Stable,
-    /// Ready, with no throttle draw: cached until something dirties it.
+    /// Ready to issue.
     Ready,
-    /// Pair-lock busy-wait: cached until a lock grant dirties the pair.
-    /// Every stepped cycle counts one `lock_retries` per such slot.
-    LockWait,
-    /// At the per-warp MSHR limit: cached until a writeback or an issue
-    /// dirties it. Makes the cycle a pipeline stall.
+    /// Pair-lock busy-wait: idle, and one `lock_retries` per stepped cycle.
+    Locked,
+    /// At the per-warp MSHR limit: a pipeline stall that only the warp's
+    /// own writeback or issue can lift.
     MshrLimit,
-    /// Re-evaluate every stepped cycle, and keep the SM awake: the warp
-    /// reaches the throttle draw (a side effect), or it is a global-memory
-    /// warp checked against a finite memory gate, which another SM's issue
-    /// can close without any event on this SM.
-    Volatile,
-    /// Blocked solely by memory back-pressure ([`MemGate`]).
-    /// Re-evaluated every stepped cycle (the per-cycle block counters are
-    /// side effects), but — unlike [`SlotScan::Volatile`] — it does not
-    /// prevent the SM from sleeping: the block can only end at a capacity
-    /// release, whose cycle the memory system knows, and the skipped span's
-    /// accounting is credited in closed form ([`Sm::credit_gated`]).
-    Gated,
+    /// Blocked by memory back-pressure ([`MemGate`]): a stall, re-evaluated
+    /// every stepped cycle (the per-cycle block counters are side effects),
+    /// but sleepable — the block can only end at a capacity release, whose
+    /// cycle the memory system knows, and the skipped span's accounting is
+    /// credited in closed form ([`Sm::credit_gated`]).
+    Gated(GateBlock),
 }
 
-impl SlotScan {
-    /// Is the cached outcome still valid until something dirties the slot?
-    #[inline]
-    fn cached(self) -> bool {
-        matches!(
-            self,
-            SlotScan::Stable | SlotScan::Ready | SlotScan::LockWait | SlotScan::MshrLimit
-        )
-    }
-}
-
-/// How a warp's evaluation left it blocked, as the scan summary needs it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Blocked {
-    /// Not blocked (ready, or waiting without stalling).
-    No,
-    /// Pair-lock busy-wait: idle, one `lock_retries` per stepped cycle.
-    Lock,
-    /// Per-warp MSHR limit: a pipeline stall.
-    Mshr,
-    /// MSHR back-pressure: stall cycles, but sleepable.
-    GateMshr,
-    /// DRAM-queue back-pressure: stall cycles, but sleepable.
-    GateDram,
-}
-
-/// Aggregate outcome of one readiness scan.
+/// Aggregate outcome of one readiness scan; the rest is in the SM's masks.
 #[derive(Debug, Clone, Copy)]
 struct ScanSummary {
     any_live: bool,
-    /// Some warp is at the per-warp MSHR limit.
-    any_mshr_limit: bool,
-    any_volatile: bool,
-    any_ready: bool,
-    /// Warps in a pair-lock busy-wait.
-    locked: u32,
     /// Warps blocked by the memory gate this cycle (MSHR, DRAM queue).
     gate_mshr: u32,
     gate_dram: u32,
 }
 
 impl ScanSummary {
-    /// Fold one slot's current outcome into the summary.
-    #[inline]
-    fn note(&mut self, ready: bool, state: SlotScan, blocked: Blocked) {
-        match blocked {
-            Blocked::No => {}
-            Blocked::Lock => self.locked += 1,
-            Blocked::Mshr => self.any_mshr_limit = true,
-            Blocked::GateMshr => self.gate_mshr += 1,
-            Blocked::GateDram => self.gate_dram += 1,
-        }
-        self.any_volatile |= state == SlotScan::Volatile;
-        self.any_ready |= ready;
-    }
-
     /// Any warp blocked by the memory gate?
     #[inline]
     fn any_gated(&self) -> bool {
@@ -240,20 +201,35 @@ pub struct Sm {
     /// Statistics.
     pub stats: SmStats,
     sched: Scheduler,
-    units: usize,
+    /// Constant slot mask of each scheduler unit.
+    unit_slots: Vec<u64>,
     next_dyn_id: u64,
     writebacks: TimingWheel<Writeback>,
-    // Incremental-scan state.
-    scan_state: Vec<SlotScan>,
-    view_pos: Vec<u32>,
+    // Incremental-scan state: one bit per warp slot.
+    /// The scheduler's view list: the live slots as of the last rebuild.
+    listed: u64,
+    /// Slots dirtied since their last evaluation.
+    dirty: u64,
+    /// Slots whose last evaluation was volatile: it drew from the throttle,
+    /// or it checked a global-memory instruction against a finite memory
+    /// gate. Re-evaluated every stepped cycle, and they keep the SM awake.
+    volatile: u64,
+    /// Outcomes of the latest evaluations ([`Outcome`]); listed slots in
+    /// none of these are [`Outcome::Stable`].
+    ready: u64,
+    locked: u64,
+    mshr_limited: u64,
+    gated: u64,
+    /// OWF classes of the latest evaluations; the other slots are unshared.
+    owner: u64,
+    non_owner: u64,
+    /// Dynamic warp id per slot, as of the last rebuild.
+    dyn_ids: Vec<u64>,
     live_warp_count: u32,
     structural: bool,
     /// Gate-blocked warp counts `(mshr, dram)` from the latest scan, kept
     /// for closed-form crediting of a gated sleep span.
     last_gate_blocks: (u32, u32),
-    /// Pair-lock waiters at the latest scan, kept for closed-form crediting
-    /// of `lock_retries` over a sleep span.
-    last_locked: u32,
     /// With `incremental` off (the `fast_forward: false` reference mode)
     /// every scan rebuilds every view from scratch and ready-less cycles
     /// still walk the scheduler units — the seed's exact per-cycle
@@ -274,16 +250,19 @@ pub struct Sm {
     /// Live slots currently barrier-parked (reason 2).
     n_barrier: u32,
     // per-cycle scratch, reused to avoid allocation
-    views: Vec<WarpView>,
     addr_buf: Vec<u64>,
     wb_scratch: Vec<(u64, Writeback)>,
 }
 
-const NO_VIEW: u32 = u32::MAX;
-
 impl Sm {
     /// Build an SM for one run. `mode.incremental` selects the event-engine
     /// scan (see the module docs); off reproduces the per-cycle reference.
+    ///
+    /// # Panics
+    ///
+    /// If the plan needs more than [`MAX_WARP_SLOTS`] warp slots
+    /// (`max_blocks × warps_per_block`); `Simulator` rejects such a run
+    /// with a `RunError` first.
     pub fn new(
         id: usize,
         plan: LaunchPlan,
@@ -295,6 +274,10 @@ impl Sm {
     ) -> Self {
         let slots = plan.max_blocks as usize;
         let wpb = kinfo.warps_per_block as usize;
+        assert!(
+            slots * wpb <= MAX_WARP_SLOTS,
+            "{slots} blocks × {wpb} warps exceed {MAX_WARP_SLOTS} warp slots"
+        );
         let pairs = (0..plan.shared_pairs)
             .map(|_| {
                 if mode.register_sharing {
@@ -313,21 +296,27 @@ impl Sm {
             plan,
             stats: SmStats::default(),
             sched: sched_kind.build(slots * wpb, units),
-            units,
+            unit_slots: unit_slots(slots * wpb, units),
             next_dyn_id: 0,
             writebacks: TimingWheel::new(),
-            scan_state: vec![SlotScan::Vacant; slots * wpb],
-            view_pos: vec![NO_VIEW; slots * wpb],
+            listed: 0,
+            dirty: 0,
+            volatile: 0,
+            ready: 0,
+            locked: 0,
+            mshr_limited: 0,
+            gated: 0,
+            owner: 0,
+            non_owner: 0,
+            dyn_ids: vec![0; slots * wpb],
             live_warp_count: 0,
             structural: true,
             last_gate_blocks: (0, 0),
-            last_locked: 0,
             incremental: mode.incremental,
             telemetry: mode.telemetry.map(|c| Box::new(SmTelemetry::new(&c))),
             slot_reason: vec![0; slots * wpb],
             n_hazard: 0,
             n_barrier: 0,
-            views: Vec::with_capacity(slots * wpb),
             addr_buf: Vec::with_capacity(32),
             wb_scratch: Vec::with_capacity(32),
         }
@@ -412,7 +401,7 @@ impl Sm {
         if span == 0 {
             return;
         }
-        self.stats.lock_retries += span * u64::from(self.last_locked);
+        self.stats.lock_retries += span * u64::from(self.locked.count_ones());
         if self.live_warp_count > 0 {
             self.stats.idle_cycles += span;
             if self.n_hazard > 0 {
@@ -465,7 +454,7 @@ impl Sm {
     }
 
     fn credit_gated_span(&mut self, span: u64) {
-        self.stats.lock_retries += span * u64::from(self.last_locked);
+        self.stats.lock_retries += span * u64::from(self.locked.count_ones());
         self.stats.stall_cycles += span;
         self.stats.stall_mem_gate_cycles += span;
         self.stats.mshr_full_stalls += span * u64::from(self.last_gate_blocks.0);
@@ -598,15 +587,22 @@ impl Sm {
             max_pending: shared.cfg.max_pending_per_warp,
         };
         let scan = self.scan_readiness(now, kinfo, throttle, gate);
-        self.stats.lock_retries += u64::from(scan.locked);
+        self.stats.lock_retries += u64::from(self.locked.count_ones());
 
         let mut issued = 0u32;
         let mut port_conflict = false;
         let mut global_port_used = false;
         let mut smem_port_used = false;
-        if scan.any_ready || !self.incremental {
-            for unit in 0..self.units {
-                let Some(slot) = self.sched.pick(unit, self.units, &self.views) else {
+        if self.ready != 0 || !self.incremental {
+            for unit in 0..self.unit_slots.len() {
+                let view = SlotView {
+                    listed: self.listed,
+                    ready: self.ready,
+                    owner: self.owner,
+                    non_owner: self.non_owner,
+                    dynamic_ids: &self.dyn_ids,
+                };
+                let Some(slot) = self.sched.pick(unit, self.unit_slots[unit], &view) else {
                     continue;
                 };
                 let pc = self.warps[slot].as_ref().expect("picked warp exists").pc as usize;
@@ -640,7 +636,7 @@ impl Sm {
             self.sched.note_idle_cycle();
         }
 
-        let stalled = scan.any_mshr_limit || scan.any_gated();
+        let stalled = self.mshr_limited != 0 || scan.any_gated();
         if issued == 0 {
             if stalled || port_conflict {
                 // Every pipeline-stall cycle is caused by the memory system
@@ -669,10 +665,9 @@ impl Sm {
         }
 
         self.last_gate_blocks = (scan.gate_mshr, scan.gate_dram);
-        self.last_locked = scan.locked;
         StepOutcome {
             live: scan.any_live,
-            quiescent: issued == 0 && !port_conflict && !scan.any_volatile,
+            quiescent: issued == 0 && !port_conflict && self.volatile == 0,
             stalled,
             gated: scan.any_gated(),
             issued: issued > 0,
@@ -694,9 +689,7 @@ impl Sm {
                         w.mem_txn_done(group);
                     }
                 }
-                if self.scan_state[slot].cached() {
-                    self.scan_state[slot] = SlotScan::Dirty;
-                }
+                self.dirty |= 1 << slot;
             }
         }
     }
@@ -704,33 +697,34 @@ impl Sm {
     /// Drop `slot`'s cached outcome so the next scan re-evaluates it.
     #[inline]
     fn mark_slot_dirty(&mut self, slot: usize) {
-        if self.scan_state[slot].cached() {
-            self.scan_state[slot] = SlotScan::Dirty;
-        }
+        self.dirty |= 1 << slot;
     }
 
-    /// Invalidate every warp of `block_slot` (barrier release, lock/owner
-    /// transitions of the block's pair).
-    fn mark_block_dirty(&mut self, block_slot: u32, warps_per_block: u32) {
-        let base = block_slot as usize * warps_per_block as usize;
-        for slot in base..base + warps_per_block as usize {
-            self.mark_slot_dirty(slot);
-        }
+    /// Invalidate the warps of `blocks` consecutive block slots from
+    /// `block_slot` on.
+    #[inline]
+    fn mark_blocks_dirty(&mut self, block_slot: u32, blocks: u32, warps_per_block: u32) {
+        let width = blocks * warps_per_block;
+        let base = block_slot * warps_per_block;
+        self.dirty |= (u64::MAX >> (64 - width)) << base;
     }
 
     /// Invalidate both blocks of `pair` — a lock grant may have changed the
-    /// pair's owner, which feeds every cached view's [`WarpClass`].
+    /// pair's lock and owner state, which feeds every cached outcome and
+    /// [`WarpClass`] of the pair.
     fn mark_pair_dirty(&mut self, pair: u32, warps_per_block: u32) {
-        let a = self.plan.unshared + 2 * pair;
-        self.mark_block_dirty(a, warps_per_block);
-        self.mark_block_dirty(a + 1, warps_per_block);
+        self.mark_blocks_dirty(self.plan.unshared + 2 * pair, 2, warps_per_block);
     }
 
-    /// Scan resident warps, refreshing the scheduler view. Slots with a
-    /// cached outcome are not re-evaluated: their views are still exactly
-    /// what a full scan would produce, and their only per-cycle side effect
-    /// (one `lock_retries` per lock waiter) is returned in the summary's
-    /// count for the caller to add.
+    /// Scan resident warps, refreshing the scheduler view. Only the slots
+    /// whose outcome can have changed are re-evaluated: dirtied slots,
+    /// volatile ones and gated ones, in increasing slot order (the order
+    /// the reference scan makes its side effects in). Every other listed
+    /// slot keeps its cached outcome, which is exactly what a full scan
+    /// would produce; its only per-cycle side effect, one `lock_retries`
+    /// per lock waiter, is counted from [`Self::locked`] by the caller.
+    /// With `incremental` off, or after a block launch or a warp exit, the
+    /// view list is rebuilt and every live slot re-evaluated.
     fn scan_readiness(
         &mut self,
         now: u64,
@@ -738,45 +732,65 @@ impl Sm {
         throttle: &mut DynThrottle,
         gate: Gate,
     ) -> ScanSummary {
+        let eval = if self.structural || !self.incremental {
+            self.structural = false;
+            let mut listed = 0;
+            for slot in 0..self.warps.len() {
+                match self.warps[slot].as_ref() {
+                    Some(w) if !w.finished => {
+                        listed |= 1 << slot;
+                        self.dyn_ids[slot] = w.dynamic_id;
+                    }
+                    _ => self.set_reason(slot, 0, now),
+                }
+            }
+            self.listed = listed;
+            listed
+        } else {
+            (self.dirty | self.volatile | self.gated) & self.listed
+        };
+        self.dirty = 0;
+        let keep = self.listed & !eval;
+        for mask in [
+            &mut self.volatile,
+            &mut self.ready,
+            &mut self.locked,
+            &mut self.mshr_limited,
+            &mut self.gated,
+            &mut self.owner,
+            &mut self.non_owner,
+        ] {
+            *mask &= keep;
+        }
         let mut summary = ScanSummary {
             any_live: self.live_warp_count > 0,
-            any_mshr_limit: false,
-            any_volatile: false,
-            any_ready: false,
-            locked: 0,
             gate_mshr: 0,
             gate_dram: 0,
         };
-        if self.structural || !self.incremental {
-            self.structural = false;
-            self.views.clear();
-            for slot in 0..self.warps.len() {
-                let live = self.warps[slot].as_ref().is_some_and(|w| !w.finished);
-                if !live {
-                    self.scan_state[slot] = SlotScan::Vacant;
-                    self.view_pos[slot] = NO_VIEW;
-                    self.set_reason(slot, 0, now);
-                    continue;
-                }
-                let (view, state, blocked) = self.eval_warp(slot, now, kinfo, throttle, gate);
-                summary.note(view.ready, state, blocked);
-                self.scan_state[slot] = state;
-                self.view_pos[slot] = self.views.len() as u32;
-                self.views.push(view);
+        let mut todo = eval;
+        while todo != 0 {
+            let slot = todo.trailing_zeros() as usize;
+            todo &= todo - 1;
+            let bit = 1u64 << slot;
+            let (outcome, class, volatile) = self.eval_warp(slot, now, kinfo, throttle, gate);
+            match class {
+                WarpClass::Owner => self.owner |= bit,
+                WarpClass::NonOwner => self.non_owner |= bit,
+                WarpClass::Unshared => {}
             }
-        } else {
-            for slot in 0..self.warps.len() {
-                match self.scan_state[slot] {
-                    SlotScan::Vacant | SlotScan::Stable => {}
-                    SlotScan::Ready => summary.any_ready = true,
-                    SlotScan::LockWait => summary.locked += 1,
-                    SlotScan::MshrLimit => summary.any_mshr_limit = true,
-                    SlotScan::Dirty | SlotScan::Volatile | SlotScan::Gated => {
-                        let (view, state, blocked) =
-                            self.eval_warp(slot, now, kinfo, throttle, gate);
-                        summary.note(view.ready, state, blocked);
-                        self.scan_state[slot] = state;
-                        self.views[self.view_pos[slot] as usize] = view;
+            if volatile {
+                self.volatile |= bit;
+            }
+            match outcome {
+                Outcome::Stable => {}
+                Outcome::Ready => self.ready |= bit,
+                Outcome::Locked => self.locked |= bit,
+                Outcome::MshrLimit => self.mshr_limited |= bit,
+                Outcome::Gated(kind) => {
+                    self.gated |= bit;
+                    match kind {
+                        GateBlock::Mshr => summary.gate_mshr += 1,
+                        GateBlock::DramQueue => summary.gate_dram += 1,
                     }
                 }
             }
@@ -787,7 +801,11 @@ impl Sm {
     /// Evaluate one live warp exactly as the reference per-cycle scan would:
     /// same checks, same order, same side effects (throttle and memory-gate
     /// counters, throttle RNG draws). A lock waiter's `lock_retries` is
-    /// counted by the caller, once per stepped cycle.
+    /// counted by the caller, once per stepped cycle. Returns the outcome,
+    /// the warp's OWF class, and whether the outcome is volatile: it drew
+    /// from the throttle (a side effect), or it passed a global-memory
+    /// instruction through a finite memory gate, which another SM's issue
+    /// can close with no event on this SM.
     fn eval_warp(
         &mut self,
         slot: usize,
@@ -795,7 +813,7 @@ impl Sm {
         kinfo: &KernelInfo,
         throttle: &mut DynThrottle,
         gate: Gate,
-    ) -> (WarpView, SlotScan, Blocked) {
+    ) -> (Outcome, WarpClass, bool) {
         let w = self.warps[slot].as_ref().expect("evaluating a live warp");
         let block = self.blocks[w.block_slot as usize]
             .as_ref()
@@ -824,9 +842,8 @@ impl Sm {
             }
         };
 
-        let mut ready = false;
-        let mut blocked = Blocked::No;
-        let mut state = SlotScan::Stable;
+        let mut outcome = Outcome::Stable;
+        let mut volatile = false;
         // Stall reason for the breakdown counters: barrier unless the
         // !at_barrier branch refines it below.
         let mut reason = 2u8;
@@ -839,99 +856,64 @@ impl Sm {
                 // Structural congestion: the warp has work but the
                 // memory pipeline cannot accept it — a *pipeline stall*
                 // in the paper's Sec. VI-B accounting (and the signal
-                // the Sec. IV-C throttle monitors). Only the warp's own
-                // writeback or issue can lift it.
-                blocked = Blocked::Mshr;
-                state = SlotScan::MshrLimit;
-            }
-            let mut gated = false;
-            if !hazard && !drain_for_exit && !mshr_full {
+                // the Sec. IV-C throttle monitors).
+                outcome = Outcome::MshrLimit;
+            } else if !hazard && !drain_for_exit {
                 // Memory issue gate: the shared memory system cannot
                 // take this instruction's transactions. Same stall class as
-                // `mshr_full`, but sleepable (see `SlotScan::Gated`).
-                match gate.now.blocks(meta) {
-                    Some(GateBlock::Mshr) => {
-                        blocked = Blocked::GateMshr;
-                        self.stats.mshr_full_stalls += 1;
-                        gated = true;
+                // `mshr_full`, but sleepable (see `Outcome::Gated`).
+                if let Some(block) = gate.now.blocks(meta) {
+                    match block {
+                        GateBlock::Mshr => self.stats.mshr_full_stalls += 1,
+                        GateBlock::DramQueue => self.stats.dram_queue_full_stalls += 1,
                     }
-                    Some(GateBlock::DramQueue) => {
-                        blocked = Blocked::GateDram;
-                        self.stats.dram_queue_full_stalls += 1;
-                        gated = true;
-                    }
-                    None => {}
-                }
-                if gated {
-                    state = SlotScan::Gated;
-                }
-            }
-            if !hazard && !drain_for_exit && !mshr_full && !gated {
-                // A finite gate can close under this warp with no event on
-                // this SM (another SM's issue), so such a warp is
-                // re-checked every cycle.
-                let mut volatile = gate.can_close && meta.is_global_mem();
-                ready = true;
-                // Pair-lock busy-wait (Fig. 3 / Fig. 4 step (e)): the
-                // warp is simply not ready; it retries next cycle.
-                if let Pairing::Paired { pair, member } = block.pairing {
-                    if meta.uses_shared_reg() {
-                        if let PairLocks::Reg(l) = &self.pairs[pair as usize] {
-                            if !l.can_access(member, w.warp_in_block as usize) {
-                                ready = false;
-                                blocked = Blocked::Lock;
-                            }
-                        }
-                    }
-                    if ready && meta.uses_shared_smem() {
-                        if let PairLocks::Smem(l) = &self.pairs[pair as usize] {
-                            if !l.can_access(member) {
-                                ready = false;
-                                blocked = Blocked::Lock;
-                            }
-                        }
-                    }
-                }
-                // Dynamic warp-execution throttle (paper Sec. IV-C):
-                // intentional suppression, not a pipeline stall. The draw
-                // is a side effect, so a warp that reaches it is volatile.
-                if ready
-                    && meta.is_global_mem()
-                    && class == WarpClass::NonOwner
-                    && throttle.enabled()
-                {
-                    volatile = true;
-                    if !throttle.allow(self.id) {
-                        ready = false;
-                        self.stats.throttled_issues += 1;
-                    }
-                }
-                state = if volatile {
-                    SlotScan::Volatile
-                } else if ready {
-                    SlotScan::Ready
+                    outcome = Outcome::Gated(block);
                 } else {
-                    SlotScan::LockWait
-                };
+                    volatile = gate.can_close && meta.is_global_mem();
+                    outcome = Outcome::Ready;
+                    // Pair-lock busy-wait (Fig. 3 / Fig. 4 step (e)): the
+                    // warp is simply not ready; it retries next cycle.
+                    if let Pairing::Paired { pair, member } = block.pairing {
+                        let granted = match &self.pairs[pair as usize] {
+                            PairLocks::Reg(l) if meta.uses_shared_reg() => {
+                                l.can_access(member, w.warp_in_block as usize)
+                            }
+                            PairLocks::Smem(l) if meta.uses_shared_smem() => l.can_access(member),
+                            _ => true,
+                        };
+                        if !granted {
+                            outcome = Outcome::Locked;
+                        }
+                    }
+                    // Dynamic warp-execution throttle (paper Sec. IV-C):
+                    // intentional suppression, not a pipeline stall.
+                    if outcome == Outcome::Ready
+                        && meta.is_global_mem()
+                        && class == WarpClass::NonOwner
+                        && throttle.enabled()
+                    {
+                        volatile = true;
+                        if !throttle.allow(self.id) {
+                            // Not ready; being volatile, it is re-evaluated
+                            // next cycle all the same.
+                            outcome = Outcome::Stable;
+                            self.stats.throttled_issues += 1;
+                        }
+                    }
+                }
             }
             // Scoreboard beats the memory gate when both hold; everything
             // else (exit drain, lock busy-wait, throttle, ready) is "none".
             reason = if hazard {
                 1
-            } else if mshr_full || gated {
+            } else if matches!(outcome, Outcome::MshrLimit | Outcome::Gated(_)) {
                 3
             } else {
                 0
             };
         }
-        let view = WarpView {
-            slot,
-            dynamic_id: w.dynamic_id,
-            class,
-            ready,
-        };
         self.set_reason(slot, reason, now);
-        (view, state, blocked)
+        (outcome, class, volatile)
     }
 
     /// Issue the next instruction of the warp in `slot`. Returns false only
@@ -1084,7 +1066,7 @@ impl Sm {
                             .as_mut()
                             .unwrap()
                             .at_barrier = 0;
-                        self.mark_block_dirty(block_slot, kinfo.warps_per_block);
+                        self.mark_blocks_dirty(block_slot, 1, kinfo.warps_per_block);
                     }
                 }
                 Op::BranchBack {

@@ -99,11 +99,13 @@ pub enum TelemetryEvent {
         reason: StallReason,
     },
     /// The SM slept from the stamped cycle until `until` (fast-forward
-    /// clock jump). `gated` spans were blocked on the memory system.
+    /// clock jump). `gated` spans were held up by the memory system.
     SleepSpan {
         /// First cycle after the sleep span.
         until: u64,
-        /// Whether the span was a memory-gate stall rather than idleness.
+        /// Whether the span counted as pipeline stall (a warp at the
+        /// per-warp MSHR limit or blocked by the memory gate) rather than
+        /// idleness.
         gated: bool,
     },
     /// An MSHR entry filled and released its waiters.
