@@ -427,6 +427,11 @@ fn track_stats(ring: &Ring<(u64, TelemetryEvent)>, track: Track) -> TrackStats {
     }
 }
 
+/// Cycles per window of [`assemble`]'s counting sort: small enough that
+/// the per-cycle counters stay in L1, large enough that a dense trace
+/// spends little on the per-window set-up.
+const MERGE_WINDOW: usize = 256;
+
 /// Merge all tracks into a [`TelemetryReport`] in the canonical
 /// `(cycle, rank, seq)` order.
 ///
@@ -435,12 +440,17 @@ fn track_stats(ring: &Ring<(u64, TelemetryEvent)>, track: Track) -> TrackStats {
 /// the merge reads the tracks as sorted runs straight out of the rings — no
 /// intermediate copy.
 ///
-/// The k-way merge keeps one packed `cycle << 48 | rank` head key per
-/// track (ranks are unique per track, so head keys never tie) and picks
-/// the minimum by linear scan: for k ≤ SMs + 1 the keys stay in L1 and
-/// the compare is one integer op, which beats both a `BinaryHeap` and a
-/// comparison sort by 2–3× — and this merge is most of a short traced
-/// run's telemetry bill.
+/// The merge is a counting sort by cycle over windows of
+/// [`MERGE_WINDOW`] cycles, starting at the earliest unmerged event: one
+/// pass counts each track's events per cycle of the window, a prefix sum
+/// turns the counts into slots, and a second pass, visiting the tracks in
+/// rank order and each track in seq order, drops every event's
+/// `(track, pos)` into its slot. Within a cycle that is exactly
+/// `(rank, seq)` order, so the window's records are then appended in
+/// sequence. No two tracks' events are ever compared; a k-way merge that
+/// kept its cursors sorted by head key spent several compares and moves
+/// per event, because an advanced cursor re-inserted on average 5–7 places
+/// down the list.
 pub(crate) fn assemble(
     mut sms: Vec<SmTelemetry>,
     mut mem: Option<MemTelemetry>,
@@ -453,6 +463,7 @@ pub(crate) fn assemble(
         m.ring.make_contiguous();
     }
     let events = {
+        // Sources in rank order: SMs by id, then memory.
         let mut srcs: Vec<&[(u64, TelemetryEvent)]> = Vec::with_capacity(sms.len() + 1);
         let mut track_of: Vec<Track> = Vec::with_capacity(sms.len() + 1);
         let mut base_of: Vec<u64> = Vec::with_capacity(sms.len() + 1);
@@ -472,49 +483,55 @@ pub(crate) fn assemble(
         debug_assert!(srcs
             .iter()
             .all(|run| run.windows(2).all(|w| w[0].0 <= w[1].0)));
-        // Head key per track: cycle in the high bits, the track's (constant)
-        // rank below — unique across heads because ranks are unique.
-        let rank_part: Vec<u128> = track_of
-            .iter()
-            .map(|t| {
-                let (major, minor) = t.rank();
-                (major as u128) << 40 | (minor as u128) << 8
-            })
-            .collect();
-        let key = |run: &[(u64, TelemetryEvent)], pos: usize, rank: u128| -> u128 {
-            run.get(pos)
-                .map_or(u128::MAX, |&(cycle, _)| (cycle as u128) << 48 | rank)
-        };
         let total: usize = srcs.iter().map(|run| run.len()).sum();
         let k = srcs.len();
         let mut merged = Vec::with_capacity(total);
+        // Per track: the first unmerged event, and the end of the window.
         let mut pos = vec![0usize; k];
-        // Cursor list kept sorted ascending by head key: the next event is
-        // always `order[0]`, and because the tracks advance in near
-        // lockstep the advanced cursor usually re-inserts at or near the
-        // front — a couple of compares per event instead of a k-wide
-        // rescan. Exhausted runs carry `u128::MAX` and sink to the back.
-        let mut order: Vec<(u128, usize)> =
-            (0..k).map(|i| (key(srcs[i], 0, rank_part[i]), i)).collect();
-        order.sort_unstable();
-        for _ in 0..total {
-            let i = order[0].1;
-            let p = pos[i];
-            let (cycle, event) = srcs[i][p];
-            merged.push(TraceRecord {
-                cycle,
-                track: track_of[i],
-                seq: base_of[i] + p as u64,
-                event,
-            });
-            pos[i] = p + 1;
-            let advanced = key(srcs[i], p + 1, rank_part[i]);
-            let mut j = 1;
-            while j < k && order[j].0 < advanced {
-                order[j - 1] = order[j];
-                j += 1;
+        let mut end = vec![0usize; k];
+        // Per cycle of the window: its event count, then its next free slot.
+        let mut next = [0usize; MERGE_WINDOW];
+        // The window's events as `(track, pos)`, in canonical order.
+        let mut window: Vec<(usize, usize)> = Vec::new();
+        while let Some(start) = (0..k)
+            .filter_map(|t| srcs[t].get(pos[t]).map(|e| e.0))
+            .min()
+        {
+            // Offsets from `start`, so a window at the end of the cycle
+            // range needs no bound past `u64::MAX`.
+            let in_window = |cycle: u64| cycle - start < MERGE_WINDOW as u64;
+            next.fill(0);
+            for (t, run) in srcs.iter().enumerate() {
+                let mut p = pos[t];
+                while let Some(&(cycle, _)) = run.get(p).filter(|e| in_window(e.0)) {
+                    next[(cycle - start) as usize] += 1;
+                    p += 1;
+                }
+                end[t] = p;
             }
-            order[j - 1] = (advanced, i);
+            let mut slots = 0;
+            for n in &mut next {
+                (*n, slots) = (slots, slots + *n);
+            }
+            window.clear();
+            window.resize(slots, (0, 0));
+            for (t, run) in srcs.iter().enumerate() {
+                for (p, &(cycle, _)) in run.iter().enumerate().take(end[t]).skip(pos[t]) {
+                    let slot = &mut next[(cycle - start) as usize];
+                    window[*slot] = (t, p);
+                    *slot += 1;
+                }
+                pos[t] = end[t];
+            }
+            merged.extend(window.iter().map(|&(t, p)| {
+                let (cycle, event) = srcs[t][p];
+                TraceRecord {
+                    cycle,
+                    track: track_of[t],
+                    seq: base_of[t] + p as u64,
+                    event,
+                }
+            }));
         }
         merged
     };
@@ -529,5 +546,68 @@ pub(crate) fn assemble(
         sm_samples,
         mem_samples,
         tracks,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A track recording `cycles` in order, as `WarpStall` events whose
+    /// slot is the append index.
+    fn track<T>(
+        cycles: &[u64],
+        cap: usize,
+        mut wrap: impl FnMut(Ring<(u64, TelemetryEvent)>) -> T,
+    ) -> T {
+        let mut ring = Ring::new(cap);
+        for (i, &cycle) in cycles.iter().enumerate() {
+            let event = TelemetryEvent::WarpStall {
+                slot: i as u32,
+                reason: StallReason::Scoreboard,
+            };
+            ring.push((cycle, event));
+        }
+        wrap(ring)
+    }
+
+    #[test]
+    fn assemble_merges_in_canonical_order() {
+        let cfg = TelemetryConfig::default();
+        let sm = |cycles: &[u64], cap| {
+            track(cycles, cap, |ring| SmTelemetry {
+                ring,
+                ..SmTelemetry::new(&cfg)
+            })
+        };
+        // Same-cycle bursts, ties across tracks, gaps far wider than a merge
+        // window, an empty track, and an overflowed ring whose first kept
+        // event has seq 2.
+        let sms = vec![
+            sm(&[0, 0, 3, 255, 256, 256, 10_000, 10_000, 10_001], 64),
+            sm(&[], 64),
+            sm(&[0, 3, 3, 256, 511, 512, 700, 9_999, 10_000], 64),
+            sm(&[1, 2, 5, 5, 5, 1_000_000], 4),
+        ];
+        let mem = track(&[0, 3, 256, 256, 600, 10_000, u64::MAX], 64, |ring| {
+            MemTelemetry {
+                ring,
+                ..MemTelemetry::new(&cfg)
+            }
+        });
+        let report = assemble(sms, Some(mem));
+        let mut want = report.events.clone();
+        want.sort_by_key(|r| (r.cycle, r.track.rank(), r.seq));
+        assert_eq!(report.events, want);
+        assert_eq!(report.events.len(), 9 + 9 + 4 + 7);
+        let kept: Vec<u64> = report
+            .events
+            .iter()
+            .filter(|r| r.track == Track::Sm(3))
+            .map(|r| r.seq)
+            .collect();
+        assert_eq!(kept, [2, 3, 4, 5]);
+        assert_eq!(report.dropped(), 2);
+        assert_eq!(report.appended(), 9 + 9 + 6 + 7);
     }
 }
