@@ -520,11 +520,10 @@ pub fn fig12(quick: bool) {
 
 /// Diagnostic: full counter dump for one benchmark under the main
 /// configurations (not a paper artifact; used to calibrate workload models
-/// and debug regressions).
-pub fn inspect(name: &str, quick: bool) {
+/// and debug regressions). Fails on an unknown benchmark name.
+pub fn inspect(name: &str, quick: bool) -> Result<(), String> {
     let Some(mut k) = grs_workloads::benchmark(name) else {
-        eprintln!("unknown benchmark {name}");
-        return;
+        return Err(format!("unknown benchmark {name}"));
     };
     if quick {
         shrink_grid(&mut k, 4);
@@ -609,6 +608,7 @@ pub fn inspect(name: &str, quick: bool) {
             if s.timed_out { "YES" } else { "no" }
         );
     }
+    Ok(())
 }
 
 /// Tables V & VI: IPC and resident blocks vs %register sharing.

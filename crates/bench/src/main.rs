@@ -44,10 +44,35 @@
 //!   all      config, suites, hwcost and every figure and table above
 //! ```
 //!
-//! `--quick` divides grid sizes by 4 for fast smoke runs. `repro` exits 1
-//! after printing if any simulation it submitted failed.
+//! `--quick` divides grid sizes by 4 for fast smoke runs. An option the
+//! chosen experiment does not read is a usage error (exit 2), as is an
+//! unknown experiment; an unknown benchmark or scenario name exits 1.
+//! `repro` exits 1 after printing if any simulation it submitted failed.
 
 use grs_bench::{experiments, perf, scenario, sweep, trace, SweepService};
+
+/// The `--` options experiment `what` reads (a trailing `=` takes a
+/// value), or `None` if there is no such experiment.
+fn options(what: &str) -> Option<&'static [&'static str]> {
+    Some(match what {
+        "config" | "suites" | "hwcost" | "fig1" | "perf-gate" => &[],
+        "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "table5" | "table7" | "all" => &["--quick"],
+        "trace" => &["--quick", "--out=", "--metrics="],
+        "run" => &["--quick", "--check"],
+        "sweep" => &["--quick", "--matrix", "--warm-check"],
+        _ if what.starts_with("inspect=") => &["--quick"],
+        _ => return None,
+    })
+}
+
+/// Does `arg` spell option `opt` (with a value, if `opt` ends in `=`)?
+fn is_option(arg: &str, opt: &str) -> bool {
+    if opt.ends_with('=') {
+        arg.len() > opt.len() && arg.starts_with(opt)
+    } else {
+        arg == opt
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,6 +82,22 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .map(String::as_str)
         .unwrap_or("all");
+    let Some(accepted) = options(what) else {
+        eprintln!("unknown experiment: {what}");
+        std::process::exit(2);
+    };
+    if let Some(bad) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !accepted.iter().any(|opt| is_option(a, opt)))
+    {
+        let takes = if accepted.is_empty() {
+            "takes no options".to_string()
+        } else {
+            format!("takes {}", accepted.join(", "))
+        };
+        eprintln!("repro {what}: unknown option `{bad}`; {what} {takes}");
+        std::process::exit(2);
+    }
 
     let run = |name: &str| match name {
         "config" => experiments::print_config(),
@@ -71,7 +112,6 @@ fn main() {
         "table5" => experiments::table5(quick),
         "table7" => experiments::table7(quick),
         "trace" => {
-            let args: Vec<String> = std::env::args().skip(1).collect();
             let scenario = args
                 .iter()
                 .filter(|a| !a.starts_with("--") && *a != "trace")
@@ -89,7 +129,6 @@ fn main() {
             }
         }
         "run" => {
-            let args: Vec<String> = std::env::args().skip(1).collect();
             let check = args.iter().any(|a| a == "--check");
             let Some(spec) = args
                 .iter()
@@ -106,7 +145,6 @@ fn main() {
             }
         }
         "sweep" => {
-            let args: Vec<String> = std::env::args().skip(1).collect();
             let matrix = args.iter().any(|a| a == "--matrix");
             let warm_check = args.iter().any(|a| a == "--warm-check");
             let specs: Vec<String> = args
@@ -135,11 +173,12 @@ fn main() {
             }
         }
         other => {
-            if let Some(bench) = other.strip_prefix("inspect=") {
-                experiments::inspect(bench, quick);
-            } else {
-                eprintln!("unknown experiment: {other}");
-                std::process::exit(2);
+            let bench = other
+                .strip_prefix("inspect=")
+                .expect("options() admits no other experiment");
+            if let Err(msg) = experiments::inspect(bench, quick) {
+                eprintln!("{msg}");
+                std::process::exit(1);
             }
         }
     };
