@@ -579,20 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn lrr_pointer_is_a_position_in_the_view_list() {
-        // Slots 1 and 3 are unlisted: positions 0, 1, 2 are slots 0, 2, 4.
-        let mut s = SchedulerKind::Lrr.build(5, 1);
-        let mut m = Masks::unshared(&[true; 5]);
-        m.listed = 0b10101;
-        m.ready = 0b10101;
-        assert_eq!(pick(&mut s, 0, 1, 5, &m), Some(0));
-        assert_eq!(pick(&mut s, 0, 1, 5, &m), Some(2));
-        assert_eq!(s, Scheduler::Lrr { next: vec![2] });
-        assert_eq!(pick(&mut s, 0, 1, 5, &m), Some(4));
-        assert_eq!(s, Scheduler::Lrr { next: vec![0] });
-    }
-
-    #[test]
     fn gto_is_greedy() {
         let mut s = SchedulerKind::Gto.build(3, 1);
         let mut m = Masks::unshared(&[true, true, true]);

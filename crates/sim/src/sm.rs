@@ -362,10 +362,11 @@ impl Sm {
     /// idle when live warps wait on latency, barriers or pair locks, empty
     /// when no work is resident, plus one `lock_retries` per lock waiter per
     /// cycle. The per-reason breakdown is frozen for the whole span (no
-    /// drain can occur inside it, so no warp's stall reason can change), and sample
-    /// rows falling inside the span are emitted piecewise at their exact
-    /// boundaries — a row at cycle `b` sees precisely the counters the
-    /// per-cycle loop would have accumulated through cycle `b - 1`.
+    /// drain can occur inside it, so no warp's stall reason can change),
+    /// and sample rows falling inside the span are emitted piecewise at
+    /// their exact boundaries — a row at cycle `b` sees precisely the
+    /// counters the per-cycle loop would have accumulated through cycle
+    /// `b - 1`.
     pub fn credit_skipped(&mut self, since: u64, now: u64) {
         if now <= since {
             return;
@@ -464,9 +465,10 @@ impl Sm {
     /// Update `slot`'s stall reason (0 none, 1 scoreboard, 2 barrier,
     /// 3 memory gate), keeping the incremental reason counts and recording
     /// an edge-triggered [`TelemetryEvent::WarpStall`] on a change into a
-    /// non-ready reason. Reasons only change when the slot is re-evaluated,
-    /// and every engine re-evaluates a slot at the same cycles, so both the
-    /// counts and the event stream are engine-invariant.
+    /// non-ready reason. A slot's reason changes only with an input of its
+    /// evaluation, and every engine re-evaluates the slot in the cycle that
+    /// input changes, so both the counts and the event stream are
+    /// engine-invariant.
     #[inline]
     fn set_reason(&mut self, slot: usize, reason: u8, now: u64) {
         let old = self.slot_reason[slot];

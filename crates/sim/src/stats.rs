@@ -9,12 +9,15 @@ pub struct SmStats {
     pub warp_instrs: u64,
     /// Thread instructions issued (warp instructions × active threads).
     pub thread_instrs: u64,
-    /// Cycles with zero issues while ≥1 warp was blocked by a lock, the
-    /// dynamic throttle, or a structural port conflict ("pipeline stall",
-    /// paper Sec. VI-B).
+    /// Cycles with zero issues while ≥1 warp was at the per-warp MSHR limit
+    /// or blocked by the memory gate, or a picked warp lost a structural
+    /// port or a same-cycle pair-lock race ("pipeline stall", paper
+    /// Sec. VI-B). A cycle whose warps wait only on a pair lock or the
+    /// dynamic throttle is idle, not a stall.
     pub stall_cycles: u64,
-    /// Cycles with zero issues while every live warp waited on long-latency
-    /// results or barriers ("idle", paper Sec. VI-B).
+    /// Cycles with zero issues and no stall while live warps waited on
+    /// long-latency results, barriers, pair locks, the dynamic throttle or
+    /// an exit drain ("idle", paper Sec. VI-B).
     pub idle_cycles: u64,
     /// Cycles with no resident work at all (grid smaller than the machine or
     /// end-of-grid drain); excluded from the stall/idle split.
@@ -23,7 +26,8 @@ pub struct SmStats {
     pub blocks_completed: u64,
     /// Maximum resident blocks observed.
     pub max_resident_blocks: u32,
-    /// Lock-acquisition attempts that were denied (busy-wait retries).
+    /// Lock-acquisition attempts that were denied (busy-wait retries): one
+    /// per pair-lock waiter per cycle, plus one per lost same-cycle race.
     pub lock_retries: u64,
     /// Non-owner memory instructions suppressed by the dynamic throttle.
     pub throttled_issues: u64,

@@ -447,10 +447,9 @@ const MERGE_WINDOW: usize = 256;
 /// rank order and each track in seq order, drops every event's
 /// `(track, pos)` into its slot. Within a cycle that is exactly
 /// `(rank, seq)` order, so the window's records are then appended in
-/// sequence. No two tracks' events are ever compared; a k-way merge that
-/// kept its cursors sorted by head key spent several compares and moves
-/// per event, because an advanced cursor re-inserted on average 5–7 places
-/// down the list.
+/// sequence. No two tracks' events are ever compared, which matters
+/// because the tracks interleave finely: after one event, the same track
+/// rarely holds the next.
 pub(crate) fn assemble(
     mut sms: Vec<SmTelemetry>,
     mut mem: Option<MemTelemetry>,
