@@ -231,8 +231,8 @@ pub struct Sm {
     /// for closed-form crediting of a gated sleep span.
     last_gate_blocks: (u32, u32),
     /// With `incremental` off (the `fast_forward: false` reference mode)
-    /// every scan rebuilds every view from scratch and ready-less cycles
-    /// still walk the scheduler units — the seed's exact per-cycle
+    /// every scan re-evaluates every live warp and ready-less cycles
+    /// still run every scheduler unit's pick — the seed's exact per-cycle
     /// behaviour, so the equivalence suite genuinely diffs the incremental
     /// engine (dirty tracking, idle shortcut) against it.
     incremental: bool,
@@ -634,7 +634,7 @@ impl Sm {
         } else {
             // No unit can pick anything; apply the scheduler-state
             // transition an all-unready pick round would have made and skip
-            // the per-unit view walks.
+            // the per-unit picks.
             self.sched.note_idle_cycle();
         }
 
@@ -685,7 +685,7 @@ impl Sm {
                     WbKind::Alu(reg) => w.clear_pending(reg),
                     // Intermediate transactions of a group dirty the slot
                     // harmlessly (a still-blocked warp re-evaluates to the
-                    // same view with no side effects); the group's last
+                    // same outcome with no side effects); the group's last
                     // transaction is the real wake-up.
                     WbKind::MemTxn(group) => {
                         w.mem_txn_done(group);
@@ -956,7 +956,7 @@ impl Sm {
 
         // Acquire pair locks for real (a peer scheduler unit may have taken
         // them since the readiness scan). A grant may flip the pair's lock
-        // and owner state, so cached views of both blocks are invalidated;
+        // and owner state, so cached outcomes of both blocks are invalidated;
         // a denial mutates nothing.
         if let Pairing::Paired { pair, member } = pairing {
             if meta.uses_shared_reg() {
