@@ -305,6 +305,29 @@ mod tests {
     }
 
     #[test]
+    fn regrants_and_denials_mutate_nothing() {
+        // The simulator invalidates cached readiness only when an access
+        // acquires a lock the warp did not hold; that is exact because
+        // every other access leaves the lock state as it was.
+        let mut l = RegPairLocks::new(2);
+        l.access_shared(A, 0);
+        let before = l.clone();
+        assert!(l.holds(A, 0));
+        assert_eq!(l.access_shared(A, 0), RegAccess::Granted);
+        assert_eq!(l.access_shared(B, 0), RegAccess::Blocked);
+        assert_eq!(l.access_shared(B, 1), RegAccess::Blocked);
+        assert_eq!(l, before);
+
+        let mut s = SmemPairLock::new();
+        s.access_shared(B);
+        let before = s;
+        assert!(s.holds(B));
+        assert_eq!(s.access_shared(B), RegAccess::Granted);
+        assert_eq!(s.access_shared(A), RegAccess::Blocked);
+        assert_eq!(s, before);
+    }
+
+    #[test]
     fn same_block_warps_may_hold_multiple_locks() {
         let mut l = RegPairLocks::new(3);
         assert_eq!(l.access_shared(A, 0), RegAccess::Granted);

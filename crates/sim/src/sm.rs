@@ -26,8 +26,8 @@
 //! dirty or volatile. A warp is re-evaluated only when an input of its
 //! evaluation can have changed:
 //!
-//! * a writeback, a barrier release, a lock grant on its pair or its own
-//!   issue dirties it;
+//! * a writeback, a barrier release, a lock acquisition on its pair (a
+//!   re-grant of a held lock changes nothing) or its own issue dirties it;
 //! * a *volatile* warp is re-evaluated every stepped cycle: it reached the
 //!   throttle draw (a side effect), or it passed a global-memory
 //!   instruction through a finite memory gate, which another SM's issue
@@ -711,7 +711,7 @@ impl Sm {
         self.dirty |= (u64::MAX >> (64 - width)) << base;
     }
 
-    /// Invalidate both blocks of `pair` — a lock grant may have changed the
+    /// Invalidate both blocks of `pair` — a lock acquisition changed the
     /// pair's lock and owner state, which feeds every cached outcome and
     /// [`WarpClass`] of the pair.
     fn mark_pair_dirty(&mut self, pair: u32, warps_per_block: u32) {
@@ -955,27 +955,34 @@ impl Sm {
         }
 
         // Acquire pair locks for real (a peer scheduler unit may have taken
-        // them since the readiness scan). A grant may flip the pair's lock
-        // and owner state, so cached outcomes of both blocks are invalidated;
-        // a denial mutates nothing.
+        // them since the readiness scan). An acquisition flips the pair's
+        // lock and owner state, so cached outcomes of both blocks are
+        // invalidated; a re-grant of a lock the warp holds and a denial
+        // mutate nothing.
         if let Pairing::Paired { pair, member } = pairing {
             if meta.uses_shared_reg() {
                 if let PairLocks::Reg(l) = &mut self.pairs[pair as usize] {
+                    let held = l.holds(member, warp_in_block as usize);
                     if l.access_shared(member, warp_in_block as usize) == RegAccess::Blocked {
                         self.stats.lock_retries += 1;
                         return false;
                     }
+                    if !held {
+                        self.mark_pair_dirty(pair, kinfo.warps_per_block);
+                    }
                 }
-                self.mark_pair_dirty(pair, kinfo.warps_per_block);
             }
             if meta.uses_shared_smem() {
                 if let PairLocks::Smem(l) = &mut self.pairs[pair as usize] {
+                    let held = l.holds(member);
                     if l.access_shared(member) == RegAccess::Blocked {
                         self.stats.lock_retries += 1;
                         return false;
                     }
+                    if !held {
+                        self.mark_pair_dirty(pair, kinfo.warps_per_block);
+                    }
                 }
-                self.mark_pair_dirty(pair, kinfo.warps_per_block);
             }
         }
 
