@@ -4,9 +4,9 @@
 //! ## Fast-forward
 //!
 //! On memory-bound kernels most cycles are *dead* for most SMs: no ready
-//! warp, no port conflict, no warp drawing from the throttle or checking a
-//! finite memory gate, and every state change until the next writeback
-//! drain is fully predetermined. An SM that reports such a quiescent cycle
+//! warp, no port conflict, no warp drawing from or held by the throttle or
+//! checking a finite memory gate, and every state change until the next
+//! writeback drain is fully predetermined. An SM that reports such a quiescent cycle
 //! ([`crate::sm::StepOutcome`]) goes to *sleep* until its earliest pending
 //! writeback (its timing wheel's minimum): while asleep it cannot act (no
 //! ready warps, no issues, no memory traffic) and nothing external can
@@ -14,8 +14,12 @@
 //! memory system (touched at issue time only) and the dispatcher
 //! (consulted only on block completion), pair locks change only at an
 //! issue on their own SM, and throttle-probability changes only matter to
-//! warps that reach the draw, which the scan classifies volatile and a
-//! quiescent SM has none of. The run loop steps only the SMs whose wake-up
+//! non-owner warps that reach the throttle check: at 0 < p < 1 they draw,
+//! which the scan classifies volatile; at p = 0 they are held, which keeps
+//! the SM awake so that it sees the window close that lifts the hold; at
+//! p = 1 they are ready. A quiescent SM has none of them, and the scan of
+//! the cycle it wakes in re-evaluates its non-owner warps if its
+//! probability moved while it slept. The run loop steps only the SMs whose wake-up
 //! cycle has arrived and jumps the clock to the next wake-up when every SM
 //! sleeps. Skipped spans are credited to the exact same per-SM counters
 //! and throttle stall windows the per-cycle loop would have produced (see
@@ -29,8 +33,9 @@
 //!   ([`crate::sm::Sm::credit_gated`]): the limit lifts only at one of the
 //!   warp's own writebacks.
 //!
-//! Port conflicts, same-cycle lock races and throttle draws are never
-//! skipped: an SM with any of them is stepped again on the next cycle.
+//! Port conflicts, same-cycle lock races, throttle draws and throttle holds
+//! are never skipped: an SM with any of them is stepped again on the next
+//! cycle.
 //!
 //! ## Quiescence under memory back-pressure
 //!

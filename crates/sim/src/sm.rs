@@ -21,35 +21,39 @@
 //!
 //! The scan keeps one `u64` bit per warp slot in a handful of masks: the
 //! scheduler's view list (the live slots as of the last rebuild), the
-//! latest outcome of each slot (ready, pair-lock wait, per-warp MSHR limit,
-//! gated; the rest are *stable*), its OWF class, and which slots are
-//! dirty or volatile. A warp is re-evaluated only when an input of its
-//! evaluation can have changed:
+//! latest outcome of each slot (ready, pair-lock wait, throttle hold,
+//! per-warp MSHR limit, gated; the rest are *stable*), its OWF class, and
+//! which slots are dirty or volatile. A warp is re-evaluated only when an
+//! input of its evaluation can have changed:
 //!
 //! * a writeback, a barrier release, a lock acquisition on its pair (a
 //!   re-grant of a held lock changes nothing) or its own issue dirties it;
-//! * a *volatile* warp is re-evaluated every stepped cycle: it reached the
-//!   throttle draw (a side effect), or it passed a global-memory
-//!   instruction through a finite memory gate, which another SM's issue
-//!   can close;
+//! * a change of the SM's throttle probability (a window close) dirties
+//!   every non-owner warp, the only class the throttle gates;
+//! * a *volatile* warp is re-evaluated every stepped cycle: it drew from
+//!   the throttle at 0 < p < 1 (a side effect), or it passed a
+//!   global-memory instruction through a finite memory gate, which another
+//!   SM's issue can close;
 //! * a gated warp is re-evaluated every stepped cycle (its block counters
 //!   are per-cycle side effects).
 //!
-//! Every other outcome (ready, lock wait, per-warp MSHR limit, hazard,
-//! exit drain, barrier) is cached: a full scan would reproduce it with no
-//! side effect but one `lock_retries` per lock waiter, which each stepped
-//! cycle adds by count. Re-evaluations run in slot order, so the side
-//! effects that remain (gate and throttle counters, throttle RNG draws)
-//! come in the reference order. Block launch and retire rebuild the view
+//! Every other outcome (ready, lock wait, throttle hold or pass at p = 0
+//! or 1, per-warp MSHR limit, hazard, exit drain, barrier) is cached: a
+//! full scan would reproduce it with no side effect but one `lock_retries`
+//! per lock waiter and one `throttled_issues` per throttle-held warp, which
+//! each stepped cycle adds by count. Re-evaluations run in slot order, so
+//! the side effects that remain (gate counters, throttle RNG draws) come in
+//! the reference order. Block launch and retire rebuild the view
 //! list, which otherwise keeps the exact composition the schedulers saw in
 //! the per-cycle reference.
 //!
 //! ## Fast-forward support
 //!
 //! [`Sm::step`] reports whether the cycle was *quiescent* — zero issues, no
-//! port conflict and no volatile warp, i.e. a cycle whose outcome is fully
-//! determined until the next writeback drains (or, with a gated warp, the
-//! next capacity release). [`Sm::next_wake`] exposes that drain cycle (the
+//! port conflict, no volatile warp and no warp held by the throttle (so a
+//! window close takes effect in the cycle it would in the reference), i.e.
+//! a cycle whose outcome is fully determined until the next writeback
+//! drains (or, with a gated warp, the next capacity release). [`Sm::next_wake`] exposes that drain cycle (the
 //! timing wheel's minimum); [`crate::gpu::Gpu::run_until`] sleeps the SM
 //! until then and credits the skipped span in closed form: through
 //! [`Sm::credit_skipped`] as idle or empty cycles, or through
@@ -95,7 +99,8 @@ pub enum WbKind {
 
 /// What one warp evaluation found. Every outcome but [`Outcome::Gated`] is
 /// cached until something dirties the slot, unless the evaluation was
-/// volatile (see [`Sm::scan_readiness`]).
+/// volatile (see [`Sm::scan_readiness`]). Outcomes a throttle check decided
+/// at p = 0 or p = 1 also hold only until the SM's probability changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Outcome {
     /// Blocked on conditions only a drain or an SM-local issue can change
@@ -105,6 +110,10 @@ enum Outcome {
     Ready,
     /// Pair-lock busy-wait: idle, and one `lock_retries` per stepped cycle.
     Locked,
+    /// Held by the dynamic throttle: idle, and one `throttled_issues` per
+    /// stepped cycle. Cached at p = 0, where holding draws nothing; a
+    /// denial at 0 < p < 1 is volatile.
+    Throttled,
     /// At the per-warp MSHR limit: a pipeline stall that only the warp's
     /// own writeback or issue can lift.
     MshrLimit,
@@ -162,10 +171,10 @@ pub struct SmMode {
 pub struct StepOutcome {
     /// Did the SM hold any live (unfinished) warp this cycle?
     pub live: bool,
-    /// Zero issues, no port conflict, and no warp that must be re-evaluated
-    /// every cycle: nothing on this SM can change before its next writeback
-    /// drains (or, when `gated`, the next capacity release), so it may
-    /// sleep until then.
+    /// Zero issues, no port conflict, no warp that must be re-evaluated
+    /// every cycle and none held by the throttle: nothing on this SM can
+    /// change before its next writeback drains (or, when `gated`, the next
+    /// capacity release), so it may sleep until then.
     pub quiescent: bool,
     /// A quiescent cycle that counts as a pipeline stall: ≥1 warp is at the
     /// per-warp MSHR limit or blocked by memory back-pressure. The skipped
@@ -218,8 +227,11 @@ pub struct Sm {
     /// none of these are [`Outcome::Stable`].
     ready: u64,
     locked: u64,
+    throttled: u64,
     mshr_limited: u64,
     gated: u64,
+    /// The SM's throttle probability as the cached outcomes read it.
+    throttle_p: f64,
     /// OWF classes of the latest evaluations; the other slots are unshared.
     owner: u64,
     non_owner: u64,
@@ -304,8 +316,10 @@ impl Sm {
             volatile: 0,
             ready: 0,
             locked: 0,
+            throttled: 0,
             mshr_limited: 0,
             gated: 0,
+            throttle_p: 1.0,
             owner: 0,
             non_owner: 0,
             dyn_ids: vec![0; slots * wpb],
@@ -402,6 +416,7 @@ impl Sm {
         if span == 0 {
             return;
         }
+        debug_assert_eq!(self.throttled, 0, "a throttle hold keeps the SM awake");
         self.stats.lock_retries += span * u64::from(self.locked.count_ones());
         if self.live_warp_count > 0 {
             self.stats.idle_cycles += span;
@@ -455,6 +470,7 @@ impl Sm {
     }
 
     fn credit_gated_span(&mut self, span: u64) {
+        debug_assert_eq!(self.throttled, 0, "a throttle hold keeps the SM awake");
         self.stats.lock_retries += span * u64::from(self.locked.count_ones());
         self.stats.stall_cycles += span;
         self.stats.stall_mem_gate_cycles += span;
@@ -589,7 +605,10 @@ impl Sm {
             max_pending: shared.cfg.max_pending_per_warp,
         };
         let scan = self.scan_readiness(now, kinfo, throttle, gate);
-        self.stats.lock_retries += u64::from(self.locked.count_ones());
+        if self.locked | self.throttled != 0 {
+            self.stats.lock_retries += u64::from(self.locked.count_ones());
+            self.stats.throttled_issues += u64::from(self.throttled.count_ones());
+        }
 
         let mut issued = 0u32;
         let mut port_conflict = false;
@@ -669,7 +688,7 @@ impl Sm {
         self.last_gate_blocks = (scan.gate_mshr, scan.gate_dram);
         StepOutcome {
             live: scan.any_live,
-            quiescent: issued == 0 && !port_conflict && self.volatile == 0,
+            quiescent: issued == 0 && !port_conflict && self.volatile | self.throttled == 0,
             stalled,
             gated: scan.any_gated(),
             issued: issued > 0,
@@ -719,12 +738,15 @@ impl Sm {
     }
 
     /// Scan resident warps, refreshing the scheduler view. Only the slots
-    /// whose outcome can have changed are re-evaluated: dirtied slots,
-    /// volatile ones and gated ones, in increasing slot order (the order
-    /// the reference scan makes its side effects in). Every other listed
-    /// slot keeps its cached outcome, which is exactly what a full scan
-    /// would produce; its only per-cycle side effect, one `lock_retries`
-    /// per lock waiter, is counted from [`Self::locked`] by the caller.
+    /// whose outcome can have changed are re-evaluated: dirtied slots
+    /// (including every non-owner slot when the SM's throttle probability
+    /// changed), volatile ones and gated ones, in increasing slot order (the
+    /// order the reference scan makes its side effects in). Every other
+    /// listed slot keeps its cached outcome, which is exactly what a full
+    /// scan would produce; its only per-cycle side effects, one
+    /// `lock_retries` per lock waiter and one `throttled_issues` per
+    /// throttle-held warp, are counted from [`Self::locked`] and
+    /// [`Self::throttled`] by the caller.
     /// With `incremental` off, or after a block launch or a warp exit, the
     /// view list is rebuilt and every live slot re-evaluated.
     fn scan_readiness(
@@ -734,6 +756,14 @@ impl Sm {
         throttle: &mut DynThrottle,
         gate: Gate,
     ) -> ScanSummary {
+        // A window close moved the probability: the cached outcomes of
+        // non-owner warps, the only ones the throttle gates, read the old
+        // one.
+        let p = throttle.probability(self.id);
+        if p != self.throttle_p {
+            self.throttle_p = p;
+            self.dirty |= self.non_owner;
+        }
         let eval = if self.structural || !self.incremental {
             self.structural = false;
             let mut listed = 0;
@@ -757,6 +787,7 @@ impl Sm {
             &mut self.volatile,
             &mut self.ready,
             &mut self.locked,
+            &mut self.throttled,
             &mut self.mshr_limited,
             &mut self.gated,
             &mut self.owner,
@@ -787,6 +818,7 @@ impl Sm {
                 Outcome::Stable => {}
                 Outcome::Ready => self.ready |= bit,
                 Outcome::Locked => self.locked |= bit,
+                Outcome::Throttled => self.throttled |= bit,
                 Outcome::MshrLimit => self.mshr_limited |= bit,
                 Outcome::Gated(kind) => {
                     self.gated |= bit;
@@ -801,11 +833,12 @@ impl Sm {
     }
 
     /// Evaluate one live warp exactly as the reference per-cycle scan would:
-    /// same checks, same order, same side effects (throttle and memory-gate
-    /// counters, throttle RNG draws). A lock waiter's `lock_retries` is
-    /// counted by the caller, once per stepped cycle. Returns the outcome,
-    /// the warp's OWF class, and whether the outcome is volatile: it drew
-    /// from the throttle (a side effect), or it passed a global-memory
+    /// same checks, same order, same side effects (memory-gate counters,
+    /// throttle RNG draws). A lock waiter's `lock_retries` and a
+    /// throttle-held warp's `throttled_issues` are counted by the caller,
+    /// once per stepped cycle. Returns the outcome, the warp's OWF class,
+    /// and whether the outcome is volatile: it drew from the throttle (a
+    /// side effect), or it passed a global-memory
     /// instruction through a finite memory gate, which another SM's issue
     /// can close with no event on this SM.
     fn eval_warp(
@@ -888,18 +921,19 @@ impl Sm {
                         }
                     }
                     // Dynamic warp-execution throttle (paper Sec. IV-C):
-                    // intentional suppression, not a pipeline stall.
+                    // intentional suppression, not a pipeline stall. It
+                    // draws only at 0 < p < 1 (`allow`'s predicates); at
+                    // p = 0 or 1 the outcome holds until the probability
+                    // changes, which `scan_readiness` watches.
                     if outcome == Outcome::Ready
                         && meta.is_global_mem()
                         && class == WarpClass::NonOwner
                         && throttle.enabled()
                     {
-                        volatile = true;
+                        let p = throttle.probability(self.id);
+                        volatile |= p > 0.0 && p < 1.0;
                         if !throttle.allow(self.id) {
-                            // Not ready; being volatile, it is re-evaluated
-                            // next cycle all the same.
-                            outcome = Outcome::Stable;
-                            self.stats.throttled_issues += 1;
+                            outcome = Outcome::Throttled;
                         }
                     }
                 }
@@ -1218,8 +1252,8 @@ fn release_barrier(warps: &mut [Option<Warp>], block_slot: u32, warps_per_block:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grs_core::{GpuConfig, ResourceKind, Threshold};
-    use grs_isa::KernelBuilder;
+    use grs_core::{GpuConfig, PairMember, ResourceKind, Threshold};
+    use grs_isa::{GlobalPattern, KernelBuilder};
 
     fn kinfo(regs: u32, threads: u32) -> KernelInfo {
         let k = KernelBuilder::new("t")
@@ -1352,5 +1386,86 @@ mod tests {
         assert!(out1.live);
         assert_eq!(s.next_wake(), Some(u64::from(cfg.lat.ialu)));
         assert_eq!(s.stats.idle_cycles, 1);
+    }
+
+    /// SM 1 holding one shared pair whose lock block A (slot 0) holds, so
+    /// the warp of block B (slot 1) is a non-owner whose global load the
+    /// throttle gates. Both warps load, then use the value. The throttle
+    /// starts SM 1 at p = 1 and moves it by `step` per window; the blocks
+    /// come from outside the dispatcher, which has none to refill.
+    fn throttled_pair(step: f64) -> (Sm, KernelInfo, DynThrottle) {
+        let k = KernelBuilder::new("throttled")
+            .threads_per_block(32)
+            .regs_per_thread(8)
+            .grid_blocks(2)
+            .ld_global(GlobalPattern::Stream)
+            .ialu(1)
+            .build();
+        let ki = KernelInfo::new(k, None, Threshold::paper_default());
+        let mut s = sm(&ki, plan(0, 1));
+        s.id = 1;
+        s.launch_block(0, &ki, 0);
+        s.launch_block(1, &ki, 0);
+        let PairLocks::Reg(l) = &mut s.pairs[0] else {
+            panic!("register sharing builds register pair locks");
+        };
+        l.access_shared(PairMember::A, 0);
+        (s, ki, DynThrottle::new(2, 1000, step, true))
+    }
+
+    /// Will the next scan re-evaluate `slot` whatever the throttle does?
+    fn due(s: &Sm, slot: usize) -> bool {
+        s.structural || (s.dirty | s.volatile | s.gated) >> slot & 1 == 1
+    }
+
+    #[test]
+    fn throttle_holds_at_p0_are_cached_until_the_probability_changes() {
+        let (mut s, ki, mut throttle) = throttled_pair(1.0);
+        let cfg = GpuConfig::tiny();
+        let mut shared = SharedMem::new(cfg.mem);
+        let mut disp = Dispatcher::new(0);
+        // A window in which SM 1 stalls more than SM 0 takes it to p = 0.
+        throttle.note_stall(1);
+        throttle.on_cycle(1000);
+        assert_eq!(throttle.probability(1), 0.0);
+        let out = s.step(0, &ki, &cfg.lat, &mut shared, &mut throttle, &mut disp);
+        assert!(out.issued, "the owner's load issues");
+        assert_eq!(s.throttled, 0b10);
+        assert_eq!(s.stats.throttled_issues, 1);
+        // The owner now waits on its load. The hold is evaluated once, adds
+        // one throttled issue per stepped cycle and keeps the SM awake.
+        for cycle in 1..8 {
+            assert!(!due(&s, 1), "cycle {cycle}: the hold is re-evaluated");
+            let out = s.step(cycle, &ki, &cfg.lat, &mut shared, &mut throttle, &mut disp);
+            assert!(!out.issued && !out.quiescent, "cycle {cycle}");
+            assert_eq!(s.stats.throttled_issues, cycle + 1);
+        }
+        // SM 0 stalls more in the next window: p = 1, and the very next
+        // step re-evaluates the warp, which issues its load.
+        for _ in 0..100 {
+            throttle.note_stall(0);
+        }
+        throttle.on_cycle(2000);
+        assert_eq!(throttle.probability(1), 1.0);
+        let out = s.step(8, &ki, &cfg.lat, &mut shared, &mut throttle, &mut disp);
+        assert!(out.issued, "the non-owner's load issues at p = 1");
+        assert_eq!((s.throttled, s.volatile), (0, 0));
+        assert_eq!(s.stats.throttled_issues, 8);
+        assert_eq!(s.stats.warp_instrs, 2);
+    }
+
+    #[test]
+    fn throttle_draws_at_fractional_p_are_volatile() {
+        let (mut s, ki, mut throttle) = throttled_pair(0.5);
+        let cfg = GpuConfig::tiny();
+        let mut shared = SharedMem::new(cfg.mem);
+        let mut disp = Dispatcher::new(0);
+        throttle.note_stall(1);
+        throttle.on_cycle(1000);
+        assert_eq!(throttle.probability(1), 0.5);
+        let out = s.step(0, &ki, &cfg.lat, &mut shared, &mut throttle, &mut disp);
+        assert!(!out.quiescent);
+        assert!(due(&s, 1), "a warp that drew is re-evaluated next cycle");
+        assert_eq!(s.volatile, 0b10);
     }
 }

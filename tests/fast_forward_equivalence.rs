@@ -29,8 +29,9 @@ struct Leg {
     kernel: gpu_resource_sharing::isa::Kernel,
     /// Override of `mem.max_pending_per_warp`.
     max_pending_per_warp: Option<u32>,
-    /// Does a full run under register sharing reach the leg's path?
-    reaches: fn(&SimStats) -> bool,
+    /// Does a full run under register sharing and this scheduler reach the
+    /// leg's path?
+    reaches: fn(SchedulerKind, &SimStats) -> bool,
     path: &'static str,
 }
 
@@ -38,20 +39,28 @@ struct Leg {
 /// register-sharing warps spend most of the run in pair-lock busy-waits
 /// (the SM sleeps through them as idle spans), and backprop with a
 /// per-warp limit of 2 in-flight global-memory instructions (the SM sleeps
-/// through it as stall spans, with the memory gate always open).
+/// through it as stall spans, with the memory gate always open). Under
+/// register sharing hotspot's non-owner loads meet the throttle: SM0's
+/// probability is pinned at 0, so its holds are cached outcomes, and under
+/// LRR a window close moves another SM's probability off 1, whose change
+/// re-evaluates that SM's non-owner warps into denials.
 fn legs() -> Vec<Leg> {
     let [hotspot, conv1]: [_; 2] = kernels().try_into().expect("two kernels");
     let mut lib = workloads::set1::lib();
     lib.grid_blocks = 28;
     let mut backprop = workloads::set1::backprop();
     backprop.grid_blocks = 28;
-    let any = |_: &SimStats| true;
+    let any = |_: SchedulerKind, _: &SimStats| true;
     vec![
         Leg {
             kernel: hotspot,
             max_pending_per_warp: None,
-            reaches: any,
-            path: "-",
+            reaches: |sched, s| {
+                s.per_sm[0].throttled_issues > 0
+                    && (sched != SchedulerKind::Lrr
+                        || s.per_sm[1..].iter().any(|sm| sm.throttled_issues > 0))
+            },
+            path: "throttle holds on SM0 (under LRR, denials on another SM too)",
         },
         Leg {
             kernel: conv1,
@@ -62,13 +71,13 @@ fn legs() -> Vec<Leg> {
         Leg {
             kernel: lib,
             max_pending_per_warp: None,
-            reaches: |s| s.lock_retries > 0,
+            reaches: |_, s| s.lock_retries > 0,
             path: "pair-lock busy-waits",
         },
         Leg {
             kernel: backprop,
             max_pending_per_warp: Some(2),
-            reaches: |s| s.stall_cycles > 0 && s.mshr_full_stalls == 0,
+            reaches: |_, s| s.stall_cycles > 0 && s.mshr_full_stalls == 0,
             path: "stalls at the per-warp MSHR limit",
         },
     ]
@@ -123,7 +132,7 @@ fn fast_forward_is_bit_identical_across_the_full_matrix() {
                 assert_eq!(fast.blocks_completed, u64::from(kernel.grid_blocks));
                 if sharing == SharingMode::Registers {
                     assert!(
-                        (leg.reaches)(&fast),
+                        (leg.reaches)(sched, &fast),
                         "{} under {sched:?} × {sharing:?} no longer reaches {}",
                         kernel.name,
                         leg.path
