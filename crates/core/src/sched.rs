@@ -51,8 +51,10 @@ pub const MAX_WARP_SLOTS: usize = 64;
 #[derive(Debug, Clone, Copy)]
 pub struct SlotView<'a> {
     /// The view list: the slots that held a live warp when the view was
-    /// last rebuilt. LRR's rotation pointer is a position in this list, so
-    /// a warp that exits or a block that refills between rebuilds does not
+    /// last rebuilt. LRR's rotation pointer is a position in this list: it
+    /// is kept as a slot of the list it was set in, and a pick that sees a
+    /// different list moves it to the same position in the new one, so a
+    /// warp that exits or a block that refills between rebuilds does not
     /// move it.
     pub listed: u64,
     /// Listed slots that can issue this cycle.
@@ -180,7 +182,8 @@ impl SchedulerKind {
     pub fn build(self, num_slots: usize, units: usize) -> Scheduler {
         match self {
             SchedulerKind::Lrr => Scheduler::Lrr {
-                next: vec![0; units],
+                start: vec![0; units],
+                list: vec![0; units],
             },
             SchedulerKind::Gto => Scheduler::Gto {
                 last: vec![None; units],
@@ -209,9 +212,12 @@ impl std::fmt::Display for SchedulerKind {
 pub enum Scheduler {
     /// Loose round robin: rotate a pointer over the view list.
     Lrr {
-        /// Position in the view list ([`SlotView::listed`]) to consider
-        /// next, per unit.
-        next: Vec<usize>,
+        /// The listed slot to consider first, per unit. Its position in
+        /// `list` is the rotation pointer.
+        start: Vec<usize>,
+        /// The view list ([`SlotView::listed`]) `start` was set in, per
+        /// unit (0 before the first pick, with `start` at position 0).
+        list: Vec<u64>,
     },
     /// Greedy-then-oldest.
     Gto {
@@ -264,15 +270,21 @@ impl Scheduler {
     pub fn pick(&mut self, unit: usize, unit_slots: u64, view: &SlotView) -> Option<usize> {
         let cand = view.ready & view.listed & unit_slots;
         match self {
-            Scheduler::Lrr { next } => {
+            Scheduler::Lrr { start, list } => {
                 if cand == 0 {
                     return None;
                 }
-                // Rotate from the `next`-th listed slot, wrapping around.
-                let n = view.listed.count_ones();
-                let start = nth_slot(view.listed, next[unit] as u32 % n);
-                let slot = lowest(cand & !below(start)).or(lowest(cand))?;
-                next[unit] = ((view.listed & below(slot)).count_ones() + 1) as usize % n as usize;
+                if list[unit] != view.listed {
+                    // A rebuild changed the list: start from the same
+                    // position in the new one, wrapping around.
+                    let pos = (list[unit] & below(start[unit])).count_ones();
+                    start[unit] = nth_slot(view.listed, pos % view.listed.count_ones());
+                    list[unit] = view.listed;
+                }
+                // Rotate from the start slot, wrapping around; the next
+                // rotation starts at the listed slot after the pick.
+                let slot = lowest(cand & !below(start[unit])).or(lowest(cand))?;
+                start[unit] = lowest(view.listed & !below(slot + 1)).or(lowest(view.listed))?;
                 Some(slot)
             }
             Scheduler::Gto { last } => {
@@ -362,19 +374,39 @@ mod tests {
         ready: bool,
     }
 
+    /// The model's scheduler state: for LRR a rotation pointer kept as a
+    /// position in the view list, for the other policies the state of the
+    /// mask pick itself.
+    #[derive(Debug)]
+    enum Model {
+        Lrr { next: Vec<usize> },
+        Other(Scheduler),
+    }
+
+    impl Model {
+        fn build(kind: SchedulerKind, num_slots: usize, units: usize) -> Self {
+            match kind {
+                SchedulerKind::Lrr => Model::Lrr {
+                    next: vec![0; units],
+                },
+                _ => Model::Other(kind.build(num_slots, units)),
+            }
+        }
+    }
+
     /// The slice-based pick the mask pick replaced: the model it must
     /// equal. `views` is the view list, sorted by slot; unit `unit` owns
     /// the slots with `slot % units == unit`.
     fn model_pick(
-        sched: &mut Scheduler,
+        model: &mut Model,
         unit: usize,
         units: usize,
         views: &[WarpView],
     ) -> Option<usize> {
         debug_assert!(views.windows(2).all(|w| w[0].slot < w[1].slot));
         let mine = |v: &WarpView| v.slot % units == unit;
-        match sched {
-            Scheduler::Lrr { next } => {
+        let sched = match model {
+            Model::Lrr { next } => {
                 let n = views.len();
                 if n == 0 {
                     return None;
@@ -387,8 +419,12 @@ mod tests {
                         return Some(v.slot);
                     }
                 }
-                None
+                return None;
             }
+            Model::Other(sched) => sched,
+        };
+        match sched {
+            Scheduler::Lrr { .. } => unreachable!("the model keeps LRR's pointer itself"),
             Scheduler::Gto { last } => {
                 if let Some(slot) = last[unit] {
                     if let Some(v) = views.iter().find(|v| v.slot == slot) {
@@ -720,7 +756,9 @@ mod tests {
         /// The mask pick makes the model's picks and leaves the model's
         /// state, call for call: every policy, 1–4 units, up to 48 slots,
         /// random readiness and classes, and a new view composition (with
-        /// newly launched, younger warps) every few cycles.
+        /// newly launched, younger warps) every few cycles. LRR's state is
+        /// its rotation pointer: the model's position must be the rank of
+        /// the mask pick's start slot in the list that slot was set in.
         #[test]
         fn mask_pick_equals_the_slice_model(
             policy in 0u8..6,
@@ -747,7 +785,7 @@ mod tests {
                 ids: vec![0; num_slots],
             };
             let mut next_id = 0u64;
-            let mut model = kind.build(num_slots, units);
+            let mut model = Model::build(kind, num_slots, units);
             let mut fast = kind.build(num_slots, units);
             let unit_masks = unit_slots(num_slots, units);
             for cycle in 0..cycles {
@@ -778,7 +816,20 @@ mod tests {
                     let want = model_pick(&mut model, unit, units, &views);
                     let got = fast.pick(unit, mine, &masks.view());
                     prop_assert_eq!(got, want, "{:?} unit {} cycle {}", kind, unit, cycle);
-                    prop_assert_eq!(&fast, &model, "{:?} unit {} cycle {}", kind, unit, cycle);
+                    match (&fast, &model) {
+                        (Scheduler::Lrr { start, list }, Model::Lrr { next }) => {
+                            let ranks: Vec<usize> = start
+                                .iter()
+                                .zip(list)
+                                .map(|(&s, &l)| (l & below(s)).count_ones() as usize)
+                                .collect();
+                            prop_assert_eq!(&ranks, next, "unit {} cycle {}", unit, cycle);
+                        }
+                        (fast, Model::Other(model)) => {
+                            prop_assert_eq!(fast, model, "{:?} unit {} cycle {}", kind, unit, cycle);
+                        }
+                        _ => unreachable!("both sides build the same policy"),
+                    }
                 }
             }
         }
