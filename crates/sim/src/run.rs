@@ -256,8 +256,9 @@ pub enum RunError {
     /// Not even one block fits on an SM.
     KernelDoesNotFit,
     /// A machine-description field that must be nonzero is zero (no SMs, no
-    /// warp schedulers, or zero-byte cache lines): the machine could never
-    /// run a block.
+    /// warp schedulers, zero-byte cache lines, zero-way caches or no memory
+    /// partitions): the machine could never run a block, or would silently
+    /// run as a different one.
     DegenerateMachine {
         /// The offending `GpuConfig` field.
         field: &'static str,
@@ -394,6 +395,9 @@ impl Simulator {
             ("num_sms", gpu.num_sms),
             ("sm.schedulers", gpu.sm.schedulers),
             ("mem.line_bytes", gpu.mem.line_bytes),
+            ("mem.l1_ways", gpu.mem.l1_ways),
+            ("mem.l2_ways", gpu.mem.l2_ways),
+            ("mem.mem_partitions", gpu.mem.mem_partitions),
         ] {
             if value == 0 {
                 return Err(RunError::DegenerateMachine { field });
@@ -407,7 +411,7 @@ impl Simulator {
             });
         }
         let mem = &gpu.mem;
-        let l2_slices = mem.mem_partitions.clamp(1, SharedMem::MAX_PARTITIONS);
+        let l2_slices = mem.mem_partitions.min(SharedMem::MAX_PARTITIONS);
         for (field, ways, bytes) in [
             ("mem.l1_ways", mem.l1_ways, u64::from(mem.l1_bytes)),
             (
@@ -539,13 +543,24 @@ mod tests {
 
     #[test]
     fn degenerate_machines_are_rejected() {
-        for field in ["num_sms", "sm.schedulers", "mem.line_bytes"] {
+        for field in [
+            "num_sms",
+            "sm.schedulers",
+            "mem.line_bytes",
+            "mem.l1_ways",
+            "mem.l2_ways",
+            "mem.mem_partitions",
+        ] {
             let mut cfg = RunConfig::baseline_lrr();
-            match field {
-                "num_sms" => cfg.gpu.num_sms = 0,
-                "sm.schedulers" => cfg.gpu.sm.schedulers = 0,
-                _ => cfg.gpu.mem.line_bytes = 0,
-            }
+            let value = match field {
+                "num_sms" => &mut cfg.gpu.num_sms,
+                "sm.schedulers" => &mut cfg.gpu.sm.schedulers,
+                "mem.line_bytes" => &mut cfg.gpu.mem.line_bytes,
+                "mem.l1_ways" => &mut cfg.gpu.mem.l1_ways,
+                "mem.l2_ways" => &mut cfg.gpu.mem.l2_ways,
+                _ => &mut cfg.gpu.mem.mem_partitions,
+            };
+            *value = 0;
             let err = Simulator::new(cfg).try_run_report(&small_kernel());
             assert_eq!(err, Err(RunError::DegenerateMachine { field }));
         }
