@@ -370,7 +370,6 @@ mod tests {
                 TraceRecord {
                     cycle: 0,
                     track: Track::Sm(0),
-                    seq: 0,
                     event: TelemetryEvent::BlockLaunch {
                         grid_id: 0,
                         slot: 0,
@@ -379,7 +378,6 @@ mod tests {
                 TraceRecord {
                     cycle: 5,
                     track: Track::Sm(0),
-                    seq: 1,
                     event: TelemetryEvent::SleepSpan {
                         until: 9,
                         gated: false,
@@ -388,7 +386,6 @@ mod tests {
                 TraceRecord {
                     cycle: 7,
                     track: Track::Mem,
-                    seq: 0,
                     event: TelemetryEvent::MshrFill { part: 3 },
                 },
             ],

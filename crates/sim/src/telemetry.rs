@@ -10,8 +10,8 @@
 //! Events are appended to per-track ring buffers — one per SM and one for
 //! the shared memory system — each with a configurable capacity and a drop
 //! counter. At run end the tracks are merged into one stream in the
-//! canonical `(cycle, track rank, seq)` order, the same (cycle, SM id)
-//! order the engine steps in.
+//! canonical `(cycle, track rank, seq)` order, where `seq` is a track's
+//! append order: the same (cycle, SM id) order the engine steps in.
 //!
 //! On top of events, a periodic sampler (`sample_every` cycles) emits
 //! per-SM timeline rows (occupancy, instruction deltas, stall breakdown)
@@ -159,15 +159,17 @@ impl Track {
 }
 
 /// One event in the merged trace.
+///
+/// A track's records keep their append order in the merged stream, so
+/// their per-track append sequence number is implicit: the `i`-th
+/// retained record of a track is its event number
+/// [`TrackStats::dropped`]` + i` (stable across ring overflow).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceRecord {
     /// Cycle the event is stamped with.
     pub cycle: u64,
     /// Track the event was recorded on.
     pub track: Track,
-    /// Per-track append sequence number (stable across ring overflow:
-    /// the first retained event carries the number of dropped events).
-    pub seq: u64,
     /// The event payload.
     pub event: TelemetryEvent,
 }
@@ -465,18 +467,15 @@ pub(crate) fn assemble(
         // Sources in rank order: SMs by id, then memory.
         let mut srcs: Vec<&[(u64, TelemetryEvent)]> = Vec::with_capacity(sms.len() + 1);
         let mut track_of: Vec<Track> = Vec::with_capacity(sms.len() + 1);
-        let mut base_of: Vec<u64> = Vec::with_capacity(sms.len() + 1);
         for (id, sm) in sms.iter().enumerate() {
             let track = Track::Sm(id as u32);
             tracks.push(track_stats(&sm.ring, track));
             track_of.push(track);
-            base_of.push(sm.ring.first_seq());
             srcs.push(sm.ring.as_slice());
         }
         if let Some(m) = mem.as_ref() {
             tracks.push(track_stats(&m.ring, Track::Mem));
             track_of.push(Track::Mem);
-            base_of.push(m.ring.first_seq());
             srcs.push(m.ring.as_slice());
         }
         debug_assert!(srcs
@@ -527,7 +526,6 @@ pub(crate) fn assemble(
                 TraceRecord {
                     cycle,
                     track: track_of[t],
-                    seq: base_of[t] + p as u64,
                     event,
                 }
             }));
@@ -553,7 +551,8 @@ mod tests {
     use super::*;
 
     /// A track recording `cycles` in order, as `WarpStall` events whose
-    /// slot is the append index.
+    /// slot is the append index: the record's seq, written independently
+    /// of the merge.
     fn track<T>(
         cycles: &[u64],
         cap: usize,
@@ -595,18 +594,33 @@ mod tests {
             }
         });
         let report = assemble(sms, Some(mem));
+        let seq = |r: &TraceRecord| match r.event {
+            TelemetryEvent::WarpStall { slot, .. } => slot,
+            _ => unreachable!("every test event is a WarpStall"),
+        };
         let mut want = report.events.clone();
-        want.sort_by_key(|r| (r.cycle, r.track.rank(), r.seq));
+        want.sort_by_key(|r| (r.cycle, r.track.rank(), seq(r)));
         assert_eq!(report.events, want);
         assert_eq!(report.events.len(), 9 + 9 + 4 + 7);
-        let kept: Vec<u64> = report
-            .events
-            .iter()
-            .filter(|r| r.track == Track::Sm(3))
-            .map(|r| r.seq)
-            .collect();
-        assert_eq!(kept, [2, 3, 4, 5]);
+        // A track's records keep their order: the i-th has seq dropped + i.
+        for t in &report.tracks {
+            let seqs: Vec<u64> = report
+                .events
+                .iter()
+                .filter(|r| r.track == t.track)
+                .map(|r| u64::from(seq(r)))
+                .collect();
+            let derived: Vec<u64> = (t.dropped..t.appended).collect();
+            assert_eq!(seqs, derived, "{:?}", t.track);
+        }
+        assert_eq!(report.tracks[3].dropped, 2);
         assert_eq!(report.dropped(), 2);
         assert_eq!(report.appended(), 9 + 9 + 6 + 7);
+    }
+
+    #[test]
+    fn trace_records_are_32_bytes() {
+        // The merged trace is the bulk of a traced run's fresh memory.
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 32);
     }
 }

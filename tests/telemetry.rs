@@ -9,7 +9,7 @@ use gpu_resource_sharing::core::SchedulerKind;
 use gpu_resource_sharing::isa::GlobalPattern as GP;
 use gpu_resource_sharing::prelude::*;
 use gpu_resource_sharing::sim::{
-    MemoryModel, RunOutcome, SimStats, TelemetryEvent, TelemetryReport, TraceRecord,
+    MemoryModel, RunOutcome, SimStats, TelemetryEvent, TelemetryReport, TraceRecord, TrackStats,
 };
 use proptest::prelude::*;
 
@@ -130,7 +130,7 @@ fn sampled_rows_and_machine_events_are_exact_across_fast_forward_jumps() {
         t.events
             .iter()
             .filter(|r| !matches!(r.event, TelemetryEvent::SleepSpan { .. }))
-            .map(|r| TraceRecord { seq: 0, ..*r })
+            .copied()
             .collect()
     };
     assert!(reference
@@ -265,10 +265,13 @@ proptest! {
         for (ta, tb) in a.tracks.iter().zip(&b.tracks) {
             prop_assert_eq!(ta.track, tb.track);
             prop_assert_eq!(ta.appended, tb.appended, "append counts diverge on {:?}", ta.track);
-            let kept_a: Vec<TraceRecord> =
-                a.events.iter().filter(|r| r.track == ta.track).copied().collect();
-            let kept_b: Vec<TraceRecord> =
-                b.events.iter().filter(|r| r.track == ta.track).copied().collect();
+            // A track's records keep their append order: the i-th
+            // retained one is event number `dropped + i` of the track.
+            let numbered = |t: &TelemetryReport, stats: &TrackStats| -> Vec<(u64, TraceRecord)> {
+                let kept = t.events.iter().filter(|r| r.track == stats.track);
+                (stats.dropped..).zip(kept.copied()).collect()
+            };
+            let (kept_a, kept_b) = (numbered(&a, ta), numbered(&b, tb));
             prop_assert_eq!(ta.dropped, ta.appended - kept_a.len() as u64);
             prop_assert!(kept_a.len() <= c.capacity.max(1));
             // Oldest-first drops: what survives the small ring is exactly
