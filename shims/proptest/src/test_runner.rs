@@ -62,14 +62,38 @@ impl ProptestConfig {
 
 impl Default for ProptestConfig {
     /// 64 cases, overridable with the `PROPTEST_CASES` environment variable
-    /// (the same knob real proptest reads).
+    /// (the same knob real proptest reads; see [`cases_from_env`]).
     fn default() -> Self {
-        let cases = std::env::var("PROPTEST_CASES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(64);
-        ProptestConfig { cases }
+        ProptestConfig {
+            cases: cases_from_env("PROPTEST_CASES", 64),
+        }
     }
+}
+
+/// The case count set by environment variable `var`, or `default` when it
+/// is unset.
+///
+/// # Panics
+///
+/// If the value is not a positive `u32`, with a message naming the
+/// variable and its value: a mistyped CI setting fails the run instead of
+/// quietly running the default. (An extension of this shim: real proptest
+/// has no such function.)
+pub fn cases_from_env(var: &str, default: u32) -> u32 {
+    let value = std::env::var_os(var);
+    let value = value.as_ref().map(|v| v.to_string_lossy());
+    parse_cases(var, value.as_deref(), default).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`cases_from_env`] on the variable's value (`None`: unset).
+fn parse_cases(var: &str, value: Option<&str>, default: u32) -> Result<u32, String> {
+    let Some(v) = value else {
+        return Ok(default);
+    };
+    v.parse()
+        .ok()
+        .filter(|&n| n > 0)
+        .ok_or_else(|| format!("{var}={v:?} is not a positive case count"))
 }
 
 /// Executes a property over deterministic random cases, replaying pinned
@@ -227,5 +251,19 @@ mod tests {
             count += 1;
         });
         assert_eq!(count, 10);
+    }
+
+    #[test]
+    fn case_counts_parse_or_name_the_variable() {
+        assert_eq!(parse_cases("GRS_GEN_SEEDS", None, 6), Ok(6));
+        assert_eq!(parse_cases("GRS_GEN_SEEDS", Some("64"), 6), Ok(64));
+        assert_eq!(parse_cases("PROPTEST_CASES", Some("1"), 64), Ok(1));
+        for bad in ["", "0", "-1", " 64", "6 4", "sixty-four", "4294967296"] {
+            let err = parse_cases("GRS_GEN_SEEDS", Some(bad), 6).expect_err(bad);
+            assert_eq!(
+                err,
+                format!("GRS_GEN_SEEDS={bad:?} is not a positive case count")
+            );
+        }
     }
 }

@@ -182,15 +182,10 @@ fn fresh_spec() -> impl Strategy<Value = GenSpec> {
     })
 }
 
-fn fuzz_cases() -> u32 {
-    std::env::var("GRS_GEN_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(
+        proptest::test_runner::cases_from_env("GRS_GEN_SEEDS", 6),
+    ))]
 
     #[test]
     fn fresh_seeds_are_bit_identical_across_engines(spec in fresh_spec()) {
