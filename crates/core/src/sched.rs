@@ -826,7 +826,8 @@ mod tests {
                             prop_assert_eq!(&ranks, next, "unit {} cycle {}", unit, cycle);
                         }
                         (fast, Model::Other(model)) => {
-                            prop_assert_eq!(fast, model, "{:?} unit {} cycle {}", kind, unit, cycle);
+                            let at = format!("{kind:?} unit {unit} cycle {cycle}");
+                            prop_assert_eq!(fast, model, "{}", at);
                         }
                         _ => unreachable!("both sides build the same policy"),
                     }

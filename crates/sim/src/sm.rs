@@ -53,9 +53,10 @@
 //! port conflict, no volatile warp and no warp held by the throttle (so a
 //! window close takes effect in the cycle it would in the reference), i.e.
 //! a cycle whose outcome is fully determined until the next writeback
-//! drains (or, with a gated warp, the next capacity release). [`Sm::next_wake`] exposes that drain cycle (the
-//! timing wheel's minimum); [`crate::gpu::Gpu::run_until`] sleeps the SM
-//! until then and credits the skipped span in closed form: through
+//! drains (or, with a gated warp, the next capacity release).
+//! [`Sm::next_wake`] exposes that drain cycle (the timing wheel's
+//! minimum); [`crate::gpu::Gpu::run_until`] sleeps the SM until then and
+//! credits the skipped span in closed form: through
 //! [`Sm::credit_skipped`] as idle or empty cycles, or through
 //! [`Sm::credit_gated`] as stall cycles when a warp is at the per-warp MSHR
 //! limit or gated, preserving every counter bit for bit.
@@ -1388,8 +1389,8 @@ mod tests {
         assert_eq!(s.stats.idle_cycles, 1);
     }
 
-    /// SM 1 holding one shared pair whose lock block A (slot 0) holds, so
-    /// the warp of block B (slot 1) is a non-owner whose global load the
+    /// SM 1 with one shared pair whose block A (slot 0) holds a pair lock,
+    /// so the warp of block B (slot 1) is a non-owner whose global load the
     /// throttle gates. Both warps load, then use the value. The throttle
     /// starts SM 1 at p = 1 and moves it by `step` per window; the blocks
     /// come from outside the dispatcher, which has none to refill.
