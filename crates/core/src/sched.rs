@@ -182,8 +182,7 @@ impl SchedulerKind {
     pub fn build(self, num_slots: usize, units: usize) -> Scheduler {
         match self {
             SchedulerKind::Lrr => Scheduler::Lrr {
-                start: vec![0; units],
-                list: vec![0; units],
+                start: vec![(0, 0); units],
             },
             SchedulerKind::Gto => Scheduler::Gto {
                 last: vec![None; units],
@@ -212,12 +211,11 @@ impl std::fmt::Display for SchedulerKind {
 pub enum Scheduler {
     /// Loose round robin: rotate a pointer over the view list.
     Lrr {
-        /// The listed slot to consider first, per unit. Its position in
-        /// `list` is the rotation pointer.
-        start: Vec<usize>,
-        /// The view list ([`SlotView::listed`]) `start` was set in, per
-        /// unit (0 before the first pick, with `start` at position 0).
-        list: Vec<u64>,
+        /// Per unit, the listed slot to consider first and the view list
+        /// ([`SlotView::listed`]) it was set in (0 before the first pick,
+        /// with the slot at position 0). The slot's position in that list
+        /// is the rotation pointer.
+        start: Vec<(usize, u64)>,
     },
     /// Greedy-then-oldest.
     Gto {
@@ -270,21 +268,22 @@ impl Scheduler {
     pub fn pick(&mut self, unit: usize, unit_slots: u64, view: &SlotView) -> Option<usize> {
         let cand = view.ready & view.listed & unit_slots;
         match self {
-            Scheduler::Lrr { start, list } => {
+            Scheduler::Lrr { start } => {
                 if cand == 0 {
                     return None;
                 }
-                if list[unit] != view.listed {
+                let (first, list) = &mut start[unit];
+                if *list != view.listed {
                     // A rebuild changed the list: start from the same
                     // position in the new one, wrapping around.
-                    let pos = (list[unit] & below(start[unit])).count_ones();
-                    start[unit] = nth_slot(view.listed, pos % view.listed.count_ones());
-                    list[unit] = view.listed;
+                    let pos = (*list & below(*first)).count_ones();
+                    *first = nth_slot(view.listed, pos % view.listed.count_ones());
+                    *list = view.listed;
                 }
                 // Rotate from the start slot, wrapping around; the next
                 // rotation starts at the listed slot after the pick.
-                let slot = lowest(cand & !below(start[unit])).or(lowest(cand))?;
-                start[unit] = lowest(view.listed & !below(slot + 1)).or(lowest(view.listed))?;
+                let slot = lowest(cand & !below(*first)).or(lowest(cand))?;
+                *first = lowest(view.listed & !below(slot + 1)).or(lowest(view.listed))?;
                 Some(slot)
             }
             Scheduler::Gto { last } => {
@@ -817,11 +816,10 @@ mod tests {
                     let got = fast.pick(unit, mine, &masks.view());
                     prop_assert_eq!(got, want, "{:?} unit {} cycle {}", kind, unit, cycle);
                     match (&fast, &model) {
-                        (Scheduler::Lrr { start, list }, Model::Lrr { next }) => {
+                        (Scheduler::Lrr { start }, Model::Lrr { next }) => {
                             let ranks: Vec<usize> = start
                                 .iter()
-                                .zip(list)
-                                .map(|(&s, &l)| (l & below(s)).count_ones() as usize)
+                                .map(|&(s, l)| (l & below(s)).count_ones() as usize)
                                 .collect();
                             prop_assert_eq!(&ranks, next, "unit {} cycle {}", unit, cycle);
                         }
