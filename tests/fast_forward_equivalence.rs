@@ -42,8 +42,8 @@ struct Leg {
 /// through it as stall spans, with the memory gate always open). Under
 /// register sharing hotspot's non-owner loads meet the throttle: SM0's
 /// probability is pinned at 0, so its holds are cached outcomes, and under
-/// LRR a window close moves another SM's probability off 1, whose change
-/// re-evaluates that SM's non-owner warps into denials.
+/// LRR a window close moves another SM's probability off 1, after which
+/// that SM's non-owner loads are denied too.
 fn legs() -> Vec<Leg> {
     let [hotspot, conv1]: [_; 2] = kernels().try_into().expect("two kernels");
     let mut lib = workloads::set1::lib();
