@@ -10,7 +10,8 @@
 //! scratchpad accesses through the paper's Fig. 3/Fig. 4 automata.
 //!
 //! Execution is event-driven where cycle-accuracy permits: writebacks live
-//! in a bucketed timing wheel ([`wheel`]), the per-cycle readiness scan is
+//! in a slab-backed timing wheel ([`wheel`]) that stops allocating once it
+//! has held its peak event count, the per-cycle readiness scan is
 //! incremental (only warps whose state could have changed are re-examined),
 //! and when no SM can make progress the run loop fast-forwards the clock to
 //! the next writeback while crediting the skipped span to the same idle /
@@ -23,8 +24,9 @@
 //! a statistic.
 //!
 //! Global memory is one model ([`mem::SharedMem`]): the L2 is sliced into
-//! memory partitions with MSHR tables and DRAM request queues, and every
-//! line transaction schedules its own completion. The buffer sizes are
+//! memory partitions with MSHR tables and DRAM request queues, every line
+//! transaction is timed on its own, and a global-memory instruction
+//! completes once, at its last transaction's cycle. The buffer sizes are
 //! `MemConfig` parameters; [`MemoryModel`] names two presets of them. The
 //! default, `Functional`, buffers without limit, so each transaction's
 //! latency is fixed the cycle it issues. `Event` sets Table I's finite

@@ -9,10 +9,13 @@
 //! request queue**. An L2 miss holds an MSHR entry (and a DRAM-queue slot
 //! for the service time) until its fill returns, releases are scheduled on
 //! a calendar wheel ([`TimingWheel`]), and a full table back-pressures SM
-//! issue through [`MemGate`]. A second miss to a line whose fill is already
-//! in flight **merges** into the existing entry instead of paying for
-//! another DRAM access, and a tag hit on an in-flight line waits for the
-//! fill (hit-under-miss). Tag state updates eagerly, at issue.
+//! issue through [`MemGate`]. [`SharedMem::access`] returns each
+//! transaction's completion cycle; the issuing SM schedules the
+//! instruction's one writeback at the latest of them. A second miss to a
+//! line whose fill is already in flight **merges** into the existing entry
+//! instead of paying for another DRAM access, and a tag hit on an
+//! in-flight line waits for the fill (hit-under-miss). Tag state updates
+//! eagerly, at issue.
 //!
 //! The buffer sizes are parameters, and [`MemoryModel`] names two presets
 //! of them. `Functional` (one partition, unlimited MSHRs, an unbounded DRAM
@@ -204,7 +207,6 @@ pub struct SharedMem {
     pub stats: MemStats,
     parts: Vec<Partition>,
     releases: TimingWheel<Release>,
-    release_buf: Vec<(u64, Release)>,
     /// Totals across partitions, for the occupancy integrals.
     total_mshr: u32,
     total_dram: u32,
@@ -253,7 +255,6 @@ impl SharedMem {
             stats: MemStats::default(),
             parts,
             releases: TimingWheel::new(),
-            release_buf: Vec::new(),
             total_mshr: 0,
             total_dram: 0,
             clock: 0,
@@ -288,39 +289,31 @@ impl SharedMem {
     /// jumps). Idempotent per cycle; the SM step loop calls it before
     /// consulting the gate, so a clock jump settles lazily.
     pub fn advance_to(&mut self, now: u64) {
-        while let Some(due) = self.releases.next_due() {
-            if due > now {
-                break;
-            }
+        while let Some(due) = self.releases.next_due().filter(|&due| due <= now) {
             self.integrate(due);
-            let mut buf = std::mem::take(&mut self.release_buf);
-            self.releases.drain_due_into(due, &mut buf);
-            for &(_, r) in &buf {
-                match r {
-                    Release::Mshr { part, line } => {
-                        let mshr = &mut self.parts[part as usize].mshr;
-                        let i = mshr
-                            .iter()
-                            .position(|e| e.line == line)
-                            .expect("release for a live MSHR entry");
-                        mshr.swap_remove(i);
-                        self.total_mshr -= 1;
-                        if let Some(t) = self.telemetry.as_deref_mut() {
-                            // Stamped with the release's *due* cycle, so the
-                            // stream is invariant to when the lazy drain ran.
-                            t.record(due, TelemetryEvent::MshrFill { part: part.into() });
-                        }
-                    }
-                    Release::DramSlot { part } => {
-                        self.parts[part as usize].dram_in_queue -= 1;
-                        self.total_dram -= 1;
-                        if let Some(t) = self.telemetry.as_deref_mut() {
-                            t.record(due, TelemetryEvent::DramService { part: part.into() });
-                        }
+            self.releases.drain_due(due, |_, r| match r {
+                Release::Mshr { part, line } => {
+                    let mshr = &mut self.parts[part as usize].mshr;
+                    let i = mshr
+                        .iter()
+                        .position(|e| e.line == line)
+                        .expect("release for a live MSHR entry");
+                    mshr.swap_remove(i);
+                    self.total_mshr -= 1;
+                    if let Some(t) = self.telemetry.as_deref_mut() {
+                        // Stamped with the release's *due* cycle, so the
+                        // stream is invariant to when the lazy drain ran.
+                        t.record(due, TelemetryEvent::MshrFill { part: part.into() });
                     }
                 }
-            }
-            self.release_buf = buf;
+                Release::DramSlot { part } => {
+                    self.parts[part as usize].dram_in_queue -= 1;
+                    self.total_dram -= 1;
+                    if let Some(t) = self.telemetry.as_deref_mut() {
+                        t.record(due, TelemetryEvent::DramService { part: part.into() });
+                    }
+                }
+            });
         }
         self.integrate(now);
     }

@@ -3,7 +3,9 @@
 //!
 //! Each cycle an SM:
 //!
-//! 1. drains due writebacks (scoreboard clears, MSHR slots free),
+//! 1. drains due writebacks (scoreboard clears; a global-memory
+//!    instruction's one writeback, due at its last transaction's
+//!    completion, also frees the warp's in-flight slot),
 //! 2. scans every resident warp and classifies it *ready* or blocked
 //!    (scoreboard hazard, MSHR full, barrier, pair-lock busy-wait per the
 //!    Fig. 3/Fig. 4 automata, dynamic-throttle suppression),
@@ -92,10 +94,10 @@ pub struct Writeback {
 pub enum WbKind {
     /// An ALU/SFU/scratchpad result for register `.0`.
     Alu(u16),
-    /// One global-memory transaction of pending-group `.0`; the group
-    /// coalesces its transactions into a single warp wake-up on the last,
-    /// which clears the register the group holds.
-    MemTxn(u16),
+    /// A global-memory instruction's last transaction returned: clear
+    /// register `.0` ([`NO_REG`] for a store) and free the instruction's
+    /// [`Warp::outstanding_mem`] slot.
+    Mem(u16),
 }
 
 /// What one warp evaluation found. Every outcome but [`Outcome::Gated`] is
@@ -264,7 +266,6 @@ pub struct Sm {
     n_barrier: u32,
     // per-cycle scratch, reused to avoid allocation
     addr_buf: Vec<u64>,
-    wb_scratch: Vec<(u64, Writeback)>,
 }
 
 impl Sm {
@@ -333,7 +334,6 @@ impl Sm {
             n_hazard: 0,
             n_barrier: 0,
             addr_buf: Vec::with_capacity(32),
-            wb_scratch: Vec::with_capacity(32),
         }
     }
 
@@ -697,23 +697,19 @@ impl Sm {
     }
 
     fn drain_writebacks(&mut self, now: u64) {
-        self.writebacks.drain_due_into(now, &mut self.wb_scratch);
-        for &(_, wb) in &self.wb_scratch {
+        self.writebacks.drain_due(now, |_, wb| {
             let slot = wb.slot as usize;
             if let Some(w) = self.warps[slot].as_mut() {
                 match wb.kind {
                     WbKind::Alu(reg) => w.clear_pending(reg),
-                    // Intermediate transactions of a group dirty the slot
-                    // harmlessly (a still-blocked warp re-evaluates to the
-                    // same outcome with no side effects); the group's last
-                    // transaction is the real wake-up.
-                    WbKind::MemTxn(group) => {
-                        w.mem_txn_done(group);
+                    WbKind::Mem(reg) => {
+                        w.clear_pending(reg);
+                        w.outstanding_mem -= 1;
                     }
                 }
                 self.dirty |= 1 << slot;
             }
-        }
+        });
     }
 
     /// Drop `slot`'s cached outcome so the next scan re-evaluates it.
@@ -1083,20 +1079,20 @@ impl Sm {
                         NO_REG
                     };
                     w.outstanding_mem += 1;
-                    // Each transaction runs the partition pipeline and
-                    // schedules its own completion; the group coalesces
-                    // them into one warp wake-up.
-                    let group = w.alloc_mem_group(reg, self.addr_buf.len() as u32);
-                    for &addr in &self.addr_buf {
-                        let done = shared.access(&mut self.l1, addr, now, is_load);
-                        self.writebacks.push(
-                            done,
-                            Writeback {
-                                slot: slot as u32,
-                                kind: WbKind::MemTxn(group),
-                            },
-                        );
-                    }
+                    // Each transaction runs the partition pipeline. Only
+                    // the last to return clears the register and frees the
+                    // in-flight slot, so the instruction schedules one
+                    // writeback, at the latest completion cycle.
+                    let done = self.addr_buf.iter().fold(0, |done, &addr| {
+                        done.max(shared.access(&mut self.l1, addr, now, is_load))
+                    });
+                    self.writebacks.push(
+                        done,
+                        Writeback {
+                            slot: slot as u32,
+                            kind: WbKind::Mem(reg),
+                        },
+                    );
                     w.pc += 1;
                 }
                 Op::Barrier => {
@@ -1387,6 +1383,69 @@ mod tests {
         assert!(out1.live);
         assert_eq!(s.next_wake(), Some(u64::from(cfg.lat.ialu)));
         assert_eq!(s.stats.idle_cycles, 1);
+    }
+
+    #[test]
+    fn a_multi_transaction_load_completes_once_at_its_last_transaction() {
+        // A cold scatter load whose transactions complete at different
+        // cycles: the SM's only wake-up is the last one's completion, and the
+        // register and in-flight slot stay held until then.
+        let pattern = GlobalPattern::Scatter {
+            span_lines: 1024,
+            txns: 4,
+        };
+        let k = KernelBuilder::new("scatter")
+            .threads_per_block(32)
+            .regs_per_thread(8)
+            .grid_blocks(1)
+            .ld_global(pattern)
+            .ialu(1)
+            .build();
+        let ki = KernelInfo::new(k, None, Threshold::paper_default());
+        let cfg = GpuConfig::tiny();
+        let mut s = sm(&ki, plan(1, 0));
+        let mut shared = SharedMem::new(cfg.mem);
+        let mut throttle = DynThrottle::disabled(1);
+        let mut disp = Dispatcher::new(1);
+        let grid_id = disp.next_block().unwrap();
+        s.launch_block(grid_id, &ki, 0);
+        // The same transactions on an identical cold machine.
+        let mut addrs = Vec::new();
+        generate_addresses(
+            pattern,
+            &mut Warp::new(0, 0, 0, 32, 0, grid_id),
+            grid_id,
+            &mut addrs,
+        );
+        let (mut mem, mut l1) = (SharedMem::new(cfg.mem), s.l1.clone());
+        let done: Vec<u64> = addrs
+            .iter()
+            .map(|&a| mem.access(&mut l1, a, 0, true))
+            .collect();
+        let last = *done.iter().max().unwrap();
+        assert!(done.iter().any(|&d| d < last), "{done:?}");
+
+        assert!(
+            s.step(0, &ki, &cfg.lat, &mut shared, &mut throttle, &mut disp)
+                .issued
+        );
+        assert_eq!(s.next_wake(), Some(last), "{done:?}");
+        let dst = ki.meta[0].dst;
+        for cycle in 1..last {
+            s.step(cycle, &ki, &cfg.lat, &mut shared, &mut throttle, &mut disp);
+            let w = s.warps[0].as_ref().unwrap();
+            assert!(
+                w.has_hazard(1 << dst) && w.outstanding_mem == 1,
+                "cycle {cycle}"
+            );
+        }
+        let out = s.step(last, &ki, &cfg.lat, &mut shared, &mut throttle, &mut disp);
+        let w = s.warps[0].as_ref().unwrap();
+        assert_eq!(w.outstanding_mem, 0);
+        assert!(
+            out.issued && w.pc == 2,
+            "the dependent ialu issues at {last}"
+        );
     }
 
     /// SM 1 with one shared pair whose block A (slot 0) holds a pair lock,

@@ -23,7 +23,6 @@
 
 use crate::stats::SmStats;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 /// Configuration for the telemetry subsystem.
 ///
@@ -265,29 +264,49 @@ impl TelemetryReport {
     }
 }
 
+/// Entries per [`Ring`] chunk.
+const RING_CHUNK: usize = 1024;
+
 /// Fixed-capacity append-only ring: keeps the newest `cap` entries and
-/// counts how many were ever appended, so drops are observable.
+/// counts how many were ever appended, so drops are observable. It grows
+/// one fixed-size chunk at a time and never moves an entry; only at
+/// capacity does it wrap and overwrite its oldest entries in place.
 #[derive(Debug, Clone)]
 pub(crate) struct Ring<T> {
-    buf: VecDeque<T>,
+    /// `RING_CHUNK` entries each (the last up to `cap`), every chunk
+    /// allocated at its full size, so filling it never reallocates.
+    chunks: Vec<Vec<T>>,
     cap: usize,
+    /// Storage index of the oldest entry (0 until the ring wraps).
+    head: usize,
     appended: u64,
 }
 
 impl<T> Ring<T> {
     pub(crate) fn new(cap: usize) -> Self {
         Self {
-            buf: VecDeque::new(),
+            chunks: Vec::new(),
             cap: cap.max(1),
+            head: 0,
             appended: 0,
         }
     }
 
     pub(crate) fn push(&mut self, v: T) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
+        let len = self.len();
+        if len < self.cap {
+            if len.is_multiple_of(RING_CHUNK) {
+                self.chunks
+                    .push(Vec::with_capacity(RING_CHUNK.min(self.cap - len)));
+            }
+            self.chunks.last_mut().expect("a chunk with room").push(v);
+        } else {
+            self.chunks[self.head / RING_CHUNK][self.head % RING_CHUNK] = v;
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
         }
-        self.buf.push_back(v);
         self.appended += 1;
     }
 
@@ -295,23 +314,24 @@ impl<T> Ring<T> {
         self.appended
     }
 
-    /// Rearrange the backing storage into one contiguous slice so
-    /// [`Self::as_slice`] can hand the whole ring out zero-copy.
-    pub(crate) fn make_contiguous(&mut self) {
-        self.buf.make_contiguous();
+    /// Retained entry count.
+    pub(crate) fn len(&self) -> usize {
+        self.appended.min(self.cap as u64) as usize
     }
 
-    /// The retained entries, oldest first. Callers must run
-    /// [`Self::make_contiguous`] first.
-    pub(crate) fn as_slice(&self) -> &[T] {
-        let (head, tail) = self.buf.as_slices();
-        debug_assert!(tail.is_empty(), "Ring::as_slice needs make_contiguous");
-        head
+    /// The `i`-th retained entry, oldest first (`i < self.len()`).
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> &T {
+        let mut at = self.head + i;
+        if at >= self.cap {
+            at -= self.cap;
+        }
+        &self.chunks[at / RING_CHUNK][at % RING_CHUNK]
     }
 
     /// Sequence number of the first retained entry (== dropped count).
     pub(crate) fn first_seq(&self) -> u64 {
-        self.appended - self.buf.len() as u64
+        self.appended - self.len() as u64
     }
 }
 
@@ -445,90 +465,81 @@ const MERGE_WINDOW: usize = 256;
 /// The merge is a counting sort by cycle over windows of
 /// [`MERGE_WINDOW`] cycles, starting at the earliest unmerged event: one
 /// pass counts each track's events per cycle of the window, a prefix sum
-/// turns the counts into slots, and a second pass, visiting the tracks in
-/// rank order and each track in seq order, drops every event's
-/// `(track, pos)` into its slot. Within a cycle that is exactly
-/// `(rank, seq)` order, so the window's records are then appended in
-/// sequence. No two tracks' events are ever compared, which matters
-/// because the tracks interleave finely: after one event, the same track
-/// rarely holds the next.
-pub(crate) fn assemble(
-    mut sms: Vec<SmTelemetry>,
-    mut mem: Option<MemTelemetry>,
-) -> TelemetryReport {
+/// turns the counts into output positions, and a second pass, visiting the
+/// tracks in rank order and each track in seq order, writes every event's
+/// [`TraceRecord`] straight to its position. Within a cycle that is
+/// exactly `(rank, seq)` order. No two tracks' events are ever compared,
+/// which matters because the tracks interleave finely: after one event,
+/// the same track rarely holds the next.
+pub(crate) fn assemble(sms: Vec<SmTelemetry>, mem: Option<MemTelemetry>) -> TelemetryReport {
     let mut tracks = Vec::with_capacity(sms.len() + 1);
-    for sm in &mut sms {
-        sm.ring.make_contiguous();
-    }
-    if let Some(m) = mem.as_mut() {
-        m.ring.make_contiguous();
-    }
     let events = {
         // Sources in rank order: SMs by id, then memory.
-        let mut srcs: Vec<&[(u64, TelemetryEvent)]> = Vec::with_capacity(sms.len() + 1);
+        let mut srcs: Vec<&Ring<(u64, TelemetryEvent)>> = Vec::with_capacity(sms.len() + 1);
         let mut track_of: Vec<Track> = Vec::with_capacity(sms.len() + 1);
         for (id, sm) in sms.iter().enumerate() {
             let track = Track::Sm(id as u32);
             tracks.push(track_stats(&sm.ring, track));
             track_of.push(track);
-            srcs.push(sm.ring.as_slice());
+            srcs.push(&sm.ring);
         }
         if let Some(m) = mem.as_ref() {
             tracks.push(track_stats(&m.ring, Track::Mem));
             track_of.push(Track::Mem);
-            srcs.push(m.ring.as_slice());
+            srcs.push(&m.ring);
         }
         debug_assert!(srcs
             .iter()
-            .all(|run| run.windows(2).all(|w| w[0].0 <= w[1].0)));
-        let total: usize = srcs.iter().map(|run| run.len()).sum();
+            .all(|ring| (1..ring.len()).all(|i| ring.get(i - 1).0 <= ring.get(i).0)));
+        let total: usize = srcs.iter().map(|ring| ring.len()).sum();
         let k = srcs.len();
         let mut merged = Vec::with_capacity(total);
         // Per track: the first unmerged event, and the end of the window.
         let mut pos = vec![0usize; k];
         let mut end = vec![0usize; k];
-        // Per cycle of the window: its event count, then its next free slot.
+        // Per cycle of the window: its event count, then its next position.
         let mut next = [0usize; MERGE_WINDOW];
-        // The window's events as `(track, pos)`, in canonical order.
-        let mut window: Vec<(usize, usize)> = Vec::new();
+        // Holds a window's positions until the second pass writes them.
+        let filler = TraceRecord {
+            cycle: 0,
+            track: Track::Mem,
+            event: TelemetryEvent::MshrFill { part: 0 },
+        };
         while let Some(start) = (0..k)
-            .filter_map(|t| srcs[t].get(pos[t]).map(|e| e.0))
+            .filter(|&t| pos[t] < srcs[t].len())
+            .map(|t| srcs[t].get(pos[t]).0)
             .min()
         {
             // Offsets from `start`, so a window at the end of the cycle
             // range needs no bound past `u64::MAX`.
             let in_window = |cycle: u64| cycle - start < MERGE_WINDOW as u64;
             next.fill(0);
-            for (t, run) in srcs.iter().enumerate() {
+            for (t, ring) in srcs.iter().enumerate() {
                 let mut p = pos[t];
-                while let Some(&(cycle, _)) = run.get(p).filter(|e| in_window(e.0)) {
-                    next[(cycle - start) as usize] += 1;
+                while p < ring.len() && in_window(ring.get(p).0) {
+                    next[(ring.get(p).0 - start) as usize] += 1;
                     p += 1;
                 }
                 end[t] = p;
             }
-            let mut slots = 0;
+            let mut at = merged.len();
             for n in &mut next {
-                (*n, slots) = (slots, slots + *n);
+                (*n, at) = (at, at + *n);
             }
-            window.clear();
-            window.resize(slots, (0, 0));
-            for (t, run) in srcs.iter().enumerate() {
-                for (p, &(cycle, _)) in run.iter().enumerate().take(end[t]).skip(pos[t]) {
-                    let slot = &mut next[(cycle - start) as usize];
-                    window[*slot] = (t, p);
-                    *slot += 1;
+            merged.resize(at, filler);
+            for (t, ring) in srcs.iter().enumerate() {
+                for p in pos[t]..end[t] {
+                    let &(cycle, event) = ring.get(p);
+                    let at = &mut next[(cycle - start) as usize];
+                    merged[*at] = TraceRecord {
+                        cycle,
+                        track: track_of[t],
+                        event,
+                    };
+                    *at += 1;
                 }
                 pos[t] = end[t];
             }
-            merged.extend(window.iter().map(|&(t, p)| {
-                let (cycle, event) = srcs[t][p];
-                TraceRecord {
-                    cycle,
-                    track: track_of[t],
-                    event,
-                }
-            }));
         }
         merged
     };
@@ -616,6 +627,29 @@ mod tests {
         assert_eq!(report.tracks[3].dropped, 2);
         assert_eq!(report.dropped(), 2);
         assert_eq!(report.appended(), 9 + 9 + 6 + 7);
+    }
+
+    #[test]
+    fn ring_grows_without_moving_entries_and_wraps_at_capacity() {
+        // A capacity that is no multiple of the chunk size: the last chunk
+        // is short, and the wrap happens exactly at the capacity.
+        let cap = 2 * RING_CHUNK + 452;
+        let mut ring = Ring::new(cap);
+        ring.push(0usize);
+        let first: *const usize = ring.get(0);
+        for v in 1..cap {
+            ring.push(v);
+        }
+        assert!(std::ptr::eq(first, ring.get(0)), "growth moved an entry");
+        for v in cap..cap + 3500 {
+            ring.push(v);
+        }
+        assert_eq!(
+            (ring.len(), ring.first_seq(), ring.appended()),
+            (cap, 3500, (cap + 3500) as u64)
+        );
+        assert!((0..cap).all(|i| *ring.get(i) == 3500 + i));
+        assert_eq!(ring.chunks.iter().map(Vec::capacity).sum::<usize>(), cap);
     }
 
     #[test]

@@ -1,24 +1,13 @@
-//! Per-warp microarchitectural state.
+//! Per-warp microarchitectural state: program counter, loop counters,
+//! scoreboard and the count of in-flight global-memory instructions. A
+//! memory instruction's completion is one SM writeback
+//! ([`crate::sm::WbKind::Mem`]), so a warp keeps no per-transaction state.
 
 use crate::rng::XorShift64;
 
 /// Sentinel register id for "no destination": instructions that write no
-/// register and the transaction groups of stores.
+/// register, stores included.
 pub const NO_REG: u16 = u16::MAX;
-
-/// One in-flight global-memory **instruction** of a warp: the destination
-/// register it will release and the per-line transactions still
-/// outstanding. The instruction's scoreboard entry (and its
-/// [`Warp::outstanding_mem`] slot) clears when the *last* transaction
-/// returns — per-transaction completions coalesce into one warp-level
-/// wake-up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingMem {
-    /// Destination register, [`NO_REG`] for stores.
-    pub reg: u16,
-    /// Transactions not yet returned; `0` marks a free table slot.
-    pub remaining: u32,
-}
 
 /// State of one resident warp.
 #[derive(Debug, Clone)]
@@ -42,12 +31,9 @@ pub struct Warp {
     /// (scoreboard). Limits the simulator to ≤ 64 registers per thread,
     /// ample for the paper's kernels (max 48).
     pub pending_regs: u64,
-    /// In-flight global-memory operations.
+    /// In-flight global-memory instructions. Each frees its slot at its
+    /// one writeback, when its last transaction returns.
     pub outstanding_mem: u32,
-    /// Per-instruction transaction groups of in-flight global-memory
-    /// instructions. Indexed by the group id carried in `MemTxn` writeback
-    /// events; slots are recycled once drained.
-    pub pending_mem: Vec<PendingMem>,
     /// Waiting at a block barrier.
     pub at_barrier: bool,
     /// Retired.
@@ -84,7 +70,6 @@ impl Warp {
             loop_init: 0,
             pending_regs: 0,
             outstanding_mem: 0,
-            pending_mem: Vec::new(),
             at_barrier: false,
             finished: false,
             stream_pos: 0,
@@ -115,42 +100,6 @@ impl Warp {
             self.pending_regs &= !(1 << reg);
         }
     }
-
-    /// Open a transaction group for a memory instruction writing `reg`
-    /// (`NO_REG` for stores) with `txns` line transactions in flight; returns
-    /// the group id carried by its per-transaction writeback events.
-    pub fn alloc_mem_group(&mut self, reg: u16, txns: u32) -> u16 {
-        debug_assert!(txns > 0);
-        let entry = PendingMem {
-            reg,
-            remaining: txns,
-        };
-        if let Some(i) = self.pending_mem.iter().position(|g| g.remaining == 0) {
-            self.pending_mem[i] = entry;
-            i as u16
-        } else {
-            self.pending_mem.push(entry);
-            (self.pending_mem.len() - 1) as u16
-        }
-    }
-
-    /// One transaction of group `group` returned. On the group's *last*
-    /// transaction the destination's scoreboard entry clears, the
-    /// instruction's [`Self::outstanding_mem`] slot frees, and `true` is
-    /// returned (the warp-level wake-up).
-    pub fn mem_txn_done(&mut self, group: u16) -> bool {
-        let e = &mut self.pending_mem[group as usize];
-        debug_assert!(e.remaining > 0, "completion for a drained group");
-        e.remaining -= 1;
-        if e.remaining == 0 {
-            let reg = e.reg;
-            self.clear_pending(reg);
-            self.outstanding_mem = self.outstanding_mem.saturating_sub(1);
-            true
-        } else {
-            false
-        }
-    }
 }
 
 #[cfg(test)]
@@ -175,23 +124,6 @@ mod tests {
         w.mark_pending(3);
         w.clear_pending(NO_REG);
         assert!(w.has_hazard(1 << 3));
-    }
-
-    #[test]
-    fn mem_groups_coalesce_to_one_wakeup_and_recycle_slots() {
-        let mut w = Warp::new(0, 0, 0, 32, 0, 0);
-        w.mark_pending(4);
-        w.outstanding_mem = 1;
-        let g = w.alloc_mem_group(4, 3);
-        assert!(!w.mem_txn_done(g));
-        assert!(!w.mem_txn_done(g));
-        assert!(w.has_hazard(1 << 4), "reg held until the last transaction");
-        assert!(w.mem_txn_done(g));
-        assert!(!w.has_hazard(1 << 4));
-        assert_eq!(w.outstanding_mem, 0);
-        // The drained slot is reused before the table grows.
-        assert_eq!(w.alloc_mem_group(NO_REG, 1), g);
-        assert_eq!(w.pending_mem.len(), 1);
     }
 
     #[test]

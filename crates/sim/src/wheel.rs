@@ -8,39 +8,75 @@
 //! append/drain and keeps the exact minimum on hand.
 //!
 //! The wheel is generic over its payload: [`crate::sm::Sm`] schedules
-//! [`crate::sm::Writeback`] completions on it, and the shared memory system
-//! ([`crate::mem::SharedMem`]) schedules MSHR-entry and DRAM-queue-slot
-//! releases. Events scheduled for the same cycle land in the same bucket and
-//! drain together in insertion order — which is what lets a warp's N
-//! per-transaction completions coalesce into one wake-up without any extra
-//! merging structure. Insertion-order draining is also a determinism
-//! contract: both engines (per-cycle and fast-forward) insert a
+//! [`crate::sm::Writeback`] completions on it (one per instruction, a
+//! global-memory instruction's at its last transaction's completion), and
+//! the shared memory system ([`crate::mem::SharedMem`]) schedules MSHR-entry
+//! and DRAM-queue-slot releases. [`TimingWheel::drain_due`] hands events out
+//! in cycle order and, within a cycle, in push order. Push order is a
+//! determinism contract: both engines (per-cycle and fast-forward) push a
 //! given SM's events in the same canonical order, so same-cycle ties
 //! resolve identically everywhere. Within one SM cycle the ordering is
 //! writeback drains first, then lazy memory-capacity releases
 //! (`SharedMem::advance_to`), then the gate read — see the tie-break note
 //! in [`crate::sm::Sm::step`].
 //!
-//! Layout: a ring of `SLOTS` buckets indexed by `cycle % SLOTS`. An event
-//! scheduled more than `SLOTS` cycles ahead (possible only under extreme
-//! bandwidth-queue backlog) goes to a small unsorted overflow list that is
-//! consulted by its cached minimum. Invariant: every bucketed event's cycle
-//! lies in `(drained_to, drained_to + SLOTS]`, so a bucket never mixes events
-//! of different due cycles and drains whole.
+//! Layout: every event is a node in one slab, and a ring of `SLOTS` buckets
+//! indexed by `cycle % SLOTS` holds each bucket's events as a linked list
+//! (head and tail indices into the slab). Drained nodes go on a free list
+//! that the next pushes reuse, so once a wheel has held its peak number of
+//! pending events it never allocates again. An event scheduled more than
+//! `SLOTS` cycles ahead (a long DRAM latency or a deep bandwidth-queue
+//! backlog) goes on an overflow list, consulted by its cached minimum and
+//! moved into the ring, in push order, as soon as the ring reaches its
+//! cycle — before any later push for that cycle can land in the bucket.
+//! Invariant: every bucketed event's cycle lies in
+//! `(drained_to, drained_to + SLOTS]`, so a bucket never mixes events of
+//! different due cycles and drains whole.
 
 /// Ring size in cycles. Covers the full L1+L2+DRAM latency path plus typical
-/// queueing delay; deeper backlogs spill to the overflow list.
+/// queueing delay; deeper backlogs go to the overflow list.
 const SLOTS: usize = 1024;
 const MASK: u64 = SLOTS as u64 - 1;
 const WORDS: usize = SLOTS / 64;
+/// End-of-list link.
+const NIL: u32 = u32::MAX;
+
+/// One pending event in the slab; `next` links it into its bucket, the
+/// overflow list or the free list.
+#[derive(Debug, Clone, Copy)]
+struct Node<T> {
+    due: u64,
+    payload: T,
+    next: u32,
+}
+
+/// A singly-linked list of slab nodes, oldest push first.
+#[derive(Debug, Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+impl List {
+    const EMPTY: List = List {
+        head: NIL,
+        tail: NIL,
+    };
+}
 
 /// Calendar queue over `(due cycle, payload)` events.
 #[derive(Debug, Clone)]
 pub struct TimingWheel<T> {
-    slots: Vec<Vec<(u64, T)>>,
+    /// One node per pending event; drained nodes are chained from `free`
+    /// and reused first.
+    nodes: Vec<Node<T>>,
+    free: u32,
+    /// Bucket `cycle % SLOTS`: the events due at that cycle, in push order.
+    buckets: Box<[List; SLOTS]>,
     /// One bit per non-empty bucket, for fast earliest-event scans.
     occupancy: [u64; WORDS],
-    overflow: Vec<(u64, T)>,
+    /// Events beyond the ring's reach, in push order.
+    overflow: List,
     overflow_min: u64,
     /// Exact earliest pending cycle (`u64::MAX` when empty).
     earliest: u64,
@@ -65,9 +101,11 @@ impl<T: Copy> TimingWheel<T> {
     /// Empty wheel starting at cycle 0.
     pub fn new() -> Self {
         TimingWheel {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            buckets: Box::new([List::EMPTY; SLOTS]),
             occupancy: [0; WORDS],
-            overflow: Vec::new(),
+            overflow: List::EMPTY,
             overflow_min: u64::MAX,
             earliest: u64::MAX,
             drained_to: 0,
@@ -113,95 +151,94 @@ impl<T: Copy> TimingWheel<T> {
         self.len += 1;
         self.latest = self.latest.max(due);
         self.earliest = self.earliest.min(due);
+        let node = Node {
+            due,
+            payload,
+            next: NIL,
+        };
+        let i = if self.free == NIL {
+            self.nodes.push(node);
+            u32::try_from(self.nodes.len() - 1).expect("fewer than 2^32 pending events")
+        } else {
+            let i = self.free;
+            self.free = self.nodes[i as usize].next;
+            self.nodes[i as usize] = node;
+            i
+        };
         if due > self.drained_to + SLOTS as u64 {
             self.overflow_min = self.overflow_min.min(due);
-            self.overflow.push((due, payload));
+            append(&mut self.nodes, &mut self.overflow, i);
         } else {
-            let idx = (due & MASK) as usize;
-            self.slots[idx].push((due, payload));
-            self.occupancy[idx / 64] |= 1 << (idx % 64);
+            self.bucket(due, i);
         }
     }
 
-    /// Move every event due at or before `now` into `out` (cleared first)
-    /// and advance the wheel to `now`. Within one call, events of the same
-    /// cycle come out in insertion order; callers must not depend on any
-    /// ordering beyond that (the simulator's event effects commute within a
-    /// cycle).
-    pub fn drain_due_into(&mut self, now: u64, out: &mut Vec<(u64, T)>) {
-        out.clear();
-        if now <= self.drained_to {
-            return;
-        }
-        if self.earliest > now {
-            // Nothing due: advance time without touching buckets (they only
-            // hold events strictly later than `now`).
-            self.drained_to = now;
-            return;
-        }
-        let span = now - self.drained_to;
-        if span < 64 {
-            // Short advance (the per-cycle common case): probe the few
-            // buckets in the span directly.
-            for cycle in self.drained_to + 1..=now {
-                let idx = (cycle & MASK) as usize;
-                if !self.slots[idx].is_empty() {
-                    debug_assert!(self.slots[idx].iter().all(|ev| ev.0 == cycle));
-                    out.append(&mut self.slots[idx]);
-                    self.occupancy[idx / 64] &= !(1 << (idx % 64));
-                }
+    /// Hand every event due at or before `now` to `f(cycle, payload)` and
+    /// advance the wheel to `now`. Events come out in cycle order and,
+    /// within a cycle, in push order.
+    pub fn drain_due(&mut self, now: u64, mut f: impl FnMut(u64, T)) {
+        while self.len > 0 && self.earliest <= now {
+            let cycle = self.earliest;
+            // Bring `cycle`'s overflow events (if it is the overflow's
+            // minimum) into its bucket first.
+            self.advance(cycle - 1);
+            let idx = (cycle & MASK) as usize;
+            let list = std::mem::replace(&mut self.buckets[idx], List::EMPTY);
+            debug_assert_ne!(list.head, NIL, "the earliest cycle's bucket holds it");
+            self.occupancy[idx / 64] &= !(1 << (idx % 64));
+            let mut i = list.head;
+            while i != NIL {
+                let node = self.nodes[i as usize];
+                debug_assert_eq!(node.due, cycle, "a bucket holds one cycle");
+                self.len -= 1;
+                f(cycle, node.payload);
+                i = node.next;
             }
-        } else {
-            // Long advance (a fast-forward wake-up): walk only the occupied
-            // buckets via the bitmap. Every bucketed event lies within
-            // `(drained_to, drained_to + SLOTS]`, so a bucket's (single) due
-            // cycle is just read off its first entry.
-            for word_idx in 0..WORDS {
-                let mut word = self.occupancy[word_idx];
-                while word != 0 {
-                    let bit = word.trailing_zeros();
-                    word &= word - 1;
-                    let idx = word_idx * 64 + bit as usize;
-                    let cycle = self.slots[idx][0].0;
-                    debug_assert!(self.slots[idx].iter().all(|ev| ev.0 == cycle));
-                    if cycle <= now {
-                        out.append(&mut self.slots[idx]);
-                        self.occupancy[word_idx] &= !(1u64 << bit);
-                    }
-                }
-            }
+            // The drained list joins the free list whole.
+            self.nodes[list.tail as usize].next = self.free;
+            self.free = list.head;
+            self.advance(cycle);
+            self.earliest = match self.first_occupied_distance(((cycle + 1) & MASK) as usize) {
+                Some(d) => cycle + 1 + d as u64,
+                None => self.overflow_min,
+            };
         }
-        if self.overflow_min <= now {
-            let mut i = 0;
-            while i < self.overflow.len() {
-                if self.overflow[i].0 <= now {
-                    out.push(self.overflow.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            self.overflow_min = self
-                .overflow
-                .iter()
-                .map(|ev| ev.0)
-                .min()
-                .unwrap_or(u64::MAX);
-        }
-        self.len -= out.len();
-        self.drained_to = now;
-        self.recompute_earliest();
+        self.advance(now);
     }
 
-    fn recompute_earliest(&mut self) {
-        let mut best = self.overflow_min;
-        if self.len > self.overflow.len() {
-            let start = ((self.drained_to + 1) & MASK) as usize;
-            let d = self
-                .first_occupied_distance(start)
-                .expect("occupancy bits track non-empty buckets");
-            best = best.min(self.drained_to + 1 + d as u64);
+    /// Mark every cycle through `to` drained (nothing is due by then), and
+    /// move the overflow events the ring now reaches into their buckets.
+    fn advance(&mut self, to: u64) {
+        if to <= self.drained_to {
+            return;
         }
-        self.earliest = best;
+        self.drained_to = to;
+        let reach = to + SLOTS as u64;
+        if self.overflow_min > reach {
+            return;
+        }
+        let mut kept = List::EMPTY;
+        self.overflow_min = u64::MAX;
+        let mut i = self.overflow.head;
+        while i != NIL {
+            let Node { due, next, .. } = self.nodes[i as usize];
+            self.nodes[i as usize].next = NIL;
+            if due <= reach {
+                self.bucket(due, i);
+            } else {
+                self.overflow_min = self.overflow_min.min(due);
+                append(&mut self.nodes, &mut kept, i);
+            }
+            i = next;
+        }
+        self.overflow = kept;
+    }
+
+    /// Append node `i`, due at `due` within the ring's reach, to its bucket.
+    fn bucket(&mut self, due: u64, i: u32) {
+        let idx = (due & MASK) as usize;
+        append(&mut self.nodes, &mut self.buckets[idx], i);
+        self.occupancy[idx / 64] |= 1 << (idx % 64);
     }
 
     /// Distance (in buckets, wrapping) from `start` to the first non-empty
@@ -229,13 +266,23 @@ impl<T: Copy> TimingWheel<T> {
     }
 }
 
+/// Link node `i` (whose `next` is [`NIL`]) at the tail of `list`.
+fn append<T>(nodes: &mut [Node<T>], list: &mut List, i: u32) {
+    if list.tail == NIL {
+        list.head = i;
+    } else {
+        nodes[list.tail as usize].next = i;
+    }
+    list.tail = i;
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn drain(w: &mut TimingWheel<u32>, now: u64) -> Vec<(u64, u32)> {
         let mut out = Vec::new();
-        w.drain_due_into(now, &mut out);
+        w.drain_due(now, |cycle, v| out.push((cycle, v)));
         out
     }
 
@@ -261,9 +308,11 @@ mod tests {
             w.push(c, c as u32);
         }
         assert_eq!(w.len(), 4);
-        let mut got = drain(&mut w, 2000);
-        got.sort_unstable();
-        assert_eq!(got, vec![(10, 10), (700, 700), (1500, 1500)]);
+        // Cycle order, across the ring's wrap and the overflow list.
+        assert_eq!(
+            drain(&mut w, 2000),
+            vec![(10, 10), (700, 700), (1500, 1500)]
+        );
         assert_eq!(w.next_due(), Some(4000));
         assert_eq!(drain(&mut w, 1 << 40), vec![(4000, 4000)]);
     }
@@ -286,6 +335,21 @@ mod tests {
         assert_eq!(w.next_due(), Some(4500));
         assert_eq!(drain(&mut w, 4600), vec![(4500, 2)]);
         assert_eq!(w.next_due(), Some(5000));
+    }
+
+    #[test]
+    fn overflow_events_precede_later_ring_pushes_of_their_cycle() {
+        // Cycle 2000 is beyond the ring's reach at the first push and within
+        // it once cycle 976 has drained: the overflow event joins its bucket
+        // then, ahead of the ring push that follows.
+        let mut w = TimingWheel::new();
+        w.push(976, 0u32);
+        w.push(2000, 1);
+        assert_eq!(drain(&mut w, 976), vec![(976, 0)]);
+        w.push(2000, 2);
+        w.push(1999, 3);
+        assert_eq!(drain(&mut w, 2000), vec![(1999, 3), (2000, 1), (2000, 2)]);
+        assert!(w.is_empty());
     }
 
     #[test]
@@ -340,7 +404,10 @@ mod tests {
     #[test]
     fn matches_a_sorted_model_across_mixed_traffic() {
         // Deterministic pseudo-random workload compared against a Vec-based
-        // reference model.
+        // reference model. The model is sorted stably by cycle, so it keeps
+        // push order within a cycle, and the wheel's drains must match it
+        // exactly: a tail link left stale by node reuse, or an overflow
+        // event moved into its bucket after a later push, breaks the order.
         let mut w = TimingWheel::new();
         let mut model: Vec<(u64, u32)> = Vec::new();
         let mut state = 0x1234_5678_u64;
@@ -365,11 +432,10 @@ mod tests {
             w.push(ev.0, ev.1);
             model.push(ev);
             now += 1 + r % 7; // occasional multi-cycle hops
-            let mut got = drain(&mut w, now);
-            got.sort_unstable();
+            let got = drain(&mut w, now);
             let mut expect: Vec<(u64, u32)> =
                 model.iter().copied().filter(|e| e.0 <= now).collect();
-            expect.sort_unstable();
+            expect.sort_by_key(|e| e.0);
             model.retain(|e| e.0 > now);
             assert_eq!(got, expect, "step {step} now {now}");
             assert_eq!(
@@ -378,5 +444,28 @@ mod tests {
                 "step {step} now {now}"
             );
         }
+    }
+
+    #[test]
+    fn node_storage_stops_growing_at_the_peak_pending_count() {
+        // Steady traffic, including events past the ring: the slab grows
+        // only while every node is in use, so it ends at exactly the peak
+        // pending count, and once the traffic has reached that peak the
+        // wheel allocates no more.
+        let mut w = TimingWheel::new();
+        let mut peak = 0;
+        let mut warm = None;
+        for now in 0..20_000u64 {
+            for delay in [1, 4, 480, 1500 + now % 7] {
+                w.push(now + delay, now as u32);
+            }
+            peak = peak.max(w.len());
+            w.drain_due(now, |_, _| {});
+            assert_eq!(w.nodes.len(), peak, "cycle {now}");
+            if now == 5_000 {
+                warm = Some((peak, w.nodes.capacity()));
+            }
+        }
+        assert_eq!(warm, Some((peak, w.nodes.capacity())));
     }
 }

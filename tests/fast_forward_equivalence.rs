@@ -4,10 +4,11 @@
 //! covers all four schedulers crossed with all three sharing modes on a
 //! compute-bound kernel, a memory-latency-bound one, a pair-lock-bound one
 //! and one held at the per-warp MSHR limit, each run to completion and cut
-//! short by `max_cycles`, plus a property test over random kernels (pinned
-//! seeds in `proptest-regressions/`).
+//! short by `max_cycles`, plus both memory presets at the timing wheels'
+//! two edges and a property test over random kernels (pinned seeds in
+//! `proptest-regressions/`).
 
-use gpu_resource_sharing::core::SchedulerKind;
+use gpu_resource_sharing::core::{LatencyConfig, SchedulerKind};
 use gpu_resource_sharing::isa::GlobalPattern as GP;
 use gpu_resource_sharing::prelude::*;
 use proptest::prelude::*;
@@ -153,6 +154,46 @@ fn fast_forward_is_bit_identical_across_the_full_matrix() {
                 );
                 assert!(fast.timed_out, "{}", kernel.name);
                 assert_eq!(fast.cycles, max_cycles);
+            }
+        }
+    }
+}
+
+/// The timing wheels' two edges, under both memory presets. With every
+/// latency 0, each completion is pushed at its issue cycle, which has
+/// already drained, and is deferred to the next; with a 5,000-cycle DRAM
+/// latency, every miss completes past the 1,024-cycle ring and waits on the
+/// overflow list until the ring reaches it.
+#[test]
+fn fast_forward_is_bit_identical_at_the_wheel_edges() {
+    for kernel in &kernels() {
+        for model in [MemoryModel::Functional, MemoryModel::Event] {
+            for edge in ["zero latency", "DRAM 5000"] {
+                let mut cfg =
+                    config(SchedulerKind::Owf, SharingMode::Registers).with_memory_model(model);
+                if edge == "zero latency" {
+                    cfg.gpu.lat = LatencyConfig {
+                        ialu: 0,
+                        imul: 0,
+                        fp: 0,
+                        sfu: 0,
+                        scratchpad: 0,
+                    };
+                    cfg.gpu.mem.l1_hit_latency = 0;
+                    cfg.gpu.mem.l2_latency = 0;
+                    cfg.gpu.mem.dram_latency = 0;
+                } else {
+                    cfg.gpu.mem.dram_latency = 5_000;
+                }
+                let fast = Simulator::new(cfg.clone().with_fast_forward(true)).run(kernel);
+                let reference = Simulator::new(cfg.with_fast_forward(false)).run(kernel);
+                assert_eq!(
+                    fast, reference,
+                    "{} under {model:?} at {edge} diverges with fast-forward",
+                    kernel.name
+                );
+                assert!(!fast.timed_out, "{} under {model:?} at {edge}", kernel.name);
+                assert_eq!(fast.blocks_completed, u64::from(kernel.grid_blocks));
             }
         }
     }
