@@ -29,14 +29,6 @@
 //!            repro run <name|gen:<family>:<seed>[:<size>]> [--check]
 //!            (--check re-runs the baseline on the per-cycle reference
 //!            engine and asserts bit-identical statistics)
-//!   sweep    batch scenarios through the sweep service and print its
-//!            dedup/memoization accounting:
-//!            repro sweep <spec>... [--matrix] [--warm-check]
-//!            (specs are benchmark names, gen:... specs, or the literal
-//!            `corpus` for the pinned generated corpus; --matrix crosses
-//!            every spec with the `repro run` config matrix; --warm-check
-//!            resubmits the whole batch and asserts the warm pass is 100%
-//!            memo hits with bit-identical statistics)
 //!   perf-gate  check both wall-clock ratios on the dead-wait scenario and
 //!            exit 1 if either fails: the fast-forward speedup over the
 //!            per-cycle reference (floor 5x) and the telemetry overhead
@@ -47,9 +39,11 @@
 //! `--quick` divides grid sizes by 4 for fast smoke runs. An option the
 //! chosen experiment does not read is a usage error (exit 2), as is an
 //! unknown experiment; an unknown benchmark or scenario name exits 1.
-//! `repro` exits 1 after printing if any simulation it submitted failed.
+//! A simulation that fails prints `failed` in every column that reads it,
+//! and `repro` exits 1 after printing if any simulation it submitted
+//! failed.
 
-use grs_bench::{experiments, perf, scenario, sweep, trace, SweepService};
+use grs_bench::{experiments, perf, scenario, trace, SweepService};
 
 /// The `--` options experiment `what` reads (a trailing `=` takes a
 /// value), or `None` if there is no such experiment.
@@ -59,7 +53,6 @@ fn options(what: &str) -> Option<&'static [&'static str]> {
         "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "table5" | "table7" | "all" => &["--quick"],
         "trace" => &["--quick", "--out=", "--metrics="],
         "run" => &["--quick", "--check"],
-        "sweep" => &["--quick", "--matrix", "--warm-check"],
         _ if what.starts_with("inspect=") => &["--quick"],
         _ => return None,
     })
@@ -104,13 +97,13 @@ fn main() {
         "suites" => experiments::print_suites(),
         "hwcost" => experiments::print_hwcost(),
         "fig1" => experiments::fig1(),
-        "fig8" => experiments::fig8(quick),
-        "fig9" => experiments::fig9(quick),
-        "fig10" => experiments::fig10(quick),
-        "fig11" => experiments::fig11(quick),
-        "fig12" => experiments::fig12(quick),
-        "table5" => experiments::table5(quick),
-        "table7" => experiments::table7(quick),
+        "fig8" => print!("{}", experiments::fig8(quick)),
+        "fig9" => print!("{}", experiments::fig9(quick)),
+        "fig10" => print!("{}", experiments::fig10(quick)),
+        "fig11" => print!("{}", experiments::fig11(quick)),
+        "fig12" => print!("{}", experiments::fig12(quick)),
+        "table5" => print!("{}", experiments::table5(quick)),
+        "table7" => print!("{}", experiments::table7(quick)),
         "trace" => {
             let scenario = args
                 .iter()
@@ -144,19 +137,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        "sweep" => {
-            let matrix = args.iter().any(|a| a == "--matrix");
-            let warm_check = args.iter().any(|a| a == "--warm-check");
-            let specs: Vec<String> = args
-                .iter()
-                .filter(|a| !a.starts_with("--") && *a != "sweep")
-                .cloned()
-                .collect();
-            if let Err(msg) = sweep::run_sweep(&specs, matrix, warm_check, quick) {
-                eprintln!("{msg}");
-                std::process::exit(if specs.is_empty() { 2 } else { 1 });
-            }
-        }
         "perf-gate" => {
             let checks = [
                 perf::check_speedup_gate(perf::SPEEDUP_FLOOR, perf::GATE_PAIRS),
@@ -176,9 +156,12 @@ fn main() {
             let bench = other
                 .strip_prefix("inspect=")
                 .expect("options() admits no other experiment");
-            if let Err(msg) = experiments::inspect(bench, quick) {
-                eprintln!("{msg}");
-                std::process::exit(1);
+            match experiments::inspect(bench, quick) {
+                Ok(result) => print!("{result}"),
+                Err(msg) => {
+                    eprintln!("{msg}");
+                    std::process::exit(1);
+                }
             }
         }
     };
@@ -194,8 +177,8 @@ fn main() {
         run(what);
     }
 
-    // Experiments print a failed job as zeroed statistics (`run_all`); the
-    // exit code is what tells a script or CI the output is not trustworthy.
+    // Experiments print a failed simulation as `failed`; the exit code is
+    // what tells a script or CI that the output is incomplete.
     let failed = SweepService::global().stats().failed;
     if failed > 0 {
         eprintln!("error: {failed} simulation job(s) failed");

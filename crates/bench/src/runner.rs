@@ -1,50 +1,29 @@
-//! Parallel simulation runner — the batch client of the sweep service.
+//! The grid runner: named kernels × labelled configurations, simulated
+//! through the process-wide sweep service.
 //!
 //! Individual simulations are strictly serial (cycle-accurate state), but
-//! experiments sweep many independent (configuration, kernel) pairs. Those
-//! are submitted to the process-wide [`SweepService`] ([`SweepService::global`]),
-//! which content-hashes each job, answers duplicates from its memo store or
-//! by attaching to the identical in-flight run, and executes the rest on
-//! its worker pool (the caller helps while waiting); results come back in
-//! job order — no shared result slots beyond the service, no cloning of
-//! job data.
+//! experiments sweep many independent (kernel, configuration) cells.
+//! [`run_grid`] submits every cell to [`SweepService::global`], which
+//! content-hashes each job, answers duplicates from its memo store or by
+//! attaching to the identical in-flight run, and executes the rest on its
+//! worker pool; then it waits on each cell in turn (the caller helps while
+//! waiting).
 //!
-//! Sweeps are crash-hardened by the service: every job runs under the
-//! supervision stack plus `catch_unwind`, and a job that fails is
-//! *recorded* in the sweep report ([`run_all_report`]) rather than aborting
-//! the other few hundred simulations of an overnight sweep.
+//! Every job runs under the supervision stack plus `catch_unwind`, so a
+//! cell that fails (a configuration error or a panic) keeps its error in
+//! the [`Grid`] beside the good cells instead of sinking the other runs.
+//! The runner names the failed cell on stderr, the experiments print it as
+//! `failed`, and `repro` exits 1.
 //!
 //! Because the service is process-wide, duplicate (configuration, kernel)
-//! pairs are simulated **once per process**, not once per occurrence — a
-//! suite listing the same benchmark twice, or two experiments sharing a
-//! baseline row, hit the memo store on every repeat.
+//! pairs are simulated **once per process**, not once per occurrence: two
+//! experiments sharing a baseline column hit the memo store on every
+//! repeat.
 
 use grs_isa::Kernel;
 use grs_sim::{RunConfig, SimStats};
 
 use crate::service::SweepService;
-
-/// One simulation to run.
-#[derive(Debug, Clone)]
-pub struct Job {
-    /// Label carried through to the result (figure row/series name).
-    pub label: String,
-    /// Run configuration.
-    pub cfg: RunConfig,
-    /// Kernel to simulate.
-    pub kernel: Kernel,
-}
-
-impl Job {
-    /// Convenience constructor.
-    pub fn new(label: impl Into<String>, cfg: RunConfig, kernel: Kernel) -> Self {
-        Job {
-            label: label.into(),
-            cfg,
-            kernel,
-        }
-    }
-}
 
 /// Scale a kernel's grid down for `--quick` smoke runs. The floor keeps at
 /// least one block wave (28 blocks on the Table I machine's 14 SMs × 2
@@ -55,49 +34,69 @@ pub fn shrink_grid(kernel: &mut Kernel, divisor: u32) {
     kernel.grid_blocks = (kernel.grid_blocks / divisor.max(1)).max(floor);
 }
 
-/// Outcome of one job in a hardened sweep.
-#[derive(Debug, Clone)]
-pub struct JobResult {
-    /// The job's label, verbatim.
-    pub label: String,
-    /// Statistics, if the run succeeded.
-    pub stats: Option<SimStats>,
-    /// The configuration error or panic message of a failed run, `None` on
-    /// success.
-    pub error: Option<String>,
+/// Simulation results for named kernels (rows) × labelled configurations
+/// (columns). [`run_grid`] builds it with one cell per (row, column) pair,
+/// which the accessors index by.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Grid {
+    /// Row names, one per kernel.
+    pub rows: Vec<String>,
+    /// Column labels, one per configuration.
+    pub cols: Vec<String>,
+    /// One result per cell, row-major: the statistics, or the
+    /// configuration error or panic message of a failed run.
+    pub cells: Vec<Result<SimStats, String>>,
 }
 
-/// Run every job through the process-wide [`SweepService`] — in parallel
-/// across its worker pool, deduplicated against in-flight and memoized
-/// work, with per-job crash isolation (see the module docs); results come
-/// back in job order, one [`JobResult`] per job.
-pub fn run_all_report(jobs: Vec<Job>) -> Vec<JobResult> {
-    if jobs.is_empty() {
-        return Vec::new();
+impl Grid {
+    /// Cell `(row, col)`'s statistics; `None` if its simulation failed.
+    pub fn stats(&self, row: usize, col: usize) -> Option<&SimStats> {
+        self.cells[row * self.cols.len() + col].as_ref().ok()
     }
-    SweepService::global().sweep(jobs)
+
+    /// `f(cell, baseline)` for cell `(row, col)` against cell `(row, base)`;
+    /// `None` if either simulation failed.
+    pub fn vs(
+        &self,
+        row: usize,
+        col: usize,
+        base: usize,
+        f: impl Fn(&SimStats, &SimStats) -> f64,
+    ) -> Option<f64> {
+        Some(f(self.stats(row, col)?, self.stats(row, base)?))
+    }
 }
 
-/// Run every job, in parallel across available cores; results come back in
-/// job order. A job that fails contributes default (all-zero) statistics
-/// under its label, with a warning on stderr — experiments index results
-/// positionally and must receive exactly one entry per job — and `repro`
-/// exits 1 once it has printed.
-pub fn run_all(jobs: Vec<Job>) -> Vec<(String, SimStats)> {
-    run_all_report(jobs)
-        .into_iter()
-        .map(|r| {
-            let stats = r.stats.unwrap_or_else(|| {
-                eprintln!(
-                    "warning: job `{}` failed ({}); reporting zeroed stats",
-                    r.label,
-                    r.error.as_deref().unwrap_or("no panic message")
-                );
-                SimStats::default()
-            });
-            (r.label, stats)
+/// Simulate every kernel under every configuration through the global
+/// sweep service: submit all cells, then wait on each. A failed cell keeps
+/// its error and is named, with its row and column, on stderr.
+pub fn run_grid(kernels: &[(&str, Kernel)], configs: &[(&str, RunConfig)]) -> Grid {
+    let service = SweepService::global();
+    let handles: Vec<_> = kernels
+        .iter()
+        .flat_map(|(_, k)| {
+            configs
+                .iter()
+                .map(move |(_, cfg)| service.submit(cfg.clone(), k.clone()))
         })
-        .collect()
+        .collect();
+    let cells = handles
+        .iter()
+        .enumerate()
+        .map(|(i, h)| match &h.wait().report {
+            Ok(report) => Ok(report.stats.clone()),
+            Err(e) => {
+                let (row, col) = (kernels[i / configs.len()].0, configs[i % configs.len()].0);
+                eprintln!("warning: {row} under {col} failed: {e}");
+                Err(e.clone())
+            }
+        })
+        .collect();
+    Grid {
+        rows: kernels.iter().map(|(n, _)| n.to_string()).collect(),
+        cols: configs.iter().map(|(l, _)| l.to_string()).collect(),
+        cells,
+    }
 }
 
 #[cfg(test)]
@@ -105,90 +104,80 @@ mod tests {
     use super::*;
     use grs_isa::KernelBuilder;
 
-    #[test]
-    fn runs_jobs_in_order() {
+    fn one_sm() -> RunConfig {
         let mut cfg = RunConfig::baseline_lrr();
         cfg.gpu.num_sms = 1;
-        let k = |n: u32| {
-            KernelBuilder::new(format!("k{n}"))
-                .threads_per_block(32)
-                .regs_per_thread(8)
-                .grid_blocks(n)
-                .ialu(3)
-                .build()
-        };
-        let jobs = vec![
-            Job::new("a", cfg.clone(), k(1)),
-            Job::new("b", cfg.clone(), k(2)),
-            Job::new("c", cfg, k(3)),
-        ];
-        let out = run_all(jobs);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].0, "a");
-        assert_eq!(out[2].0, "c");
-        assert_eq!(out[0].1.blocks_completed, 1);
-        assert_eq!(out[2].1.blocks_completed, 3);
+        cfg
     }
 
-    #[test]
-    fn parallel_runner_is_deterministic() {
-        // Thread scheduling must not leak into results: two parallel sweeps
-        // of the same jobs yield identical stats (each simulation is a pure
-        // function of its config and kernel).
-        let mut cfg = RunConfig::baseline_lrr();
-        cfg.gpu.num_sms = 2;
-        let jobs = || -> Vec<Job> {
-            (1..=6u32)
-                .map(|n| {
-                    let k = KernelBuilder::new(format!("k{n}"))
-                        .threads_per_block(64)
-                        .regs_per_thread(12)
-                        .grid_blocks(4 * n)
-                        .ialu(n)
-                        .build();
-                    Job::new(format!("job{n}"), cfg.clone(), k)
-                })
-                .collect()
-        };
-        assert_eq!(run_all(jobs()), run_all(jobs()));
-    }
-
-    #[test]
-    fn a_failing_job_is_recorded_without_sinking_the_sweep() {
-        // grid_blocks = 0 fails validation; the sweep must still return
-        // every job in order.
-        let mut cfg = RunConfig::baseline_lrr();
-        cfg.gpu.num_sms = 1;
-        let good = KernelBuilder::new("good")
+    fn kernel(blocks: u32) -> Kernel {
+        KernelBuilder::new(format!("k{blocks}"))
             .threads_per_block(32)
             .regs_per_thread(8)
-            .grid_blocks(2)
+            .grid_blocks(blocks)
             .ialu(3)
-            .build();
-        let mut bad = good.clone();
-        bad.grid_blocks = 0;
-        let jobs = vec![
-            Job::new("a", cfg.clone(), good.clone()),
-            Job::new("boom", cfg.clone(), bad),
-            Job::new("c", cfg.clone(), good.clone()),
-        ];
-        let report = run_all_report(jobs.clone());
-        assert_eq!(report.len(), 3);
-        assert_eq!(report[0].label, "a");
-        assert!(report[0].stats.is_some() && report[0].error.is_none());
-        let failed = &report[1];
-        assert_eq!(failed.label, "boom");
-        assert!(failed.stats.is_none());
-        assert!(failed.error.is_some());
-        assert!(report[2].stats.is_some());
+            .build()
+    }
 
-        // The positional interface substitutes zeroed stats, preserving the
-        // one-entry-per-job shape experiments index into.
-        let flat = run_all(jobs);
-        assert_eq!(flat.len(), 3);
-        assert_eq!(flat[1].0, "boom");
-        assert_eq!(flat[1].1, SimStats::default());
-        assert_eq!(flat[2].1.blocks_completed, 2);
+    #[test]
+    fn cells_come_back_in_row_major_order() {
+        // Rows differ in grid size, columns in whether the run is cut
+        // short, so every cell shows where it came from.
+        let mut cut = one_sm();
+        cut.max_cycles = 4;
+        let g = run_grid(
+            &[("a", kernel(1)), ("b", kernel(2)), ("c", kernel(3))],
+            &[("full", one_sm()), ("cut", cut)],
+        );
+        assert_eq!(g.rows, ["a", "b", "c"]);
+        assert_eq!(g.cols, ["full", "cut"]);
+        assert_eq!(g.cells.len(), 6);
+        for (r, blocks) in [1, 2, 3].into_iter().enumerate() {
+            let (full, cut) = (g.stats(r, 0).unwrap(), g.stats(r, 1).unwrap());
+            assert_eq!(full.blocks_completed, blocks);
+            assert!(!full.timed_out && cut.timed_out);
+            assert_eq!(&g.cells[2 * r], &Ok(full.clone()));
+        }
+    }
+
+    #[test]
+    fn two_runs_are_equal() {
+        // Thread scheduling must not leak into results: each simulation is
+        // a pure function of its config and kernel.
+        let mut cfg = RunConfig::baseline_lrr();
+        cfg.gpu.num_sms = 2;
+        let kernels: Vec<(&str, Kernel)> = ["k1", "k2", "k3", "k4", "k5", "k6"]
+            .into_iter()
+            .zip(1..)
+            .map(|(name, n)| {
+                let k = KernelBuilder::new(name)
+                    .threads_per_block(64)
+                    .regs_per_thread(12)
+                    .grid_blocks(4 * n)
+                    .ialu(n)
+                    .build();
+                (name, k)
+            })
+            .collect();
+        let configs = [("lrr", cfg)];
+        assert_eq!(run_grid(&kernels, &configs), run_grid(&kernels, &configs));
+    }
+
+    #[test]
+    fn a_failed_cell_keeps_its_error_beside_good_cells() {
+        // grid_blocks = 0 fails validation; the other cells still run.
+        let mut bad = kernel(2);
+        bad.grid_blocks = 0;
+        let g = run_grid(
+            &[("good", kernel(2)), ("boom", bad), ("also-good", kernel(2))],
+            &[("lrr", one_sm())],
+        );
+        assert_eq!(g.stats(0, 0).unwrap().blocks_completed, 2);
+        assert!(g.stats(1, 0).is_none());
+        assert!(!g.cells[1].as_ref().unwrap_err().is_empty());
+        assert_eq!(g.stats(2, 0), g.stats(0, 0));
+        assert_eq!(g.vs(1, 0, 0, SimStats::ipc_improvement_pct), None);
+        assert_eq!(g.vs(0, 0, 0, SimStats::ipc_improvement_pct), Some(0.0));
     }
 
     #[test]

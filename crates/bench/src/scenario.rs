@@ -7,9 +7,9 @@
 //! `grs_workloads::gen`). The matrix is the set of configurations the paper
 //! compares — the three baselines and the two sharing modes — plus the
 //! event-memory-model point whose back-pressure counters the generated
-//! `mshr-thrash` family targets. Rows run through the crash-hardened
-//! [`crate::runner::run_all_report`] sweep, so one misbehaving
-//! configuration reports its panic instead of sinking the table.
+//! `mshr-thrash` family targets. Rows run through the grid runner
+//! ([`crate::runner::run_grid`]), so one misbehaving configuration prints
+//! `failed` (and its error on stderr) instead of sinking the table.
 //!
 //! With `--check`, the baseline row additionally re-runs on the per-cycle
 //! reference loop and asserts bit-identical statistics — the same
@@ -18,11 +18,11 @@
 
 use grs_sim::{MemoryModel, RunConfig, SimStats, Simulator};
 
-use crate::runner::{run_all_report, shrink_grid, Job};
+use crate::runner::{run_grid, shrink_grid};
 
-/// The comparison rows `repro run` sweeps (and `repro sweep --matrix`
-/// reuses): label plus configuration.
-pub(crate) fn matrix() -> Vec<(&'static str, RunConfig)> {
+/// The comparison rows `repro run` sweeps, baseline first: label plus
+/// configuration.
+fn matrix() -> Vec<(&'static str, RunConfig)> {
     vec![
         ("lrr", RunConfig::baseline_lrr()),
         ("gto", RunConfig::baseline_gto()),
@@ -36,7 +36,10 @@ pub(crate) fn matrix() -> Vec<(&'static str, RunConfig)> {
     ]
 }
 
-fn row(label: &str, stats: &SimStats) -> String {
+fn row(label: &str, stats: Option<&SimStats>) -> String {
+    let Some(stats) = stats else {
+        return format!("{label:<14} failed");
+    };
     format!(
         "{:<14} {:>10} {:>8.3} {:>7} {:>8} {:>10} {:>10} {:>10}",
         label,
@@ -78,36 +81,18 @@ pub fn run_scenario(scenario: &str, quick: bool, check: bool) -> Result<(), Stri
         "config", "cycles", "ipc", "blocks", "maxres", "stalls", "mshr-full", "dramq-full"
     );
 
-    let jobs: Vec<Job> = matrix()
-        .into_iter()
-        .map(|(label, cfg)| Job::new(label, cfg, kernel.clone()))
-        .collect();
-    let mut failed = false;
-    let mut baseline = None;
-    for r in run_all_report(jobs) {
-        match r.stats {
-            Some(stats) => {
-                println!("{}", row(&r.label, &stats));
-                if r.label == "lrr" {
-                    baseline = Some(stats);
-                }
-            }
-            None => {
-                failed = true;
-                println!(
-                    "{:<14} FAILED: {}",
-                    r.label,
-                    r.error.as_deref().unwrap_or("no panic message")
-                );
-            }
-        }
+    let grid = run_grid(&[(scenario, kernel.clone())], &matrix());
+    for (c, label) in grid.cols.iter().enumerate() {
+        println!("{}", row(label, grid.stats(0, c)));
     }
 
     if check {
-        let baseline = baseline.ok_or("baseline row failed; nothing to check against")?;
+        let baseline = grid
+            .stats(0, 0)
+            .ok_or("baseline row failed; nothing to check against")?;
         let reference =
             Simulator::new(RunConfig::baseline_lrr().with_fast_forward(false)).run(&kernel);
-        if reference != baseline {
+        if &reference != baseline {
             return Err(format!(
                 "engine divergence: the per-cycle reference disagrees with the \
                  fast-forward baseline on `{scenario}`"
@@ -115,7 +100,7 @@ pub fn run_scenario(scenario: &str, quick: bool, check: bool) -> Result<(), Stri
         }
         println!("check OK: the per-cycle reference engine is bit-identical to the baseline");
     }
-    if failed {
+    if grid.cells.iter().any(Result::is_err) {
         return Err("one or more matrix rows failed".to_string());
     }
     Ok(())

@@ -28,11 +28,11 @@
 //! write-once job cell and receives the one shared outcome.
 //!
 //! The queue is *persistent* at process scope: [`SweepService::global`]
-//! hands out one process-wide instance that [`crate::run_all`] /
-//! [`crate::run_all_report`] (and through them every experiment and
-//! `repro run`) and `repro trace` share, so duplicate configurations dedupe
-//! across sweeps, not just within one. Tests wanting exact counter
-//! assertions build private instances with [`SweepService::new`].
+//! hands out one process-wide instance that the grid runner
+//! ([`crate::run_grid`], and through it every experiment and `repro run`)
+//! and `repro trace` share, so duplicate configurations dedupe across
+//! grids, not just within one. Tests wanting exact counter assertions
+//! build private instances with [`SweepService::new`].
 
 pub mod hash;
 pub mod memo;
@@ -121,9 +121,9 @@ impl JobHandle {
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Worker threads to spawn. `0` spawns none: tasks queue until a
-    /// [`JobHandle::wait`], [`SweepService::drain`], or
-    /// [`SweepService::sweep`] executes them on the calling thread — the
-    /// mode tests use for exact in-flight-dedup counter assertions.
+    /// [`JobHandle::wait`] or [`SweepService::drain`] executes them on the
+    /// calling thread — the mode tests use for exact in-flight-dedup
+    /// counter assertions.
     pub workers: usize,
     /// Memo-store capacity in outcomes (`0` disables memoization).
     pub memo_capacity: usize,
@@ -162,7 +162,7 @@ impl SweepService {
         }
     }
 
-    /// The process-wide instance behind [`crate::run_all`] and friends.
+    /// The process-wide instance behind [`crate::run_grid`] and `repro trace`.
     /// Never dropped; its memo store is what makes duplicate configurations
     /// across separate sweeps in one process free.
     pub fn global() -> &'static SweepService {
@@ -206,34 +206,6 @@ impl SweepService {
             cell,
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Submit a batch and wait for all of it; results come back in
-    /// submission order as [`crate::JobResult`]s (the hardened-sweep shape
-    /// [`crate::run_all_report`] has always returned).
-    pub fn sweep(&self, jobs: Vec<crate::Job>) -> Vec<crate::JobResult> {
-        let handles: Vec<(String, JobHandle)> = jobs
-            .into_iter()
-            .map(|j| (j.label, self.submit(j.cfg, j.kernel)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|(label, h)| {
-                let o = h.wait();
-                match &o.report {
-                    Ok(report) => crate::JobResult {
-                        label,
-                        stats: Some(report.stats.clone()),
-                        error: None,
-                    },
-                    Err(e) => crate::JobResult {
-                        label,
-                        stats: None,
-                        error: Some(e.clone()),
-                    },
-                }
-            })
-            .collect()
     }
 
     /// Execute every pending task on the calling thread, in queue order.

@@ -351,10 +351,8 @@ pub fn run_trace(
             telemetry.sm_samples.len() + telemetry.mem_samples.len()
         );
     }
-    print!(
-        "{}",
-        report.summary_with(Some(&crate::service::SweepService::global().stats()))
-    );
+    print!("{}", report.summary());
+    println!("{}", crate::service::SweepService::global().stats());
     println!("trace OK: {scenario}");
     Ok(())
 }

@@ -48,9 +48,12 @@ fn an_option_the_experiment_does_not_read_is_a_usage_error() {
 
 #[test]
 fn an_unknown_experiment_exits_2() {
-    let out = repro(&["nonsense"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(stderr(&out).contains("unknown experiment: nonsense"));
+    for what in ["nonsense", "sweep"] {
+        let out = repro(&[what]);
+        assert_eq!(out.status.code(), Some(2), "{what}: {}", stderr(&out));
+        assert!(stderr(&out).contains(&format!("unknown experiment: {what}")));
+        assert!(out.stdout.is_empty(), "{what}: nothing runs");
+    }
 }
 
 #[test]

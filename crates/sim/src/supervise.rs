@@ -135,9 +135,9 @@ pub struct MemDiag {
 /// Per-service counters of a memoizing sweep service (the `grs-bench`
 /// service layer): how many jobs were submitted, how many were answered
 /// without simulating (in-flight dedup and memo hits), and how the executed
-/// remainder fared. Lives here — next to [`RunReport`] — so a report
-/// rendered through [`RunReport::summary_with`] can surface the service
-/// context a result was served under.
+/// remainder fared. Its `Display` renders one `service: …` line, which
+/// `repro trace` prints after the [`RunReport::summary`] of the run it
+/// served.
 ///
 /// Every run is deterministic by construction (the repository's
 /// bit-identity test suites pin this), which is what makes exact
@@ -205,13 +205,6 @@ impl RunReport {
     /// Multi-line human-readable summary of the run: outcome, headline
     /// statistics, the stall breakdown, and the telemetry footprint.
     pub fn summary(&self) -> String {
-        self.summary_with(None)
-    }
-
-    /// [`Self::summary`] plus, when given, the [`ServiceStats`] of the sweep
-    /// service that served this report — so a memoized result prints the
-    /// dedup/memo context it was answered under.
-    pub fn summary_with(&self, service: Option<&ServiceStats>) -> String {
         use std::fmt::Write as _;
         let s = &self.stats;
         let mut out = String::new();
@@ -246,9 +239,6 @@ impl RunReport {
         );
         if let Some(t) = &self.telemetry {
             let _ = writeln!(out, "telemetry: {}", t.summary());
-        }
-        if let Some(s) = service {
-            let _ = writeln!(out, "{s}");
         }
         out
     }

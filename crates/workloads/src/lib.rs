@@ -30,6 +30,5 @@ pub mod suite;
 
 pub use gen::{generate, pinned_corpus, Family, GenSpec, SizeClass};
 pub use suite::{
-    all_benchmarks, benchmark, canonical_scenario, set1_benchmarks, set2_benchmarks,
-    set3_benchmarks, BenchSet,
+    all_benchmarks, benchmark, set1_benchmarks, set2_benchmarks, set3_benchmarks, BenchSet,
 };

@@ -107,32 +107,6 @@ pub fn benchmark(name: &str) -> Option<Kernel> {
     Some(k)
 }
 
-/// Canonicalize a scenario spec to the one stable spelling [`benchmark`]
-/// documents: fixed names fold to lowercase with aliases resolved
-/// (`BTREE` → `b+tree`), generator specs re-render through
-/// [`crate::gen::GenSpec::scenario_name`] so defaults are made explicit
-/// (`GEN:Bursty:7` → `gen:bursty:7:small`). Returns `None` exactly when
-/// [`benchmark`] would. Two spellings with the same canonical form name the
-/// same kernel, which is what lets a content-hashing sweep service treat
-/// the canonical spec as part of a job's identity.
-pub fn canonical_scenario(name: &str) -> Option<String> {
-    let n = name.to_ascii_lowercase();
-    if n.starts_with("gen:") {
-        return crate::gen::GenSpec::parse(&n)
-            .ok()
-            .map(|s| s.scenario_name());
-    }
-    let canon = match n.as_str() {
-        "b+tree" | "btree" => "b+tree",
-        "mri-q" | "mriq" => "mri-q",
-        "backprop" | "hotspot" | "lib" | "mum" | "sgemm" | "stencil" | "conv1" | "conv2"
-        | "lavamd" | "nw1" | "nw2" | "srad1" | "srad2" | "backprop-lf" | "bfs" | "gaussian"
-        | "nn" => n.as_str(),
-        _ => return None,
-    };
-    Some(canon.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,28 +146,6 @@ mod tests {
         );
         assert!(benchmark("gen:nope:1").is_none());
         assert!(benchmark("gen:bursty:notanumber").is_none());
-    }
-
-    #[test]
-    fn canonicalization_folds_aliases_and_gen_defaults() {
-        assert_eq!(canonical_scenario("BTREE").as_deref(), Some("b+tree"));
-        assert_eq!(canonical_scenario("b+tree").as_deref(), Some("b+tree"));
-        assert_eq!(canonical_scenario("MRIQ").as_deref(), Some("mri-q"));
-        assert_eq!(canonical_scenario("Gaussian").as_deref(), Some("gaussian"));
-        assert_eq!(
-            canonical_scenario("GEN:Bursty:7").as_deref(),
-            Some("gen:bursty:7:small"),
-            "gen specs gain explicit defaults and lowercase"
-        );
-        assert_eq!(canonical_scenario("nope"), None);
-        assert_eq!(canonical_scenario("gen:warp-yoga:1"), None);
-        // Canonical forms are fixed points and always resolve.
-        for name in ["btree", "MRIQ", "gen:MIXED:3133", "nw2"] {
-            let canon = canonical_scenario(name).unwrap();
-            assert_eq!(canonical_scenario(&canon).as_deref(), Some(canon.as_str()));
-            assert_eq!(benchmark(&canon), benchmark(name), "{name}");
-            assert!(benchmark(&canon).is_some());
-        }
     }
 
     #[test]

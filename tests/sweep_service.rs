@@ -1,6 +1,6 @@
 //! Correctness battery for the sweep service (`grs_bench::service`): exact
 //! memoization, in-flight dedup, key soundness/discrimination, and the
-//! `run_all` duplicate-suite fix.
+//! grid runner's one execution per duplicate row.
 //!
 //! The battery leans on the repo's foundational invariant — the simulator
 //! is a *pure function* of `(RunConfig, Kernel)` — and checks
@@ -14,7 +14,7 @@ use gpu_resource_sharing::core::SchedulerKind;
 use gpu_resource_sharing::prelude::*;
 use gpu_resource_sharing::sim::ServiceStats;
 use grs_bench::service::{job_key, ServiceConfig};
-use grs_bench::{Job, JobSource, SweepService};
+use grs_bench::{run_grid, JobSource, SweepService};
 use proptest::prelude::*;
 use workloads::gen::{Family, GenSpec, SizeClass};
 
@@ -289,31 +289,31 @@ proptest! {
 }
 
 #[test]
-fn run_all_deduplicates_duplicate_suite_entries() {
-    // Regression for the duplicate-suite fix: a sweep listing the same
-    // (benchmark, config) pair under several labels used to simulate it
-    // once per label; through the service every repeat after the first is
+fn run_grid_deduplicates_duplicate_suite_entries() {
+    // Regression for the duplicate-suite fix: a grid listing the same
+    // (benchmark, config) pair under several row names used to simulate it
+    // once per name; through the service every repeat after the first is
     // answered by dedup or the memo store. Uses a kernel unique to this
     // test so the global service's counter deltas are exactly ours.
-    let cfg = tiny_cfg();
     let k = tiny_kernel(777);
-    let jobs = vec![
-        Job::new("suite-a/k", cfg.clone(), k.clone()),
-        Job::new("suite-b/k", cfg.clone(), k.clone()),
-        Job::new("suite-c/k", cfg.clone(), k.clone()),
-        Job::new("suite-a/k-again", cfg, k),
+    let rows = [
+        ("suite-a/k", k.clone()),
+        ("suite-b/k", k.clone()),
+        ("suite-c/k", k.clone()),
+        ("suite-a/k-again", k),
     ];
     let before = SweepService::global().stats();
-    let results = grs_bench::run_all(jobs);
+    let grid = run_grid(&rows, &[("tiny", tiny_cfg())]);
     let after = SweepService::global().stats();
 
-    assert_eq!(results.len(), 4, "one entry per label, as always");
-    for (label, stats) in &results[1..] {
+    assert_eq!(grid.cells.len(), 4, "one cell per row, as always");
+    for (r, name) in grid.rows.iter().enumerate().skip(1) {
         assert_eq!(
-            stats, &results[0].1,
-            "duplicate entry `{label}` must report identical stats"
+            grid.cells[r], grid.cells[0],
+            "duplicate row `{name}` must report identical stats"
         );
     }
+    assert!(grid.cells[0].is_ok());
     assert_eq!(after.submitted - before.submitted, 4);
     assert_eq!(
         after.executed - before.executed,
@@ -333,24 +333,31 @@ fn warm_resubmission_of_the_pinned_corpus_is_all_memo_hits() {
     // corpus (6 families x 3 seeds), resubmitted warm, completes with zero
     // simulations executed and bit-identical statistics.
     let service = SweepService::new(ServiceConfig::default());
-    let jobs = || -> Vec<Job> {
-        workloads::pinned_corpus()
+    let pass = || -> Vec<SimStats> {
+        let handles: Vec<_> = workloads::pinned_corpus()
             .into_iter()
             .map(|spec| {
                 let mut cfg = RunConfig::baseline_lrr();
                 cfg.gpu.num_sms = 2;
-                Job::new(spec.scenario_name(), cfg, spec.build())
+                service.submit(cfg, spec.build())
+            })
+            .collect();
+        handles
+            .iter()
+            .map(|h| {
+                let outcome = h.wait();
+                let report = outcome.report.as_ref().expect("clean run");
+                report.stats.clone()
             })
             .collect()
     };
 
-    let cold = service.sweep(jobs());
+    let cold = pass();
     let cold_stats = service.stats();
     assert_eq!(cold.len(), 18);
     assert_eq!(cold_stats.executed, 18, "cold pass simulates everything");
-    assert!(cold.iter().all(|r| r.stats.is_some()));
 
-    let warm = service.sweep(jobs());
+    let warm = pass();
     let warm_stats = service.stats();
     assert_eq!(
         warm_stats.executed, 18,
@@ -358,29 +365,22 @@ fn warm_resubmission_of_the_pinned_corpus_is_all_memo_hits() {
     );
     assert_eq!(warm_stats.memo_hits, 18, "every warm job is a memo hit");
     assert_eq!(warm_stats.submitted, 36);
-    for (c, w) in cold.iter().zip(&warm) {
-        assert_eq!(c.label, w.label);
-        assert_eq!(c.stats, w.stats, "bit-identical SimStats for `{}`", c.label);
+    for (spec, (c, w)) in workloads::pinned_corpus()
+        .iter()
+        .zip(cold.iter().zip(&warm))
+    {
+        assert_eq!(
+            c,
+            w,
+            "bit-identical SimStats for `{}`",
+            spec.scenario_name()
+        );
     }
     assert!((warm_stats.hit_rate() - 0.5).abs() < 1e-12);
 }
 
 #[test]
-fn service_stats_render_in_the_report_summary() {
-    let service = SweepService::new(ServiceConfig::default());
-    let outcome = service.submit(tiny_cfg(), tiny_kernel(9)).wait();
-    let report = outcome.report.as_ref().expect("clean run");
-
-    let plain = report.summary();
-    assert!(!plain.contains("service:"), "no service line without stats");
-
-    let s = service.stats();
-    let with = report.summary_with(Some(&s));
-    assert!(with.starts_with(&plain), "the service line is appended");
-    assert!(with.contains("service: 1 submitted"), "{with}");
-    assert!(with.contains("1 executed"), "{with}");
-
-    // The Display form carries every counter.
+fn service_stats_display_carries_every_counter() {
     let line = format!("{}", ServiceStats::default());
     for field in [
         "submitted",
