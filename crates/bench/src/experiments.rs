@@ -552,32 +552,60 @@ pub struct Inspect {
 /// configurations (not a paper artifact; used to calibrate workload models
 /// and debug regressions). Fails on an unknown benchmark name.
 pub fn inspect(name: &str, quick: bool) -> Result<Inspect, String> {
-    use SchedulerKind::{Gto, Lrr, Owf};
     let Some(mut k) = grs_workloads::benchmark(name) else {
         return Err(format!("unknown benchmark {name}"));
     };
     if quick {
         shrink_grid(&mut k, 4);
     }
+    let configs = inspect_configs(&k);
+    let configs: Vec<_> = configs
+        .iter()
+        .map(|(l, c)| (l.as_str(), c.clone()))
+        .collect();
+    Ok(Inspect {
+        grid_blocks: k.grid_blocks,
+        grid: run_grid(&[(name, k)], &configs),
+    })
+}
+
+/// The configurations `inspect` runs `k` under, each distinct one once:
+/// the two unshared baselines, then the sharing the paper applies to `k`
+/// (scratchpad above 2 KiB per block, else registers) without, with part
+/// of and with all of its optimizations. Scratchpad sharing has neither
+/// Unroll nor Dyn, so there a variant differs only in its scheduler, and
+/// its row names only that.
+fn inspect_configs(k: &Kernel) -> Vec<(String, RunConfig)> {
+    use SchedulerKind::{Gto, Lrr, Owf};
     let share = if k.smem_per_block > 2048 {
         RunConfig::paper_scratchpad_sharing()
     } else {
         RunConfig::paper_register_sharing()
     };
-    let configs = [
-        ("Unshared-LRR", RunConfig::baseline_lrr()),
-        ("Unshared-GTO", RunConfig::baseline_gto()),
-        ("Shared-LRR-NoOpt", variant(&share, Lrr, false, false)),
-        ("Shared-OWF-NoOpt", variant(&share, Owf, false, false)),
-        ("Shared-LRR-Unroll", variant(&share, Lrr, true, false)),
-        ("Shared-GTO-Unroll", variant(&share, Gto, true, false)),
-        ("Shared-OWF-NoDyn", variant(&share, Owf, true, false)),
-        ("Shared-full", share),
+    let has_opts = share.reorder_decls || share.dyn_throttle;
+    let mut configs = vec![
+        ("Unshared-LRR".to_string(), RunConfig::baseline_lrr()),
+        ("Unshared-GTO".to_string(), RunConfig::baseline_gto()),
     ];
-    Ok(Inspect {
-        grid_blocks: k.grid_blocks,
-        grid: run_grid(&[(name, k)], &configs),
-    })
+    for (label, scheduler, unroll, dynamic) in [
+        ("Shared-LRR-NoOpt", Lrr, false, false),
+        ("Shared-OWF-NoOpt", Owf, false, false),
+        ("Shared-LRR-Unroll", Lrr, true, false),
+        ("Shared-GTO-Unroll", Gto, true, false),
+        ("Shared-OWF-NoDyn", Owf, true, false),
+        ("Shared-full", Owf, true, true),
+    ] {
+        let cfg = variant(&share, scheduler, unroll, dynamic);
+        if configs.iter().all(|(_, c)| *c != cfg) {
+            let label = if has_opts {
+                label.to_string()
+            } else {
+                format!("Shared-{}", scheduler.name())
+            };
+            configs.push((label, cfg));
+        }
+    }
+    configs
 }
 
 /// One `inspect` column: heading, width and the counter it shows.
@@ -924,6 +952,45 @@ mod tests {
                 vec![at(1), last],
             ),
         }
+    }
+
+    #[test]
+    fn inspect_runs_each_distinct_configuration_once() {
+        let labels = |name| {
+            let k = grs_workloads::benchmark(name).unwrap();
+            let configs = inspect_configs(&k);
+            for (i, (a, x)) in configs.iter().enumerate() {
+                for (b, y) in &configs[i + 1..] {
+                    assert!(x != y && a != b, "{name}: {a} duplicates {b}");
+                }
+            }
+            configs.into_iter().map(|(l, _)| l).collect::<Vec<_>>()
+        };
+        // Register sharing: every optimization step is its own run.
+        assert_eq!(
+            labels("hotspot"),
+            [
+                "Unshared-LRR",
+                "Unshared-GTO",
+                "Shared-LRR-NoOpt",
+                "Shared-OWF-NoOpt",
+                "Shared-LRR-Unroll",
+                "Shared-GTO-Unroll",
+                "Shared-OWF-NoDyn",
+                "Shared-full"
+            ]
+        );
+        // Scratchpad sharing has no optimization to toggle.
+        assert_eq!(
+            labels("conv1"),
+            [
+                "Unshared-LRR",
+                "Unshared-GTO",
+                "Shared-LRR",
+                "Shared-OWF",
+                "Shared-GTO"
+            ]
+        );
     }
 
     #[test]

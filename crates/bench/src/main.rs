@@ -27,8 +27,9 @@
 //!            stress-profile spec — across the baseline/sharing config
 //!            matrix and print the comparison table:
 //!            repro run <name|gen:<family>:<seed>[:<size>]> [--check]
-//!            (--check re-runs the baseline on the per-cycle reference
-//!            engine and asserts bit-identical statistics)
+//!            (--check re-runs the lrr and lrr/event rows on the
+//!            per-cycle reference engine and asserts bit-identical
+//!            statistics)
 //!   perf-gate  check both wall-clock ratios on the dead-wait scenario and
 //!            exit 1 if either fails: the fast-forward speedup over the
 //!            per-cycle reference (floor 5x) and the telemetry overhead

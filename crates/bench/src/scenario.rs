@@ -11,14 +11,20 @@
 //! ([`crate::runner::run_grid`]), so one misbehaving configuration prints
 //! `failed` (and its error on stderr) instead of sinking the table.
 //!
-//! With `--check`, the baseline row additionally re-runs on the per-cycle
-//! reference loop and asserts bit-identical statistics — the same
-//! differential oracle `tests/generated_differential.rs` applies to the
-//! whole pinned corpus, available ad hoc for any scenario.
+//! With `--check`, the baseline row and its finite-memory twin (`lrr`
+//! and `lrr/event`) additionally re-run on the per-cycle reference loop and
+//! assert bit-identical statistics — the same differential oracle
+//! `tests/generated_differential.rs` applies to the whole pinned corpus,
+//! available ad hoc for any scenario, on both the always-open memory gate
+//! and the finite buffers that close it.
 
 use grs_sim::{MemoryModel, RunConfig, SimStats, Simulator};
 
 use crate::runner::{run_grid, shrink_grid};
+
+/// The rows `--check` re-runs on the per-cycle reference: the baseline
+/// under both memory presets.
+const CHECKED: [&str; 2] = ["lrr", "lrr/event"];
 
 /// The comparison rows `repro run` sweeps, baseline first: label plus
 /// configuration.
@@ -55,8 +61,8 @@ fn row(label: &str, stats: Option<&SimStats>) -> String {
 
 /// Run `scenario` across the configuration matrix and print the table.
 /// `quick` divides the grid by 4 (floored like every other experiment);
-/// `check` re-runs the baseline on the per-cycle reference engine and
-/// asserts bit-identity.
+/// `check` re-runs the `lrr` and `lrr/event` rows on the per-cycle
+/// reference engine and asserts bit-identity.
 pub fn run_scenario(scenario: &str, quick: bool, check: bool) -> Result<(), String> {
     let mut kernel = grs_workloads::benchmark(scenario).ok_or_else(|| {
         format!(
@@ -81,24 +87,32 @@ pub fn run_scenario(scenario: &str, quick: bool, check: bool) -> Result<(), Stri
         "config", "cycles", "ipc", "blocks", "maxres", "stalls", "mshr-full", "dramq-full"
     );
 
-    let grid = run_grid(&[(scenario, kernel.clone())], &matrix());
+    let matrix = matrix();
+    let grid = run_grid(&[(scenario, kernel.clone())], &matrix);
     for (c, label) in grid.cols.iter().enumerate() {
         println!("{}", row(label, grid.stats(0, c)));
     }
 
     if check {
-        let baseline = grid
-            .stats(0, 0)
-            .ok_or("baseline row failed; nothing to check against")?;
-        let reference =
-            Simulator::new(RunConfig::baseline_lrr().with_fast_forward(false)).run(&kernel);
-        if &reference != baseline {
-            return Err(format!(
-                "engine divergence: the per-cycle reference disagrees with the \
-                 fast-forward baseline on `{scenario}`"
-            ));
+        for (c, (label, cfg)) in matrix.into_iter().enumerate() {
+            if !CHECKED.contains(&label) {
+                continue;
+            }
+            let fast = grid
+                .stats(0, c)
+                .ok_or_else(|| format!("{label} row failed; nothing to check against"))?;
+            let reference = Simulator::new(cfg.with_fast_forward(false)).run(&kernel);
+            if &reference != fast {
+                return Err(format!(
+                    "engine divergence: the per-cycle reference disagrees with the \
+                     fast-forward {label} row on `{scenario}`"
+                ));
+            }
         }
-        println!("check OK: the per-cycle reference engine is bit-identical to the baseline");
+        println!(
+            "check OK: the per-cycle reference engine is bit-identical to the {} rows",
+            CHECKED.join(" and ")
+        );
     }
     if grid.cells.iter().any(Result::is_err) {
         return Err("one or more matrix rows failed".to_string());
@@ -127,6 +141,21 @@ mod tests {
     #[test]
     fn a_fixed_benchmark_resolves_too() {
         run_scenario("gaussian", true, false).expect("fixed benchmark sweep");
+    }
+
+    #[test]
+    fn check_diffs_both_memory_presets_of_the_baseline() {
+        let matrix = matrix();
+        let row = |label| matrix.iter().find(|(l, _)| *l == label).map(|(_, c)| c);
+        for label in CHECKED {
+            assert!(row(label).is_some(), "{label} is not a matrix row");
+        }
+        // One row whose memory gate never closes, one with finite buffers.
+        let finite = |label| {
+            let mem = row(label).unwrap().gpu.mem;
+            mem.mshr_entries > 0 || mem.dram_queue_entries > 0
+        };
+        assert!(!finite("lrr") && finite("lrr/event"));
     }
 
     #[test]

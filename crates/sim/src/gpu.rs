@@ -48,12 +48,21 @@
 //! release ([`crate::mem::SharedMem::next_release`]), and the skipped span
 //! is credited as *stall* cycles with the per-warp MSHR-full/queue-full
 //! counters scaled in closed form ([`crate::sm::Sm::credit_gated`] — exact
-//! because the gate provably cannot open before the next release). SMs that
-//! sleep purely on writebacks never need a release wake-up: the gate only
-//! blocks warps the scan would classify gated, and capacity releases are
-//! processed lazily ([`crate::mem::SharedMem::advance_to`]) with the
-//! occupancy integrals credited piecewise at event times, which keeps them
-//! exact across arbitrarily long clock jumps.
+//! because the gate provably cannot open before the next release). A
+//! release rarely frees room for a whole instruction, so a gated sleeper
+//! woken by a release alone (its own next writeback is later) is not
+//! stepped at once: the engine settles memory for it and, if the gate
+//! still admits none of its gated warps ([`crate::sm::Sm::gate_holds`]),
+//! re-arms it at the next writeback or release without stepping or
+//! crediting it — the step would only have repeated the last one's
+//! accounting, which the longer span credits. Only releases open the gate
+//! (an earlier-stepped SM's admission in the same cycle can only close
+//! it), and the gate is read at the SM's own turn, as its step would read
+//! it. SMs that sleep purely on writebacks never need a release wake-up:
+//! the gate only blocks warps the scan would classify gated, and capacity
+//! releases are processed lazily ([`crate::mem::SharedMem::advance_to`])
+//! with the occupancy integrals credited piecewise at event times, which
+//! keeps them exact across arbitrarily long clock jumps.
 
 use grs_core::{DynThrottle, GpuConfig, LaunchPlan, ResourceKind, SchedulerKind};
 
@@ -262,6 +271,18 @@ impl Gpu {
                 if st.wake_at[i] > cycle {
                     continue;
                 }
+                if st.sleep_from[i].is_some() && self.sms[i].next_wake().is_none_or(|w| w > cycle) {
+                    // A gated sleeper woken by a capacity release alone. Only
+                    // releases open the gate (an earlier SM's admission this
+                    // cycle can only close it), so if it still blocks every
+                    // gated warp, the step would repeat the last one: sleep
+                    // on, uncredited, until the next writeback or release.
+                    self.shared.advance_to(cycle);
+                    if self.sms[i].gate_holds(self.shared.issue_gate()) {
+                        st.wake_at[i] = self.quiescent_wake(i, cycle, true);
+                        continue;
+                    }
+                }
                 if let Some(since) = st.sleep_from[i].take() {
                     if st.sleep_stalled[i] {
                         self.sms[i].credit_gated(since, cycle);
@@ -283,23 +304,7 @@ impl Gpu {
                 }
                 st.wake_at[i] = if self.fast_forward && out.quiescent {
                     if out.live {
-                        let mut wake = self.sms[i].next_wake();
-                        if out.gated {
-                            // Memory back-pressure only lifts when an MSHR
-                            // entry or DRAM-queue slot drains: wake on the
-                            // next capacity release too.
-                            wake = match (wake, self.shared.next_release()) {
-                                (Some(a), Some(b)) => Some(a.min(b)),
-                                (a, b) => a.or(b),
-                            };
-                        }
-                        match wake {
-                            Some(w) if w > cycle => w,
-                            // A live-but-eventless SM can only be a
-                            // (deadlocked) reference-path state; keep
-                            // stepping it every cycle.
-                            _ => cycle + 1,
-                        }
+                        self.quiescent_wake(i, cycle, out.gated)
                     } else {
                         u64::MAX
                     }
@@ -329,6 +334,27 @@ impl Gpu {
             SpanEnd::Finished
         } else {
             SpanEnd::ReachedStop
+        }
+    }
+
+    /// The cycle SM `i`, live and quiescent at `cycle`, must next be
+    /// stepped: its next writeback drain or, with a warp blocked by the
+    /// memory gate, the next capacity release if that is earlier.
+    fn quiescent_wake(&self, i: usize, cycle: u64, gated: bool) -> u64 {
+        let mut wake = self.sms[i].next_wake();
+        if gated {
+            // Memory back-pressure only lifts when an MSHR entry or
+            // DRAM-queue slot drains: wake on the next capacity release too.
+            wake = match (wake, self.shared.next_release()) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
+        }
+        match wake {
+            Some(w) if w > cycle => w,
+            // A live-but-eventless SM can only be a (deadlocked)
+            // reference-path state; keep stepping it every cycle.
+            _ => cycle + 1,
         }
     }
 
@@ -371,5 +397,80 @@ impl Gpu {
             .filter_map(|sm| sm.take_telemetry())
             .collect();
         (sms, self.shared.take_telemetry())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use grs_core::Threshold;
+    use grs_isa::{GlobalPattern, KernelBuilder};
+
+    /// One SM whose two warps each open with a two-transaction load, on a
+    /// one-partition memory system whose two MSHRs another L1 fills with
+    /// misses at cycles 0 and 10 (so their fills return apart). The SM is
+    /// first stepped at cycle 10, with the engine on or off.
+    fn gated_pair(fast_forward: bool) -> (Gpu, KernelInfo, EngineState) {
+        let k = KernelBuilder::new("gated")
+            .threads_per_block(64)
+            .regs_per_thread(8)
+            .grid_blocks(1)
+            .ld_global(GlobalPattern::scatter(1024, 2))
+            .ialu(1)
+            .build();
+        let ki = KernelInfo::new(k, None, Threshold::paper_default());
+        let mut cfg = GpuConfig::tiny();
+        (cfg.mem.mem_partitions, cfg.mem.mshr_entries) = (1, 2);
+        let plan = LaunchPlan {
+            unshared: 1,
+            shared_pairs: 0,
+            max_blocks: 1,
+            baseline_blocks: 1,
+            resource: ResourceKind::Registers,
+        };
+        let mut gpu = Gpu::new(
+            &cfg,
+            &ki,
+            plan,
+            SchedulerKind::Lrr,
+            false,
+            None,
+            fast_forward,
+            None,
+        );
+        let mut other_l1 = gpu.sms[0].l1.clone();
+        for i in 0..2u64 {
+            let addr = crate::mem::layout::KERNEL_TILE_BASE + i * u64::from(cfg.mem.line_bytes);
+            gpu.shared.advance_to(10 * i);
+            gpu.shared.access(&mut other_l1, addr, 10 * i, true);
+        }
+        let mut st = gpu.start(&ki);
+        st.cycle = 10;
+        (gpu, ki, st)
+    }
+
+    #[test]
+    fn a_gated_sm_sleeps_through_a_release_that_admits_none_of_its_warps() {
+        let (mut gpu, ki, mut st) = gated_pair(true);
+        gpu.run_until(&mut st, &ki, 11, None);
+        assert_eq!(gpu.sms[0].gate_block_counts(), (2, 0));
+        assert_eq!(st.sleep_from[0], Some(11), "asleep, gated");
+        let first = gpu.shared.next_release().expect("the first fill");
+        assert!(gpu.sms[0].next_wake().is_none());
+        assert_eq!(st.wake_at[0], first);
+        // The first fill frees one of the two entries: no warp fits.
+        gpu.run_until(&mut st, &ki, first + 1, None);
+        assert_eq!(gpu.shared.in_flight().0, 1);
+        assert_eq!(gpu.shared.issue_gate().mshr_free, 1);
+        assert_eq!(st.sleep_from[0], Some(11), "slept through {first}");
+        let second = gpu.shared.next_release().expect("the second fill");
+        assert_eq!(st.wake_at[0], second);
+        assert_eq!(gpu.sms[0].stats.stall_cycles, 1, "stepped once, at 10");
+
+        // The whole run matches the per-cycle reference bit for bit.
+        gpu.run_until(&mut st, &ki, u64::MAX, None);
+        let (mut reference, _, mut ref_st) = gated_pair(false);
+        reference.run_until(&mut ref_st, &ki, u64::MAX, None);
+        assert_eq!(gpu.finish(st), reference.finish(ref_st));
     }
 }

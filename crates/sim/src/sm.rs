@@ -24,9 +24,9 @@
 //! The scan keeps one `u64` bit per warp slot in a handful of masks: the
 //! scheduler's view list (the live slots as of the last rebuild), the
 //! latest outcome of each slot (ready, pair-lock wait, throttle hold,
-//! per-warp MSHR limit, gated; the rest are *stable*), its OWF class, and
-//! which slots are dirty or volatile. A warp is re-evaluated only when an
-//! input of its evaluation can have changed:
+//! per-warp MSHR limit, gated load, gated store; the rest are *stable*),
+//! its OWF class, and which slots are dirty or volatile. A warp is
+//! re-evaluated only when an input of its evaluation can have changed:
 //!
 //! * a writeback, a barrier release, a lock acquisition on its pair (a
 //!   re-grant of a held lock changes nothing) or its own issue dirties it;
@@ -36,18 +36,22 @@
 //!   the throttle at 0 < p < 1 (a side effect), or it passed a
 //!   global-memory instruction through a finite memory gate, which another
 //!   SM's issue can close;
-//! * a gated warp is re-evaluated every stepped cycle (its block counters
-//!   are per-cycle side effects).
+//! * a gated warp is re-evaluated when the memory gate has room for the
+//!   smallest transaction count among the gated warps of its class: MSHR
+//!   and DRAM-queue room for a load, queue room for a store
+//!   ([`Sm::gate_reopened`]). Below that, every gated warp of the class is
+//!   still blocked exactly as when it was evaluated.
 //!
 //! Every other outcome (ready, lock wait, throttle hold or pass at p = 0
-//! or 1, per-warp MSHR limit, hazard, exit drain, barrier) is cached: a
-//! full scan would reproduce it with no side effect but one `lock_retries`
-//! per lock waiter and one `throttled_issues` per throttle-held warp, which
-//! each stepped cycle adds by count. Re-evaluations run in slot order, so
-//! the side effects that remain (gate counters, throttle RNG draws) come in
-//! the reference order. Block launch and retire rebuild the view
-//! list, which otherwise keeps the exact composition the schedulers saw in
-//! the per-cycle reference.
+//! or 1, per-warp MSHR limit, gated, hazard, exit drain, barrier) is
+//! cached: a full scan would reproduce it with no side effect but one
+//! `lock_retries` per lock waiter, one `throttled_issues` per
+//! throttle-held warp and one `mshr_full_stalls` per gated load (one
+//! `dram_queue_full_stalls` per gated store), which each stepped cycle
+//! adds by count. Re-evaluations run in slot order, so the side effect
+//! that remains (throttle RNG draws) comes in the reference order. Block
+//! launch and retire rebuild the view list, which otherwise keeps the exact
+//! composition the schedulers saw in the per-cycle reference.
 //!
 //! ## Fast-forward support
 //!
@@ -55,7 +59,8 @@
 //! port conflict, no volatile warp and no warp held by the throttle (so a
 //! window close takes effect in the cycle it would in the reference), i.e.
 //! a cycle whose outcome is fully determined until the next writeback
-//! drains (or, with a gated warp, the next capacity release).
+//! drains (or, with a gated warp, the next capacity release that gives one
+//! room: [`Sm::gate_holds`] tells the engine whether a release did).
 //! [`Sm::next_wake`] exposes that drain cycle (the timing wheel's
 //! minimum); [`crate::gpu::Gpu::run_until`] sleeps the SM until then and
 //! credits the skipped span in closed form: through
@@ -100,10 +105,11 @@ pub enum WbKind {
     Mem(u16),
 }
 
-/// What one warp evaluation found. Every outcome but [`Outcome::Gated`] is
-/// cached until something dirties the slot, unless the evaluation was
-/// volatile (see [`Sm::scan_readiness`]). Outcomes a throttle check decided
-/// at p = 0 or p = 1 also hold only until the SM's probability changes.
+/// What one warp evaluation found. Every outcome is cached until something
+/// dirties the slot, unless the evaluation was volatile (see
+/// [`Sm::scan_readiness`]). Outcomes a throttle check decided at p = 0 or
+/// p = 1 also hold only until the SM's probability changes, and a gated
+/// outcome only until the gate has room for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Outcome {
     /// Blocked on conditions only a drain or an SM-local issue can change
@@ -120,29 +126,15 @@ enum Outcome {
     /// At the per-warp MSHR limit: a pipeline stall that only the warp's
     /// own writeback or issue can lift.
     MshrLimit,
-    /// Blocked by memory back-pressure ([`MemGate`]): a stall, re-evaluated
-    /// every stepped cycle (the per-cycle block counters are side effects),
-    /// but sleepable — the block can only end at a capacity release, whose
-    /// cycle the memory system knows, and the skipped span's accounting is
-    /// credited in closed form ([`Sm::credit_gated`]).
+    /// Blocked by memory back-pressure ([`MemGate`]): a stall, and one
+    /// `mshr_full_stalls` (a load) or `dram_queue_full_stalls` (a store) per
+    /// stepped cycle. Cached with the instruction's transaction count until
+    /// the gate has room for the smallest such count of its class
+    /// ([`Sm::gate_reopened`]); the gate only opens at a capacity release,
+    /// whose cycle the memory system knows, so a gated SM sleeps until then
+    /// and the skipped span is credited in closed form
+    /// ([`Sm::credit_gated`]).
     Gated(GateBlock),
-}
-
-/// Aggregate outcome of one readiness scan; the rest is in the SM's masks.
-#[derive(Debug, Clone, Copy)]
-struct ScanSummary {
-    any_live: bool,
-    /// Warps blocked by the memory gate this cycle (MSHR, DRAM queue).
-    gate_mshr: u32,
-    gate_dram: u32,
-}
-
-impl ScanSummary {
-    /// Any warp blocked by the memory gate?
-    #[inline]
-    fn any_gated(&self) -> bool {
-        self.gate_mshr + self.gate_dram > 0
-    }
 }
 
 /// The memory-side inputs of one cycle's warp evaluations.
@@ -232,7 +224,17 @@ pub struct Sm {
     locked: u64,
     throttled: u64,
     mshr_limited: u64,
-    gated: u64,
+    /// Gated loads (blocked on MSHR room) and gated stores (blocked on
+    /// DRAM-queue room), kept apart because the gate admits them by
+    /// different rules.
+    gated_loads: u64,
+    gated_stores: u64,
+    /// Transaction count of each gated slot's instruction, and the smallest
+    /// one among the gated loads and among the gated stores (meaningful
+    /// only while the class's mask is non-empty).
+    gate_need: Vec<u8>,
+    min_load_need: u32,
+    min_store_need: u32,
     /// The SM's throttle probability as the cached outcomes read it.
     throttle_p: f64,
     /// OWF classes of the latest evaluations; the other slots are unshared.
@@ -241,10 +243,9 @@ pub struct Sm {
     /// Dynamic warp id per slot, as of the last rebuild.
     dyn_ids: Vec<u64>,
     live_warp_count: u32,
+    /// Resident blocks: the `Some` entries of [`Self::blocks`].
+    live_block_count: u32,
     structural: bool,
-    /// Gate-blocked warp counts `(mshr, dram)` from the latest scan, kept
-    /// for closed-form crediting of a gated sleep span.
-    last_gate_blocks: (u32, u32),
     /// With `incremental` off (the `fast_forward: false` reference mode)
     /// every scan re-evaluates every live warp and ready-less cycles
     /// still run every scheduler unit's pick — the seed's exact per-cycle
@@ -320,14 +321,18 @@ impl Sm {
             locked: 0,
             throttled: 0,
             mshr_limited: 0,
-            gated: 0,
+            gated_loads: 0,
+            gated_stores: 0,
+            gate_need: vec![0; slots * wpb],
+            min_load_need: 0,
+            min_store_need: 0,
             throttle_p: 1.0,
             owner: 0,
             non_owner: 0,
             dyn_ids: vec![0; slots * wpb],
             live_warp_count: 0,
+            live_block_count: 0,
             structural: true,
-            last_gate_blocks: (0, 0),
             incremental: mode.incremental,
             telemetry: mode.telemetry.map(|c| Box::new(SmTelemetry::new(&c))),
             slot_reason: vec![0; slots * wpb],
@@ -339,12 +344,12 @@ impl Sm {
 
     /// Number of blocks currently resident.
     pub fn live_blocks(&self) -> u32 {
-        self.blocks.iter().filter(|b| b.is_some()).count() as u32
+        self.live_block_count
     }
 
     /// Does any slot lack a block?
     pub fn has_free_slot(&self) -> bool {
-        self.blocks.iter().any(|b| b.is_none())
+        (self.live_block_count as usize) < self.blocks.len()
     }
 
     /// Does the SM hold any live (unfinished) warp?
@@ -369,7 +374,36 @@ impl Sm {
     /// Gate-blocked warp counts `(mshr, dram)` from the latest readiness
     /// scan — surfaced in the watchdog's [`crate::supervise::StallDiagnosis`].
     pub fn gate_block_counts(&self) -> (u32, u32) {
-        self.last_gate_blocks
+        (
+            self.gated_loads.count_ones(),
+            self.gated_stores.count_ones(),
+        )
+    }
+
+    /// The gated slots `gate` may admit, which the next scan re-evaluates:
+    /// every gated load if it has MSHR and DRAM-queue room for the smallest
+    /// gated load, every gated store if it has DRAM-queue room for the
+    /// smallest gated store. A gated slot outside the result is blocked by
+    /// `gate` exactly as when it was evaluated ([`MemGate::blocks`]).
+    #[inline]
+    pub fn gate_reopened(&self, gate: MemGate) -> u64 {
+        // A class with no gated warp contributes an empty mask, whatever its
+        // stale minimum reads against `MemGate::OPEN`'s `u32::MAX`.
+        let mut due = 0;
+        if gate.mshr_free.min(gate.dram_free) >= self.min_load_need {
+            due |= self.gated_loads;
+        }
+        if gate.dram_free >= self.min_store_need {
+            due |= self.gated_stores;
+        }
+        due
+    }
+
+    /// Does `gate` still block every warp the latest scan found gated, and
+    /// is there one? Then stepping the SM would change nothing but its
+    /// stall accounting until a writeback or a later release.
+    pub fn gate_holds(&self, gate: MemGate) -> bool {
+        self.gated_loads | self.gated_stores != 0 && self.gate_reopened(gate) == 0
     }
 
     /// Credit the skipped sleep span `[since, now)` with exactly the
@@ -475,8 +509,8 @@ impl Sm {
         self.stats.lock_retries += span * u64::from(self.locked.count_ones());
         self.stats.stall_cycles += span;
         self.stats.stall_mem_gate_cycles += span;
-        self.stats.mshr_full_stalls += span * u64::from(self.last_gate_blocks.0);
-        self.stats.dram_queue_full_stalls += span * u64::from(self.last_gate_blocks.1);
+        self.stats.mshr_full_stalls += span * u64::from(self.gated_loads.count_ones());
+        self.stats.dram_queue_full_stalls += span * u64::from(self.gated_stores.count_ones());
     }
 
     /// Update `slot`'s stall reason (0 none, 1 scoreboard, 2 barrier,
@@ -563,8 +597,9 @@ impl Sm {
             ));
         }
         self.live_warp_count += wpb;
+        self.live_block_count += 1;
         self.structural = true;
-        self.stats.max_resident_blocks = self.stats.max_resident_blocks.max(self.live_blocks());
+        self.stats.max_resident_blocks = self.stats.max_resident_blocks.max(self.live_block_count);
     }
 
     /// Advance one cycle.
@@ -605,10 +640,14 @@ impl Sm {
             can_close: shared.gate_can_close(),
             max_pending: shared.cfg.max_pending_per_warp,
         };
-        let scan = self.scan_readiness(now, kinfo, throttle, gate);
-        if self.locked | self.throttled != 0 {
+        self.scan_readiness(now, kinfo, throttle, gate);
+        let any_live = self.live_warp_count > 0;
+        let gated = self.gated_loads | self.gated_stores != 0;
+        if self.locked | self.throttled != 0 || gated {
             self.stats.lock_retries += u64::from(self.locked.count_ones());
             self.stats.throttled_issues += u64::from(self.throttled.count_ones());
+            self.stats.mshr_full_stalls += u64::from(self.gated_loads.count_ones());
+            self.stats.dram_queue_full_stalls += u64::from(self.gated_stores.count_ones());
         }
 
         let mut issued = 0u32;
@@ -658,7 +697,7 @@ impl Sm {
             self.sched.note_idle_cycle();
         }
 
-        let stalled = self.mshr_limited != 0 || scan.any_gated();
+        let stalled = self.mshr_limited != 0 || gated;
         if issued == 0 {
             if stalled || port_conflict {
                 // Every pipeline-stall cycle is caused by the memory system
@@ -666,7 +705,7 @@ impl Sm {
                 // to the mem-gate bucket wholesale.
                 self.stats.stall_cycles += 1;
                 self.stats.stall_mem_gate_cycles += 1;
-            } else if scan.any_live {
+            } else if any_live {
                 self.stats.idle_cycles += 1;
                 if self.n_hazard > 0 {
                     self.stats.stall_scoreboard_cycles += 1;
@@ -678,7 +717,7 @@ impl Sm {
             } else {
                 self.stats.empty_cycles += 1;
             }
-            if scan.any_live {
+            if any_live {
                 // The Sec. IV-C monitor compares per-SM lost cycles; both
                 // pipeline stalls and ready-less (memory-wait) cycles are
                 // symptoms of the interference it throttles.
@@ -686,12 +725,11 @@ impl Sm {
             }
         }
 
-        self.last_gate_blocks = (scan.gate_mshr, scan.gate_dram);
         StepOutcome {
-            live: scan.any_live,
+            live: any_live,
             quiescent: issued == 0 && !port_conflict && self.volatile | self.throttled == 0,
             stalled,
-            gated: scan.any_gated(),
+            gated,
             issued: issued > 0,
         }
     }
@@ -737,13 +775,14 @@ impl Sm {
     /// Scan resident warps, refreshing the scheduler view. Only the slots
     /// whose outcome can have changed are re-evaluated: dirtied slots
     /// (including every non-owner slot when the SM's throttle probability
-    /// changed), volatile ones and gated ones, in increasing slot order (the
-    /// order the reference scan makes its side effects in). Every other
-    /// listed slot keeps its cached outcome, which is exactly what a full
-    /// scan would produce; its only per-cycle side effects, one
-    /// `lock_retries` per lock waiter and one `throttled_issues` per
-    /// throttle-held warp, are counted from [`Self::locked`] and
-    /// [`Self::throttled`] by the caller.
+    /// changed), volatile ones and the gated ones the current gate may admit
+    /// ([`Self::gate_reopened`]), in increasing slot order (the order the
+    /// reference scan makes its side effects in). Every other listed slot
+    /// keeps its cached outcome, which is exactly what a full scan would
+    /// produce; its only per-cycle side effects, one `lock_retries` per lock
+    /// waiter, one `throttled_issues` per throttle-held warp and one
+    /// `mshr_full_stalls` or `dram_queue_full_stalls` per gated warp, are
+    /// counted from the outcome masks by the caller.
     /// With `incremental` off, or after a block launch or a warp exit, the
     /// view list is rebuilt and every live slot re-evaluated.
     fn scan_readiness(
@@ -752,7 +791,7 @@ impl Sm {
         kinfo: &KernelInfo,
         throttle: &mut DynThrottle,
         gate: Gate,
-    ) -> ScanSummary {
+    ) {
         // A window close moved the probability: the cached outcomes of
         // non-owner warps, the only ones the throttle gates, read the old
         // one.
@@ -776,9 +815,10 @@ impl Sm {
             self.listed = listed;
             listed
         } else {
-            (self.dirty | self.volatile | self.gated) & self.listed
+            self.due_slots(gate.now)
         };
         self.dirty = 0;
+        let was_gated = self.gated_loads | self.gated_stores;
         let keep = self.listed & !eval;
         for mask in [
             &mut self.volatile,
@@ -786,17 +826,13 @@ impl Sm {
             &mut self.locked,
             &mut self.throttled,
             &mut self.mshr_limited,
-            &mut self.gated,
+            &mut self.gated_loads,
+            &mut self.gated_stores,
             &mut self.owner,
             &mut self.non_owner,
         ] {
             *mask &= keep;
         }
-        let mut summary = ScanSummary {
-            any_live: self.live_warp_count > 0,
-            gate_mshr: 0,
-            gate_dram: 0,
-        };
         let mut todo = eval;
         while todo != 0 {
             let slot = todo.trailing_zeros() as usize;
@@ -817,27 +853,44 @@ impl Sm {
                 Outcome::Locked => self.locked |= bit,
                 Outcome::Throttled => self.throttled |= bit,
                 Outcome::MshrLimit => self.mshr_limited |= bit,
-                Outcome::Gated(kind) => {
-                    self.gated |= bit;
-                    match kind {
-                        GateBlock::Mshr => summary.gate_mshr += 1,
-                        GateBlock::DramQueue => summary.gate_dram += 1,
-                    }
-                }
+                Outcome::Gated(GateBlock::Mshr) => self.gated_loads |= bit,
+                Outcome::Gated(GateBlock::DramQueue) => self.gated_stores |= bit,
             }
         }
-        summary
+        if eval & (was_gated | self.gated_loads | self.gated_stores) != 0 {
+            self.min_load_need = self.min_need(self.gated_loads);
+            self.min_store_need = self.min_need(self.gated_stores);
+        }
+    }
+
+    /// The listed slots an incremental scan reading `gate` re-evaluates:
+    /// the dirtied and volatile ones, and the gated ones `gate` may admit.
+    #[inline]
+    fn due_slots(&self, gate: MemGate) -> u64 {
+        (self.dirty | self.volatile | self.gate_reopened(gate)) & self.listed
+    }
+
+    /// The smallest transaction count among the gated slots in `mask`
+    /// (`u32::MAX` for none).
+    fn min_need(&self, mut mask: u64) -> u32 {
+        let mut min = u32::MAX;
+        while mask != 0 {
+            min = min.min(u32::from(self.gate_need[mask.trailing_zeros() as usize]));
+            mask &= mask - 1;
+        }
+        min
     }
 
     /// Evaluate one live warp exactly as the reference per-cycle scan would:
-    /// same checks, same order, same side effects (memory-gate counters,
-    /// throttle RNG draws). A lock waiter's `lock_retries` and a
-    /// throttle-held warp's `throttled_issues` are counted by the caller,
-    /// once per stepped cycle. Returns the outcome, the warp's OWF class,
-    /// and whether the outcome is volatile: it drew from the throttle (a
-    /// side effect), or it passed a global-memory
-    /// instruction through a finite memory gate, which another SM's issue
-    /// can close with no event on this SM.
+    /// same checks, same order, same side effect (throttle RNG draws). A
+    /// lock waiter's `lock_retries`, a throttle-held warp's
+    /// `throttled_issues` and a gated warp's block counter are counted by
+    /// the caller, once per stepped cycle; a gated warp's transaction count
+    /// is recorded in [`Self::gate_need`]. Returns the outcome, the warp's
+    /// OWF class, and whether the outcome is volatile: it drew from the
+    /// throttle (a side effect), or it passed a global-memory instruction
+    /// through a finite memory gate, which another SM's issue can close with
+    /// no event on this SM.
     fn eval_warp(
         &mut self,
         slot: usize,
@@ -895,10 +948,7 @@ impl Sm {
                 // take this instruction's transactions. Same stall class as
                 // `mshr_full`, but sleepable (see `Outcome::Gated`).
                 if let Some(block) = gate.now.blocks(meta) {
-                    match block {
-                        GateBlock::Mshr => self.stats.mshr_full_stalls += 1,
-                        GateBlock::DramQueue => self.stats.dram_queue_full_stalls += 1,
-                    }
+                    self.gate_need[slot] = meta.mem_txns;
                     outcome = Outcome::Gated(block);
                 } else {
                     volatile = gate.can_close && meta.is_global_mem();
@@ -1207,6 +1257,7 @@ impl Sm {
             *w = None;
         }
         self.blocks[block_slot as usize] = None;
+        self.live_block_count -= 1;
         // Refill immediately (paper Sec. IV: the replacement enters the pair
         // as the new non-owner).
         if let Some(gid) = dispatcher.next_block() {
@@ -1302,9 +1353,16 @@ mod tests {
         s.launch_block(0, &ki, 0);
         s.launch_block(1, &ki, 0);
         assert_eq!(s.live_blocks(), 2);
+        assert_eq!(s.live_blocks(), resident(&s));
         assert_eq!(s.stats.max_resident_blocks, 2);
         s.launch_block(2, &ki, 0);
+        assert_eq!((s.live_blocks(), resident(&s)), (3, 3));
         assert!(!s.has_free_slot());
+    }
+
+    /// The occupied block slots, counted the slow way.
+    fn resident(s: &Sm) -> u32 {
+        s.blocks.iter().flatten().count() as u32
     }
 
     #[test]
@@ -1319,10 +1377,13 @@ mod tests {
         let lat = cfg.lat;
         for cycle in 0..2000 {
             s.step(cycle, &ki, &lat, &mut shared, &mut throttle, &mut disp);
+            assert_eq!(s.live_blocks(), resident(&s), "cycle {cycle}");
             if s.stats.blocks_completed == 3 && s.live_blocks() == 0 {
                 break;
             }
         }
+        assert_eq!(s.live_blocks(), 0);
+        assert!(s.has_free_slot());
         assert_eq!(s.stats.blocks_completed, 3);
         assert_eq!(disp.remaining(), 0);
         // 5 dynamic warp instructions per block (4 ialu + exit) × 3 blocks.
@@ -1473,9 +1534,10 @@ mod tests {
         (s, ki, DynThrottle::new(2, 1000, step, true))
     }
 
-    /// Will the next scan re-evaluate `slot` whatever the throttle does?
-    fn due(s: &Sm, slot: usize) -> bool {
-        s.structural || (s.dirty | s.volatile | s.gated) >> slot & 1 == 1
+    /// Will the next scan, reading `gate`, re-evaluate `slot` whatever the
+    /// throttle does?
+    fn due(s: &Sm, gate: MemGate, slot: usize) -> bool {
+        s.structural || s.due_slots(gate) >> slot & 1 == 1
     }
 
     #[test]
@@ -1495,7 +1557,10 @@ mod tests {
         // The owner now waits on its load. The hold is evaluated once, adds
         // one throttled issue per stepped cycle and keeps the SM awake.
         for cycle in 1..8 {
-            assert!(!due(&s, 1), "cycle {cycle}: the hold is re-evaluated");
+            assert!(
+                !due(&s, shared.issue_gate(), 1),
+                "cycle {cycle}: the hold is re-evaluated"
+            );
             let out = s.step(cycle, &ki, &cfg.lat, &mut shared, &mut throttle, &mut disp);
             assert!(!out.issued && !out.quiescent, "cycle {cycle}");
             assert_eq!(s.stats.throttled_issues, cycle + 1);
@@ -1525,7 +1590,101 @@ mod tests {
         assert_eq!(throttle.probability(1), 0.5);
         let out = s.step(0, &ki, &cfg.lat, &mut shared, &mut throttle, &mut disp);
         assert!(!out.quiescent);
-        assert!(due(&s, 1), "a warp that drew is re-evaluated next cycle");
+        assert!(
+            due(&s, shared.issue_gate(), 1),
+            "a warp that drew is re-evaluated next cycle"
+        );
         assert_eq!(s.volatile, 0b10);
+    }
+
+    /// One warp whose first instruction is a global load of `txns`
+    /// transactions, on a one-partition memory system with `mshr_entries`
+    /// MSHRs and `dram_queue_entries` queue slots, into whose MSHR table
+    /// another L1 has put `foreign` cold misses, one every 10 cycles (so
+    /// their fills return apart). Returns the cycle of the last miss.
+    fn gated_load(
+        txns: u8,
+        mshr_entries: u32,
+        dram_queue_entries: u32,
+        foreign: u64,
+    ) -> (Sm, KernelInfo, SharedMem, LatencyConfig, u64) {
+        let k = KernelBuilder::new("gated")
+            .threads_per_block(32)
+            .regs_per_thread(8)
+            .grid_blocks(1)
+            .ld_global(GlobalPattern::scatter(1024, txns))
+            .ialu(1)
+            .build();
+        let ki = KernelInfo::new(k, None, Threshold::paper_default());
+        let mut cfg = GpuConfig::tiny();
+        cfg.mem.mem_partitions = 1;
+        cfg.mem.mshr_entries = mshr_entries;
+        cfg.mem.dram_queue_entries = dram_queue_entries;
+        let mut s = sm(&ki, plan(1, 0));
+        s.launch_block(0, &ki, 0);
+        let mut shared = SharedMem::new(cfg.mem);
+        let mut other_l1 = s.l1.clone();
+        for i in 0..foreign {
+            let addr = crate::mem::layout::KERNEL_TILE_BASE + i * u64::from(cfg.mem.line_bytes);
+            shared.advance_to(10 * i);
+            shared.access(&mut other_l1, addr, 10 * i, true);
+        }
+        assert_eq!(u64::from(shared.in_flight().0), foreign);
+        (s, ki, shared, cfg.lat, 10 * (foreign - 1))
+    }
+
+    #[test]
+    fn a_gated_warp_is_cached_until_a_release_admits_it() {
+        // Three foreign misses fill the table; the warp's load needs two
+        // entries, so the first release (one free) admits nothing and the
+        // second (exactly two free) admits it.
+        let (mut s, ki, mut shared, lat, start) = gated_load(2, 3, 0, 3);
+        let mut throttle = DynThrottle::disabled(1);
+        let mut disp = Dispatcher::new(0);
+        let out = s.step(start, &ki, &lat, &mut shared, &mut throttle, &mut disp);
+        assert!(out.quiescent && out.gated && !out.issued);
+        assert_eq!((s.gated_loads, s.stats.mshr_full_stalls), (1, 1));
+        let mut below = 0;
+        let mut cycle = start + 1;
+        loop {
+            shared.advance_to(cycle);
+            let gate = shared.issue_gate();
+            if gate.mshr_free >= 2 {
+                break;
+            }
+            below += u32::from(gate.mshr_free == 1);
+            assert!(!due(&s, gate, 0), "cycle {cycle}: {gate:?}");
+            s.step(cycle, &ki, &lat, &mut shared, &mut throttle, &mut disp);
+            assert_eq!(s.stats.mshr_full_stalls, cycle - start + 1, "cycle {cycle}");
+            cycle += 1;
+        }
+        assert!(below > 0, "a release freed one entry first");
+        assert_eq!(shared.issue_gate().mshr_free, 2, "admitted at equality");
+        assert!(due(&s, shared.issue_gate(), 0), "due at {cycle}");
+        let out = s.step(cycle, &ki, &lat, &mut shared, &mut throttle, &mut disp);
+        assert!(out.issued, "the load issues at {cycle}");
+        assert_eq!(s.stats.mshr_full_stalls, cycle - start);
+        assert_eq!(s.gated_loads, 0);
+    }
+
+    #[test]
+    fn an_empty_dram_queue_admits_no_gated_load_while_the_mshrs_are_full() {
+        // The foreign miss holds the only MSHR until its fill, but its DRAM
+        // slot only until the channel serves it: in between, every DRAM
+        // queue is empty (`dram_free` reads `u32::MAX`) and the gated load
+        // is still blocked.
+        let (mut s, ki, mut shared, lat, _) = gated_load(1, 1, 4, 1);
+        let mut throttle = DynThrottle::disabled(1);
+        let mut disp = Dispatcher::new(0);
+        s.step(0, &ki, &lat, &mut shared, &mut throttle, &mut disp);
+        assert_eq!((s.gated_loads, s.gated_stores), (1, 0));
+        let served = shared.next_release().expect("the DRAM slot's release");
+        shared.advance_to(served);
+        let gate = shared.issue_gate();
+        assert_eq!((gate.mshr_free, gate.dram_free), (0, u32::MAX));
+        assert!(!due(&s, gate, 0), "{gate:?}");
+        let out = s.step(served, &ki, &lat, &mut shared, &mut throttle, &mut disp);
+        assert!(out.gated && !out.issued);
+        assert_eq!(s.stats.mshr_full_stalls, 2);
     }
 }

@@ -333,6 +333,35 @@ impl<T> Ring<T> {
     pub(crate) fn first_seq(&self) -> u64 {
         self.appended - self.len() as u64
     }
+
+    /// The retained entries from the `i`-th on, oldest first, read a
+    /// contiguous run of storage at a time.
+    pub(crate) fn iter_from(&self, i: usize) -> impl Iterator<Item = &T> {
+        let mut next = i;
+        let len = self.len();
+        std::iter::from_fn(move || {
+            if next >= len {
+                return None;
+            }
+            let mut at = self.head + next;
+            if at >= self.cap {
+                at -= self.cap;
+            }
+            let chunk = &self.chunks[at / RING_CHUNK];
+            let off = at % RING_CHUNK;
+            // A run ends at its chunk's end, at the wrap point (the oldest
+            // entry's storage index, or the end of storage) or at `len`.
+            let run = (chunk.len() - off).min(len - next);
+            let run = if at < self.head {
+                run.min(self.head - at)
+            } else {
+                run
+            };
+            next += run;
+            Some(&chunk[off..off + run])
+        })
+        .flatten()
+    }
 }
 
 /// Per-SM recording state. Lives on `Sm` (boxed), so each SM records its
@@ -515,12 +544,12 @@ pub(crate) fn assemble(sms: Vec<SmTelemetry>, mem: Option<MemTelemetry>) -> Tele
             let in_window = |cycle: u64| cycle - start < MERGE_WINDOW as u64;
             next.fill(0);
             for (t, ring) in srcs.iter().enumerate() {
-                let mut p = pos[t];
-                while p < ring.len() && in_window(ring.get(p).0) {
-                    next[(ring.get(p).0 - start) as usize] += 1;
-                    p += 1;
-                }
-                end[t] = p;
+                let in_win = ring
+                    .iter_from(pos[t])
+                    .take_while(|&&(cycle, _)| in_window(cycle))
+                    .map(|&(cycle, _)| next[(cycle - start) as usize] += 1)
+                    .count();
+                end[t] = pos[t] + in_win;
             }
             let mut at = merged.len();
             for n in &mut next {
@@ -528,8 +557,7 @@ pub(crate) fn assemble(sms: Vec<SmTelemetry>, mem: Option<MemTelemetry>) -> Tele
             }
             merged.resize(at, filler);
             for (t, ring) in srcs.iter().enumerate() {
-                for p in pos[t]..end[t] {
-                    let &(cycle, event) = ring.get(p);
+                for &(cycle, event) in ring.iter_from(pos[t]).take(end[t] - pos[t]) {
                     let at = &mut next[(cycle - start) as usize];
                     merged[*at] = TraceRecord {
                         cycle,
@@ -543,12 +571,16 @@ pub(crate) fn assemble(sms: Vec<SmTelemetry>, mem: Option<MemTelemetry>) -> Tele
         }
         merged
     };
+    // Every SM's `j`-th row sits at the `j + 1`-th sample boundary, so
+    // taking row `j` of each SM in id order, `j` by `j`, is (cycle, SM id)
+    // order without a sort.
+    let rows = sms.iter().map(|s| s.samples.len()).max().unwrap_or(0);
     let mut sm_samples = Vec::with_capacity(sms.iter().map(|s| s.samples.len()).sum());
-    for sm in sms {
-        sm_samples.extend(sm.samples);
+    for j in 0..rows {
+        sm_samples.extend(sms.iter().filter_map(|s| s.samples.get(j).copied()));
     }
+    debug_assert!(sm_samples.is_sorted_by_key(|r: &SampleRow| (r.cycle, r.sm)));
     let mem_samples = mem.map_or_else(Vec::new, |m| m.samples);
-    sm_samples.sort_unstable_by_key(|r| (r.cycle, r.sm));
     TelemetryReport {
         events,
         sm_samples,
@@ -650,6 +682,28 @@ mod tests {
         );
         assert!((0..cap).all(|i| *ring.get(i) == 3500 + i));
         assert_eq!(ring.chunks.iter().map(Vec::capacity).sum::<usize>(), cap);
+        // Reading on from any entry crosses chunk ends and the wrap point
+        // (the oldest entry is stored at 1000, so logical 1500 is stored
+        // at 0).
+        assert_eq!(ring.head, 1000);
+        for from in [
+            0,
+            1,
+            600,
+            RING_CHUNK - 1,
+            RING_CHUNK,
+            1499,
+            1500,
+            cap - 1,
+            cap,
+        ] {
+            let read: Vec<usize> = ring.iter_from(from).copied().collect();
+            assert_eq!(
+                read,
+                (3500 + from..3500 + cap).collect::<Vec<_>>(),
+                "{from}"
+            );
+        }
     }
 
     #[test]
