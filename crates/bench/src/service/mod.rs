@@ -1,51 +1,72 @@
-//! # Sweep service: persistent job queue with content-hash memoization
+//! # Sweep service: persistent job queue with machine-keyed memoization
 //!
 //! Every simulation request in the bench harness flows through one of
-//! these: a submission is a `(RunConfig, Kernel)` pair, keyed by the
-//! canonical [`ConfigHash`] over *every* semantic field of both
-//! ([`hash`]). The pipeline is
+//! these. A submission is a `(RunConfig, Kernel)` pair; the service
+//! resolves it on the submitting thread to the
+//! [`Machine`](grs_sim::Machine) it builds ([`Simulator::prepare`]) and
+//! keys it on the canonical [`ConfigHash`] of that machine
+//! ([`hash::machine_key`]). A job's identity is the
+//! machine, not the spelling: configurations that build one machine (a
+//! plan without shared pairs under any sharing resource, threshold,
+//! throttle or reorder flag; OWF or GTO without pairs; two thresholds or
+//! declaration orders with one plan and one set of per-instruction shared
+//! flags) are simulated once. The pipeline is
 //!
 //! ```text
-//!   submit ──▶ job_key ──▶ memo store ──hit──▶ resolved JobHandle
-//!                 │            miss
+//!   submit ──▶ prepare ──err──▶ job_key ──▶ failed outcome (memoized)
+//!                 │ Machine
 //!                 ▼
-//!           in-flight table ──hit──▶ attached JobHandle (shared cell)
-//!                 │            miss
-//!                 ▼
-//!           pending queue ──▶ worker pool ──▶ supervised run
-//!                                   │          (watchdog)
-//!                                   ▼
-//!                           memoize + resolve cell
+//!            machine_key ──▶ memo store ──hit──▶ resolved JobHandle
+//!                                │  miss
+//!                                ▼
+//!                        in-flight table ──hit──▶ attached JobHandle (shared cell)
+//!                                │  miss
+//!                                ▼
+//!                         pending queue ──▶ worker pool ──▶ supervised run
+//!                                                 │          (watchdog)
+//!                                                 ▼
+//!                                         memoize + resolve cell
 //! ```
 //!
-//! The load-bearing invariant: **the simulator is deterministic, so
-//! memoization is exact.** Equal keys mean equal inputs, equal inputs mean
-//! bit-identical [`RunReport`]s (the determinism suites pin this across
-//! engines and memory models), so answering a resubmission
-//! from the memo store is indistinguishable from re-running it — modulo
-//! the saved CPU-hours. The same argument covers in-flight dedup: a late
-//! subscriber to a running job attaches to the first submission's
-//! write-once job cell and receives the one shared outcome.
+//! A worker runs exactly the `Machine` its key was computed from, so a key
+//! and its run cannot disagree. The load-bearing invariant: **the
+//! simulator is deterministic, so memoization is exact.** Equal machine
+//! keys mean equal machines, equal machines mean bit-identical
+//! [`RunReport`]s (the determinism suites pin this across engines and
+//! memory models, and `tests/sweep_service.rs` checks equal keys ⇒ equal
+//! reports over random settings), so answering a resubmission from the
+//! memo store is indistinguishable from re-running it — modulo the saved
+//! CPU-hours. The same argument covers in-flight dedup: a late subscriber
+//! to a running job attaches to the first submission's write-once job cell
+//! and receives the one shared outcome.
+//!
+//! A job whose preparation fails (a configuration error, or a panic,
+//! caught) has no machine: it resolves at submission as one failed
+//! outcome, counted as executed and failed, and memoized under its
+//! [`job_key`] so a resubmission is a memo hit. `submit` never panics.
 //!
 //! The queue is *persistent* at process scope: [`SweepService::global`]
 //! hands out one process-wide instance that the grid runner
 //! ([`crate::run_grid`], and through it every experiment and `repro run`)
-//! and `repro trace` share, so duplicate configurations dedupe across
-//! grids, not just within one. Tests wanting exact counter assertions
-//! build private instances with [`SweepService::new`].
+//! and `repro trace` share, so duplicate machines dedupe across grids, not
+//! just within one. Tests wanting exact counter assertions build private
+//! instances with [`SweepService::new`]; a test asserting counter deltas on
+//! the global instance must submit jobs that no other test in its binary
+//! can merge with.
 
 pub mod hash;
 pub mod memo;
 mod queue;
 mod worker;
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 use grs_isa::Kernel;
-use grs_sim::{RunConfig, RunReport, ServiceStats};
+use grs_sim::{RunConfig, RunReport, ServiceStats, Simulator};
 
-pub use hash::{job_key, ConfigHash};
+pub use hash::{job_key, machine_key, ConfigHash};
 
 use queue::{JobCell, Shared, State, Task};
 
@@ -54,14 +75,15 @@ use queue::{JobCell, Shared, State, Task};
 #[derive(Debug)]
 pub struct JobOutcome {
     /// The supervised run's report, or the rendered configuration error or
-    /// panic message.
+    /// panic message (of the preparation or the run).
     pub report: Result<Arc<RunReport>, String>,
 }
 
 /// How a submission was answered — the service's visible dedup decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobSource {
-    /// New work: the job was enqueued for execution.
+    /// New work: the job was enqueued for execution, or its preparation
+    /// failed and the handle was born resolved with the error.
     Queued,
     /// An identical job was already in flight; this handle subscribed to it.
     Attached,
@@ -82,7 +104,8 @@ pub struct JobHandle {
 }
 
 impl JobHandle {
-    /// The job's canonical content hash.
+    /// The job's canonical key: its [`machine_key`], or its [`job_key`]
+    /// when its preparation failed.
     pub fn key(&self) -> ConfigHash {
         self.key
     }
@@ -170,39 +193,57 @@ impl SweepService {
         GLOBAL.get_or_init(|| SweepService::new(ServiceConfig::default()))
     }
 
-    /// Submit a job. Returns immediately with a [`JobHandle`]; whether the
-    /// job was queued, attached to an identical in-flight run, or answered
-    /// from the memo store is on [`JobHandle::source`].
+    /// Submit a job. Prepares it on the calling thread, then returns with a
+    /// [`JobHandle`]; whether the job was queued, attached to an in-flight
+    /// run of the same machine, or answered from the memo store is on
+    /// [`JobHandle::source`]. A job whose preparation fails or panics
+    /// returns a handle already resolved with the error (see the module
+    /// docs); `submit` itself never panics.
     pub fn submit(&self, cfg: RunConfig, kernel: Kernel) -> JobHandle {
-        let key = job_key(&cfg, &kernel, None);
+        let sim = Simulator::new(cfg);
+        let (key, machine) = match catch_unwind(AssertUnwindSafe(|| sim.prepare(&kernel))) {
+            Ok(Ok(machine)) => (machine_key(&machine), Ok(machine)),
+            Ok(Err(e)) => (job_key(sim.config(), &kernel, None), Err(e.to_string())),
+            Err(panic) => (
+                job_key(sim.config(), &kernel, None),
+                Err(worker::panic_message(panic)),
+            ),
+        };
         let mut state = self.shared.state.lock().unwrap();
         state.stats.submitted += 1;
         if let Some(outcome) = state.memo.get(&key) {
             state.stats.memo_hits += 1;
-            return JobHandle {
+            return self.handle(
                 key,
-                source: JobSource::MemoHit,
-                cell: Arc::new(JobCell::resolved(outcome)),
-                shared: Arc::clone(&self.shared),
-            };
+                JobSource::MemoHit,
+                Arc::new(JobCell::resolved(outcome)),
+            );
         }
+        let machine = match machine {
+            Ok(machine) => machine,
+            Err(error) => {
+                // No machine to run: the failure is this job's outcome.
+                let outcome = Arc::new(JobOutcome { report: Err(error) });
+                worker::record(&mut state, key, &outcome);
+                return self.handle(key, JobSource::Queued, Arc::new(JobCell::resolved(outcome)));
+            }
+        };
         if let Some(cell) = state.inflight.get(&key).map(Arc::clone) {
             state.stats.deduped += 1;
-            return JobHandle {
-                key,
-                source: JobSource::Attached,
-                cell,
-                shared: Arc::clone(&self.shared),
-            };
+            return self.handle(key, JobSource::Attached, cell);
         }
         let cell = Arc::new(JobCell::new());
         state.inflight.insert(key, Arc::clone(&cell));
-        state.pending.push_back(Task { key, cfg, kernel });
+        state.pending.push_back(Task { key, machine });
         drop(state);
         self.shared.work.notify_one();
+        self.handle(key, JobSource::Queued, cell)
+    }
+
+    fn handle(&self, key: ConfigHash, source: JobSource, cell: Arc<JobCell>) -> JobHandle {
         JobHandle {
             key,
-            source: JobSource::Queued,
+            source,
             cell,
             shared: Arc::clone(&self.shared),
         }

@@ -1,8 +1,9 @@
 //! The service's shared state: pending queue, in-flight table, memo store,
 //! counters — everything behind the one mutex.
 //!
-//! A submission's life: [`job_key`](super::hash::job_key) → memo probe →
-//! in-flight probe → pending queue. The three structures share one lock, so
+//! A prepared submission's life:
+//! [`machine_key`](super::hash::machine_key) → memo probe → in-flight
+//! probe → pending queue. The three structures share one lock, so
 //! the probe-then-insert sequence is atomic and two racing submissions of
 //! the same key can never both enqueue: the loser of the race *attaches* to
 //! the winner's [`JobCell`] and the simulation runs once.
@@ -10,19 +11,17 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 
-use grs_isa::Kernel;
-use grs_sim::{RunConfig, ServiceStats};
+use grs_sim::{Machine, ServiceStats};
 
 use super::hash::ConfigHash;
 use super::memo::MemoStore;
 use super::JobOutcome;
 
-/// One unit of work owned by the queue: everything a worker needs to run
-/// the simulation, plus the precomputed identity key.
+/// One unit of work owned by the queue: the machine a worker runs, and the
+/// key computed from it.
 pub(super) struct Task {
     pub key: ConfigHash,
-    pub cfg: RunConfig,
-    pub kernel: Kernel,
+    pub machine: Machine,
 }
 
 /// The rendezvous point between a job's executor and its subscribers: a

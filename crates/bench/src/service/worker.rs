@@ -1,21 +1,24 @@
 //! Job execution: the worker loop and the inline helper.
 //!
-//! Every job runs under the simulator's supervisor —
-//! [`Simulator::try_run_report`] brings the livelock watchdog — and this
-//! module adds `catch_unwind` around the whole run. A job that panics or
-//! returns a `RunError` is recorded as a failed [`JobOutcome`] and memoized
-//! like any other: the simulator is deterministic, so a retry would fail
-//! the same way.
+//! A task carries the [`Machine`](grs_sim::Machine) its key was computed
+//! from, already validated and resolved at submission; a worker runs
+//! exactly that machine under the simulator's supervisor —
+//! [`Machine::run`](grs_sim::Machine::run) brings the livelock watchdog —
+//! and this module adds `catch_unwind` around the whole run. A run that
+//! panics is recorded as a failed [`JobOutcome`] and memoized like any
+//! other: the simulator is deterministic, so a retry would fail the same
+//! way. (Configuration errors surface earlier, at submission; see the
+//! [module docs](super).)
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use grs_sim::Simulator;
-
-use super::queue::{Shared, Task};
+use super::hash::ConfigHash;
+use super::queue::{Shared, State, Task};
 use super::JobOutcome;
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The message of a caught panic.
+pub(super) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<String>()
         .cloned()
@@ -23,16 +26,24 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-/// Run the simulation, turning a panic or a configuration error into a
-/// failed outcome. Pure with respect to the service (no locks taken).
+/// Run the simulation, turning a panic into a failed outcome. Pure with
+/// respect to the service (no locks taken).
 fn execute(task: &Task) -> JobOutcome {
-    let sim = Simulator::new(task.cfg.clone());
-    let report = catch_unwind(AssertUnwindSafe(|| sim.try_run_report(&task.kernel)))
-        .map_err(panic_message)
-        .and_then(|r| r.map_err(|e| e.to_string()));
+    let report = catch_unwind(AssertUnwindSafe(|| task.machine.run())).map_err(panic_message);
     JobOutcome {
         report: report.map(Arc::new),
     }
+}
+
+/// Count a finished job (executed, and failed if it did) and memoize its
+/// outcome under `key`. Called with the state lock held.
+pub(super) fn record(state: &mut State, key: ConfigHash, outcome: &Arc<JobOutcome>) {
+    state.stats.executed += 1;
+    if outcome.report.is_err() {
+        state.stats.failed += 1;
+    }
+    state.memo.insert(key, Arc::clone(outcome));
+    state.stats.evicted = state.memo.evicted();
 }
 
 /// Execute one task to completion: simulate (unlocked), then under the
@@ -44,12 +55,7 @@ pub(super) fn run_one(shared: &Shared, task: Task) {
     let outcome = Arc::new(execute(&task));
     let cell = {
         let mut state = shared.state.lock().unwrap();
-        state.stats.executed += 1;
-        if outcome.report.is_err() {
-            state.stats.failed += 1;
-        }
-        state.memo.insert(task.key, Arc::clone(&outcome));
-        state.stats.evicted = state.memo.evicted();
+        record(&mut state, task.key, &outcome);
         state.inflight.remove(&task.key)
     };
     if let Some(cell) = cell {

@@ -752,6 +752,53 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// With the owner and non-owner masks empty, every warp is
+        /// unshared and OWF picks exactly as GTO, call for call, and keeps
+        /// the same greedy state: what lets a plan without shared pairs run
+        /// OWF as GTO. Random readiness, view compositions, dynamic ids and
+        /// ready-less cycles on 1–4 units.
+        #[test]
+        fn owf_equals_gto_without_owner_classes(
+            units in 1usize..=4,
+            num_slots in 1usize..=48,
+            cycles in 1usize..60,
+            seed in 1u64..u64::MAX,
+        ) {
+            let mut rng = seed;
+            let mut masks = Masks::unshared(&vec![false; num_slots]);
+            let mut owf = SchedulerKind::Owf.build(num_slots, units);
+            let mut gto = SchedulerKind::Gto.build(num_slots, units);
+            let unit_masks = unit_slots(num_slots, units);
+            for cycle in 0..cycles {
+                if next(&mut rng).is_multiple_of(4) {
+                    masks.listed = next(&mut rng) & below(num_slots);
+                    for id in masks.ids.iter_mut() {
+                        *id = next(&mut rng) % 64;
+                    }
+                }
+                masks.ready = next(&mut rng) & next(&mut rng) & masks.listed;
+                if next(&mut rng).is_multiple_of(8) {
+                    owf.note_idle_cycle();
+                    gto.note_idle_cycle();
+                } else {
+                    for (unit, &mine) in unit_masks.iter().enumerate() {
+                        let view = masks.view();
+                        prop_assert_eq!(
+                            owf.pick(unit, mine, &view),
+                            gto.pick(unit, mine, &view),
+                            "unit {} cycle {}", unit, cycle
+                        );
+                    }
+                }
+                match (&owf, &gto) {
+                    (Scheduler::Owf { last: a }, Scheduler::Gto { last: b }) => {
+                        prop_assert_eq!(a, b, "cycle {}", cycle);
+                    }
+                    _ => unreachable!("built as OWF and GTO"),
+                }
+            }
+        }
+
         /// The mask pick makes the model's picks and leaves the model's
         /// state, call for call: every policy, 1–4 units, up to 48 slots,
         /// random readiness and classes, and a new view composition (with

@@ -449,6 +449,88 @@ mod tests {
         (gpu, ki, st)
     }
 
+    /// Run `gpu` to completion.
+    fn run_to_end(mut gpu: Gpu, ki: &KernelInfo) -> SimStats {
+        let mut st = gpu.start(ki);
+        assert_eq!(
+            gpu.run_until(&mut st, ki, u64::MAX, None),
+            SpanEnd::Finished
+        );
+        gpu.finish(st)
+    }
+
+    #[test]
+    fn a_plan_without_pairs_runs_as_the_unshared_gto_machine() {
+        // Built with the throttle on, a sharing resource, OWF and the
+        // threshold's shared flags, a plan with no shared pairs must give
+        // the unshared GTO machine's statistics: no block is paired, so no
+        // lock, owner class or throttle gate arises. `Simulator::prepare`
+        // resolves such plans to the unshared machine on the strength of
+        // this.
+        let k = KernelBuilder::new("no-pairs")
+            .threads_per_block(96)
+            .regs_per_thread(20)
+            .smem_per_block(1024)
+            .grid_blocks(24)
+            .ld_shared(0, 512)
+            .ld_global(GlobalPattern::Stream)
+            .ffma(3)
+            .st_shared(600, 256)
+            .sfu(1)
+            .st_global(GlobalPattern::Stream)
+            .build();
+        let mut cfg = GpuConfig::paper_baseline();
+        cfg.num_sms = 3;
+        let plan = |resource| LaunchPlan {
+            unshared: 4,
+            shared_pairs: 0,
+            max_blocks: 4,
+            baseline_blocks: 4,
+            resource,
+        };
+        for resource in [ResourceKind::Registers, ResourceKind::Scratchpad] {
+            let shared_ki = KernelInfo::new(k.clone(), Some(resource), Threshold::paper_default());
+            assert!(
+                shared_ki
+                    .meta
+                    .iter()
+                    .any(|m| m.uses_shared_reg() || m.uses_shared_smem()),
+                "{resource:?}: the threshold classifies some access shared"
+            );
+            let plain_ki = KernelInfo::new(k.clone(), None, Threshold::paper_default());
+            for fast_forward in [true, false] {
+                let shared = Gpu::new(
+                    &cfg,
+                    &shared_ki,
+                    plan(resource),
+                    SchedulerKind::Owf,
+                    true,
+                    Some(resource),
+                    fast_forward,
+                    None,
+                );
+                assert!(shared.throttle.enabled());
+                let plain = Gpu::new(
+                    &cfg,
+                    &plain_ki,
+                    plan(ResourceKind::Registers),
+                    SchedulerKind::Gto,
+                    false,
+                    None,
+                    fast_forward,
+                    None,
+                );
+                let want = run_to_end(plain, &plain_ki);
+                assert_eq!(want.blocks_completed, 24);
+                assert_eq!(
+                    run_to_end(shared, &shared_ki),
+                    want,
+                    "{resource:?}, fast_forward {fast_forward}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn a_gated_sm_sleeps_through_a_release_that_admits_none_of_its_warps() {
         let (mut gpu, ki, mut st) = gated_pair(true);

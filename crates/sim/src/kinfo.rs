@@ -29,8 +29,11 @@ pub struct InstrMeta {
     /// non-global-memory instructions). The memory system's issue gate
     /// reserves this much MSHR/DRAM-queue capacity up front.
     pub mem_txns: u8,
-    /// Classification bits, see the `FLAG_*` constants.
-    flags: u8,
+    /// Classification bits (global or scratchpad access, global load,
+    /// exit, and whether it touches a *shared* register or *shared*
+    /// scratchpad under the run's threshold), read through the accessor
+    /// methods.
+    pub flags: u8,
 }
 
 const FLAG_GLOBAL_MEM: u8 = 1 << 0;

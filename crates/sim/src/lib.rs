@@ -75,7 +75,7 @@ pub mod warp;
 pub mod wheel;
 
 pub use mem::MemoryModel;
-pub use run::{RunConfig, SharingMode, Simulator};
+pub use run::{Machine, RunConfig, SharingMode, Simulator};
 pub use stats::{MemStats, SimStats, SmStats};
 pub use supervise::{MemDiag, RunOutcome, RunReport, ServiceStats, SmDiag, StallDiagnosis};
 pub use telemetry::{

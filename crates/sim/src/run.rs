@@ -70,13 +70,18 @@ impl SharingMode {
 pub struct RunConfig {
     /// Machine description (Table I by default).
     pub gpu: GpuConfig,
-    /// Warp scheduler.
+    /// Warp scheduler. OWF under a launch plan without shared pairs runs
+    /// as GTO, the unshared machine's scheduler (see
+    /// [`Simulator::prepare`]).
     pub scheduler: SchedulerKind,
-    /// Sharing mode.
+    /// Sharing mode. A launch plan without shared pairs runs the unshared
+    /// machine whatever the mode (see [`Simulator::prepare`]).
     pub sharing: SharingMode,
     /// Sharing threshold `t`.
     pub threshold: Threshold,
-    /// Dynamic warp-execution throttle (paper Sec. IV-C).
+    /// Dynamic warp-execution throttle (paper Sec. IV-C). It gates only
+    /// non-owner warps, so a launch plan without shared pairs runs with it
+    /// off (see [`Simulator::prepare`]).
     pub dyn_throttle: bool,
     /// Apply the declaration-reordering pass (paper Sec. IV-B) before
     /// simulating.
@@ -335,6 +340,57 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+/// Everything one run's machine is built from: what
+/// [`Simulator::prepare`] resolves a configuration and a kernel to, and all
+/// that [`Gpu::new`] and the supervisor read. Each field holds the value the
+/// run uses, not the one the configuration spelled: a launch plan without
+/// shared pairs has `sharing: None`, `dyn_throttle: false` and GTO in place
+/// of OWF. The simulator is deterministic, so two runs of machines that
+/// agree in every field, and in what the simulator reads of
+/// [`Self::kinfo`], report bit-identical [`RunReport`]s.
+#[derive(Debug, Clone)]
+pub struct Machine {
+    /// Machine description.
+    pub gpu: GpuConfig,
+    /// The kernel (declarations reordered when the configuration asks)
+    /// and its per-instruction metadata under [`Self::sharing`] and the
+    /// threshold.
+    pub kinfo: KernelInfo,
+    /// Per-SM launch plan.
+    pub plan: LaunchPlan,
+    /// Warp scheduler.
+    pub scheduler: SchedulerKind,
+    /// Dynamic warp-execution throttle.
+    pub dyn_throttle: bool,
+    /// Shared resource, `None` for the unshared machine.
+    pub sharing: Option<ResourceKind>,
+    /// Event-driven fast-forward engine ([`RunConfig::fast_forward`]).
+    pub fast_forward: bool,
+    /// Cycle-level telemetry ([`RunConfig::telemetry`]).
+    pub telemetry: Option<TelemetryConfig>,
+    /// Forward-progress watchdog window ([`RunConfig::watchdog`]).
+    pub watchdog: Option<u64>,
+    /// Safety bound on simulated cycles.
+    pub max_cycles: u64,
+}
+
+impl Machine {
+    /// Build the machine and run it under supervision.
+    pub fn run(&self) -> RunReport {
+        let gpu = Gpu::new(
+            &self.gpu,
+            &self.kinfo,
+            self.plan,
+            self.scheduler,
+            self.dyn_throttle,
+            self.sharing,
+            self.fast_forward,
+            self.telemetry,
+        );
+        crate::supervise::supervise(self, gpu)
+    }
+}
+
 /// The simulator front end.
 #[derive(Debug, Clone)]
 pub struct Simulator {
@@ -381,15 +437,24 @@ impl Simulator {
 
     /// Simulate `kernel` under supervision; returns the full
     /// [`RunReport`] (statistics, outcome and telemetry) or a
-    /// configuration error.
+    /// configuration error. Equivalent to [`Self::prepare`], then
+    /// [`Machine::run`].
     pub fn try_run_report(&self, kernel: &Kernel) -> Result<RunReport, RunError> {
-        let (gpu, kinfo) = self.prepare(kernel)?;
-        Ok(crate::supervise::supervise(&self.cfg, gpu, &kinfo))
+        Ok(self.prepare(kernel)?.run())
     }
 
-    /// Validate the configuration and `kernel`, then build the machine that
-    /// will run them.
-    pub(crate) fn prepare(&self, kernel: &Kernel) -> Result<(Gpu, KernelInfo), RunError> {
+    /// Validate the configuration and `kernel`, then resolve them to the
+    /// [`Machine`] a run builds: the one place that decides which machine
+    /// a configuration spells.
+    ///
+    /// A launch plan without shared pairs resolves to the unshared machine
+    /// whatever the configuration's sharing resource, threshold, throttle
+    /// and reorder flag: no block is paired, so no pair lock, owner class
+    /// or throttle gate can arise. It runs with no sharing resource, the
+    /// throttle off and OWF scheduled as GTO (with every warp in one
+    /// class, OWF picks exactly as GTO does). Statistics are those the
+    /// configuration as spelled would give.
+    pub fn prepare(&self, kernel: &Kernel) -> Result<Machine, RunError> {
         let gpu = &self.cfg.gpu;
         for (field, value) in [
             ("num_sms", gpu.num_sms),
@@ -443,18 +508,28 @@ impl Simulator {
         if warp_slots > grs_core::MAX_WARP_SLOTS as u64 {
             return Err(RunError::TooManyWarpSlots { warp_slots });
         }
-        let kinfo = KernelInfo::new(kernel, self.cfg.sharing.resource(), self.cfg.threshold);
-        let gpu = Gpu::new(
-            gpu,
-            &kinfo,
+        let cfg = &self.cfg;
+        let (scheduler, dyn_throttle, sharing) = if plan.shared_pairs == 0 {
+            let scheduler = match cfg.scheduler {
+                SchedulerKind::Owf => SchedulerKind::Gto,
+                s => s,
+            };
+            (scheduler, false, None)
+        } else {
+            (cfg.scheduler, cfg.dyn_throttle, cfg.sharing.resource())
+        };
+        Ok(Machine {
+            gpu: gpu.clone(),
+            kinfo: KernelInfo::new(kernel, sharing, cfg.threshold),
             plan,
-            self.cfg.scheduler,
-            self.cfg.dyn_throttle,
-            self.cfg.sharing.resource(),
-            self.cfg.fast_forward,
-            self.cfg.telemetry,
-        );
-        Ok((gpu, kinfo))
+            scheduler,
+            dyn_throttle,
+            sharing,
+            fast_forward: cfg.fast_forward,
+            telemetry: cfg.telemetry,
+            watchdog: cfg.watchdog,
+            max_cycles: cfg.max_cycles,
+        })
     }
 
     /// Simulate `kernel`; panics on configuration errors (convenience for
@@ -656,6 +731,47 @@ mod tests {
         cfg.gpu.sm.max_blocks = 65;
         let err = Simulator::new(cfg).try_run_report(&kernel(16));
         assert_eq!(err, Err(RunError::TooManyWarpSlots { warp_slots: 65 }));
+    }
+
+    #[test]
+    fn prepare_resolves_a_plan_without_pairs_to_the_unshared_machine() {
+        // hotspot-like: 36 regs × 256 threads fills 3 blocks and leaves
+        // room for 3 pairs under register sharing.
+        let paired = KernelBuilder::new("paired")
+            .threads_per_block(256)
+            .regs_per_thread(36)
+            .grid_blocks(28)
+            .ialu(8)
+            .build();
+        let sim = Simulator::new(RunConfig::paper_register_sharing());
+        let m = sim.prepare(&paired).unwrap();
+        assert_eq!(m.plan.shared_pairs, 3);
+        assert_eq!(
+            (m.scheduler, m.dyn_throttle, m.sharing),
+            (SchedulerKind::Owf, true, Some(ResourceKind::Registers))
+        );
+        assert!(m.kinfo.meta.iter().any(|i| i.uses_shared_reg()));
+
+        // The scratchpad is not what limits it: no pairs, so the unshared
+        // machine, OWF run as GTO, and no access classified shared.
+        let sim = Simulator::new(RunConfig::paper_scratchpad_sharing().with_dyn_throttle(true));
+        let m = sim.prepare(&paired).unwrap();
+        assert_eq!(m.plan.shared_pairs, 0);
+        assert_eq!(
+            (m.scheduler, m.dyn_throttle, m.sharing),
+            (SchedulerKind::Gto, false, None)
+        );
+        assert!(m.kinfo.meta.iter().all(|i| !i.uses_shared_smem()));
+        // Only OWF is rewritten.
+        for s in [
+            SchedulerKind::Lrr,
+            SchedulerKind::TwoLevel { group_size: 8 },
+        ] {
+            let m = Simulator::new(sim.config().clone().with_scheduler(s))
+                .prepare(&paired)
+                .unwrap();
+            assert_eq!(m.scheduler, s);
+        }
     }
 
     #[test]

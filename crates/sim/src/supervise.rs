@@ -24,8 +24,7 @@
 //! [`StallDiagnosis`] in the [`RunReport`].
 
 use crate::gpu::{EngineState, Gpu, SpanEnd};
-use crate::kinfo::KernelInfo;
-use crate::run::RunConfig;
+use crate::run::Machine;
 use crate::stats::SimStats;
 use crate::telemetry::{assemble, TelemetryReport};
 
@@ -279,12 +278,12 @@ fn diagnose(gpu: &Gpu, st: &EngineState, window: u64) -> StallDiagnosis {
     }
 }
 
-/// Run `gpu` until the grid drains, `cfg.max_cycles` elapse or the
-/// watchdog trips, and report how the run ended.
-pub(crate) fn supervise(cfg: &RunConfig, mut gpu: Gpu, kinfo: &KernelInfo) -> RunReport {
-    let watchdog = cfg.watchdog.map(|w| w.max(MIN_WATCHDOG_WINDOW));
-    let mut st = gpu.start(kinfo);
-    let outcome = match gpu.run_until(&mut st, kinfo, cfg.max_cycles, watchdog) {
+/// Run `gpu`, built from `m`, until the grid drains, `m.max_cycles`
+/// elapse or the watchdog trips, and report how the run ended.
+pub(crate) fn supervise(m: &Machine, mut gpu: Gpu) -> RunReport {
+    let watchdog = m.watchdog.map(|w| w.max(MIN_WATCHDOG_WINDOW));
+    let mut st = gpu.start(&m.kinfo);
+    let outcome = match gpu.run_until(&mut st, &m.kinfo, m.max_cycles, watchdog) {
         SpanEnd::Finished => RunOutcome::Completed,
         SpanEnd::ReachedStop => RunOutcome::TimedOut,
         SpanEnd::Stalled => {
@@ -292,7 +291,7 @@ pub(crate) fn supervise(cfg: &RunConfig, mut gpu: Gpu, kinfo: &KernelInfo) -> Ru
         }
     };
     let stats = gpu.finish(st);
-    let telemetry = cfg.telemetry.is_some().then(|| {
+    let telemetry = m.telemetry.is_some().then(|| {
         let (sms, mem) = gpu.take_telemetry();
         assemble(sms, mem)
     });
