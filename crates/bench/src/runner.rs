@@ -4,10 +4,10 @@
 //! Individual simulations are strictly serial (cycle-accurate state), but
 //! experiments sweep many independent (kernel, configuration) cells.
 //! [`run_grid`] submits every cell to [`SweepService::global`], which
-//! content-hashes each job, answers duplicates from its memo store or by
-//! attaching to the identical in-flight run, and executes the rest on its
-//! worker pool; then it waits on each cell in turn (the caller helps while
-//! waiting).
+//! keys each job on the machine it builds, answers duplicates from its
+//! memo store or by attaching to the in-flight run of the same machine,
+//! and executes the rest on its worker pool; then it waits on each cell in
+//! turn (the caller helps while waiting).
 //!
 //! Every job runs under the supervision stack plus `catch_unwind`, so a
 //! cell that fails (a configuration error or a panic) keeps its error in
@@ -15,10 +15,11 @@
 //! The runner names the failed cell on stderr, the experiments print it as
 //! `failed`, and `repro` exits 1.
 //!
-//! Because the service is process-wide, duplicate (configuration, kernel)
-//! pairs are simulated **once per process**, not once per occurrence: two
+//! Because the service is process-wide, each distinct machine is
+//! simulated **once per process**, not once per occurrence: two
 //! experiments sharing a baseline column hit the memo store on every
-//! repeat.
+//! repeat, and so does a sharing column whose plan has no shared pairs
+//! (it runs the unshared machine).
 
 use grs_isa::Kernel;
 use grs_sim::{RunConfig, SimStats};

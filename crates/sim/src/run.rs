@@ -1,4 +1,14 @@
-//! Public simulation API: [`RunConfig`] + [`Simulator`].
+//! Public simulation API: [`RunConfig`] + [`Simulator`], and the
+//! [`Machine`] a run builds.
+//!
+//! [`Simulator::prepare`] is the one place that decides which machine a
+//! configuration and a kernel build: it validates both, applies the
+//! declaration reorder, computes the launch plan, and resolves a plan
+//! without shared pairs to the unshared machine (no sharing resource,
+//! throttle off, OWF run as GTO). [`Machine::run`] builds that machine and
+//! supervises it; [`Simulator::try_run_report`] is the two in sequence.
+//! The sweep service in `grs-bench` keys its memo store on the `Machine`,
+//! so spellings of one machine are simulated once.
 
 use grs_core::{
     compute_launch_plan, occupancy, reorder_declarations, GpuConfig, KernelFootprint, LaunchPlan,

@@ -138,10 +138,14 @@ pub struct MemDiag {
 /// `repro trace` prints after the [`RunReport::summary`] of the run it
 /// served.
 ///
+/// The service keys a job on the [`Machine`] it builds,
+/// so submissions that spell one machine differently count as duplicates.
 /// Every run is deterministic by construction (the repository's
 /// bit-identity test suites pin this), which is what makes exact
-/// content-hash memoization sound: `deduped + memo_hits` submissions were
-/// answered from a single execution with *bit-identical* statistics.
+/// memoization sound: `deduped + memo_hits` submissions were answered
+/// from a single execution of their machine with *bit-identical*
+/// statistics. A job whose preparation fails is counted as executed and
+/// failed once, and memoized like a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Jobs submitted to the service.
@@ -151,9 +155,10 @@ pub struct ServiceStats {
     pub deduped: u64,
     /// Submissions answered from the memo store without simulating.
     pub memo_hits: u64,
-    /// Jobs actually simulated by a worker.
+    /// Distinct machines simulated, plus jobs whose preparation failed.
     pub executed: u64,
-    /// Executed jobs that failed: a configuration error or a panic.
+    /// Executed jobs that failed: a configuration error or a panic, in
+    /// preparation or in the run.
     pub failed: u64,
     /// Memo-store entries evicted by the bounded LRU.
     pub evicted: u64,
