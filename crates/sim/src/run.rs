@@ -386,6 +386,12 @@ pub struct Machine {
 
 impl Machine {
     /// Build the machine and run it under supervision.
+    ///
+    /// # Panics
+    ///
+    /// If the plan needs more warp slots per SM than the simulator supports
+    /// ([`grs_core::MAX_WARP_SLOTS`]), as [`Gpu::new`] does; a `Machine`
+    /// from [`Simulator::prepare`] never does.
     pub fn run(&self) -> RunReport {
         let gpu = Gpu::new(
             &self.gpu,
