@@ -1164,16 +1164,13 @@ impl Sm {
                     trips,
                     loop_id,
                 } => {
-                    let id = loop_id as usize;
-                    if w.loop_init & (1 << id) == 0 {
-                        w.loop_counters[id] = trips;
-                        w.loop_init |= 1 << id;
-                    }
-                    if w.loop_counters[id] > 0 {
-                        w.loop_counters[id] -= 1;
+                    let counter = &mut w.loop_counters[loop_id as usize];
+                    let left = counter.get_or_insert(trips);
+                    if *left > 0 {
+                        *left -= 1;
                         w.pc = u32::from(target);
                     } else {
-                        w.loop_init &= !(1 << id);
+                        *counter = None;
                         w.pc += 1;
                     }
                 }

@@ -23,10 +23,10 @@ pub struct Warp {
     pub warp_in_block: u32,
     /// Active threads (≤ 32; last warp of a partial block has fewer).
     pub threads: u32,
-    /// Per-loop remaining-trip counters.
-    pub loop_counters: Vec<u16>,
-    /// Bitmask: which loop counters are initialized.
-    pub loop_init: u64,
+    /// Per-loop remaining trips, indexed by loop id: `None` until the
+    /// loop's branch is first reached, and again once the loop falls
+    /// through.
+    pub loop_counters: Vec<Option<u16>>,
     /// Bitmask of architectural registers with a pending writeback
     /// (scoreboard). Limits the simulator to ≤ 64 registers per thread,
     /// ample for the paper's kernels (max 48).
@@ -66,8 +66,7 @@ impl Warp {
             block_slot,
             warp_in_block,
             threads,
-            loop_counters: vec![0; num_loops],
-            loop_init: 0,
+            loop_counters: vec![None; num_loops],
             pending_regs: 0,
             outstanding_mem: 0,
             at_barrier: false,

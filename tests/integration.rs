@@ -2,6 +2,8 @@
 //! evaluation relies on.
 
 use gpu_resource_sharing::core::SchedulerKind;
+use gpu_resource_sharing::isa::reg::Reg;
+use gpu_resource_sharing::isa::{Instr, Op};
 use gpu_resource_sharing::prelude::*;
 
 fn small(mut k: gpu_resource_sharing::isa::Kernel) -> gpu_resource_sharing::isa::Kernel {
@@ -171,6 +173,42 @@ fn simulated_residency_matches_plan() {
             k.grid_blocks = 2 * 2 * plan.max_blocks;
             let stats = sim.run(&k);
             assert_eq!(stats.max_resident_blocks, plan.max_blocks, "{}", k.name);
+        }
+    }
+}
+
+/// Two blocks of two warps running a loop nest: the outer loop (id
+/// `outer`) runs an IALU and then the inner loop (id `inner`, one IALU),
+/// each loop three times (two trips back).
+fn nested_loops(outer: u8, inner: u8) -> Kernel {
+    let ialu = Instr::new(Op::IAlu, Some(Reg(0)), &[]);
+    let back = |target, loop_id| {
+        let op = Op::BranchBack {
+            target,
+            trips: 2,
+            loop_id,
+        };
+        Instr::new(op, None, &[])
+    };
+    let exit = Instr::new(Op::Exit, None, &[]);
+    let program = Program::new(vec![ialu, ialu, back(1, inner), back(0, outer), exit]);
+    Kernel::new(format!("loops-{outer}-{inner}"), 64, 4, 0, 2, program)
+}
+
+#[test]
+fn loop_ids_past_63_keep_their_own_trip_counters() {
+    // `validate` accepts any `u8` loop id. Ids 64 and 67 alias 0 and 3 in
+    // any 64-bit mask; {0, 1} is the control.
+    for (outer, inner) in [(0, 1), (0, 64), (3, 67)] {
+        let k = nested_loops(outer, inner);
+        let warps = u64::from(k.grid_blocks * k.warps_per_block());
+        for fast_forward in [false, true] {
+            let mut cfg = RunConfig::baseline_lrr().with_fast_forward(fast_forward);
+            cfg.max_cycles = 100_000;
+            let stats = Simulator::new(cfg).run(&k);
+            let at = format!("loops {{{outer}, {inner}}}, fast-forward {fast_forward}");
+            assert!(!stats.timed_out, "{at}: spun to the cycle bound");
+            assert_eq!(stats.warp_instrs, k.program.dynamic_len() * warps, "{at}");
         }
     }
 }
