@@ -1,6 +1,6 @@
 //! Static validation of kernels.
 
-use crate::instr::Op;
+use crate::instr::{Op, MAX_SRCS};
 use crate::kernel::Kernel;
 
 /// Reasons a kernel fails validation.
@@ -10,6 +10,8 @@ pub enum ValidateError {
     EmptyProgram,
     /// Last reachable path never exits; programs must end in `Exit`.
     MissingExit,
+    /// An instruction claims more than [`MAX_SRCS`] source operands.
+    TooManySources { pc: usize, nsrc: u8 },
     /// A register operand `reg` is `>= regs_per_thread`.
     RegOutOfRange {
         pc: usize,
@@ -50,6 +52,9 @@ impl std::fmt::Display for ValidateError {
         match self {
             ValidateError::EmptyProgram => write!(f, "program is empty"),
             ValidateError::MissingExit => write!(f, "program does not end with Exit"),
+            ValidateError::TooManySources { pc, nsrc } => {
+                write!(f, "pc {pc}: {nsrc} source operands (at most {MAX_SRCS})")
+            }
             ValidateError::RegOutOfRange {
                 pc,
                 reg,
@@ -126,6 +131,13 @@ pub fn validate(kernel: &Kernel) -> Result<(), ValidateError> {
     }
     let mut loop_ids_seen = [false; 256];
     for (pc, instr) in kernel.program.instrs.iter().enumerate() {
+        // Checked first: the operands are `srcs[..nsrc]`.
+        if usize::from(instr.nsrc) > MAX_SRCS {
+            return Err(ValidateError::TooManySources {
+                pc,
+                nsrc: instr.nsrc,
+            });
+        }
         for reg in instr.operands() {
             if u32::from(reg.0) >= kernel.regs_per_thread {
                 return Err(ValidateError::RegOutOfRange {
@@ -206,6 +218,18 @@ mod tests {
             validate(&k),
             Err(ValidateError::RegOutOfRange { reg: 99, .. })
         ));
+    }
+
+    #[test]
+    fn rejects_more_sources_than_an_instruction_stores() {
+        for nsrc in [4, 255] {
+            let mut k = ok_kernel();
+            k.program.instrs[1].nsrc = nsrc;
+            assert_eq!(
+                validate(&k),
+                Err(ValidateError::TooManySources { pc: 1, nsrc })
+            );
+        }
     }
 
     #[test]
