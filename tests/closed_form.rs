@@ -26,7 +26,7 @@
 //!   `l1_hit_latency` after it issues.
 
 use gpu_resource_sharing::isa::reg::Reg;
-use gpu_resource_sharing::isa::{Instr, Op};
+use gpu_resource_sharing::isa::{Instr, Op, SharedPattern};
 use gpu_resource_sharing::prelude::*;
 
 /// One SM, otherwise Table I under Unshared-LRR.
@@ -115,6 +115,58 @@ fn dependent_cold_loads_pay_the_whole_miss_path_each() {
         for n in [1u64, 2, 10] {
             let k = kernel(1, chain(Op::LdGlobal(GlobalPattern::Stream), n as usize));
             assert_eq!(cycles(&cfg, &k), n * miss + 1, "n={n}, miss={miss}");
+        }
+    }
+}
+
+#[test]
+fn dependent_scratchpad_loads_cost_one_latency_each() {
+    // A scratchpad load writes its register back `lat.scratchpad` cycles
+    // after it issues, and touches no cache: the i-th link issues at
+    // i·L, and the exit at n·L.
+    let mut slow = one_sm();
+    slow.gpu.lat.scratchpad = 9;
+    for cfg in [one_sm(), slow] {
+        let lat = u64::from(cfg.gpu.lat.scratchpad);
+        for n in [1u64, 2, 10] {
+            let ld = Op::LdShared(SharedPattern::new(0, 128));
+            let mut k = kernel(1, chain(ld, n as usize));
+            k.smem_per_block = 128;
+            assert_eq!(cycles(&cfg, &k), n * lat + 1, "n={n}, scratchpad={lat}");
+        }
+    }
+}
+
+#[test]
+fn independent_cold_loads_wait_for_the_per_warp_limit() {
+    // One warp issues n ≤ 8 cold `Stream` loads into distinct registers,
+    // so no load waits on another's result; only `max_pending_per_warp`
+    // (p) holds one back. Loads issue one per cycle until p are in flight;
+    // load i then issues when load i − p returns, so it issues at
+    // ⌊i/p⌋·miss + i mod p. Each transaction finds the L2 and DRAM
+    // servers idle, because each serves a line in under a cycle
+    // (`l2_service_q4` 1 and `dram_service_q4` 2 quarter-cycles) and at
+    // most one load issues per cycle. The last load (i = n − 1) returns
+    // `miss` after it issues, and the exit issues then.
+    for dram in [100, 280, 300] {
+        for p in 1..=6u64 {
+            let mut cfg = one_sm();
+            cfg.gpu.mem.dram_latency = dram;
+            cfg.gpu.mem.max_pending_per_warp = p as u32;
+            let mem = cfg.gpu.mem;
+            assert!(mem.l2_service_q4 < 4 && mem.dram_service_q4 < 4);
+            let miss = u64::from(mem.l1_hit_latency + mem.l2_latency + mem.dram_latency);
+            for n in [1u64, 4, 7, 8] {
+                let body: Vec<Instr> = (0..n)
+                    .map(|i| {
+                        let ld = Op::LdGlobal(GlobalPattern::Stream);
+                        Instr::new(ld, Some(Reg(i as u16 % 8)), &[])
+                    })
+                    .collect();
+                let want = ((n - 1) / p + 1) * miss + (n - 1) % p + 1;
+                let k = kernel(1, body);
+                assert_eq!(cycles(&cfg, &k), want, "p={p}, n={n}, dram={dram}");
+            }
         }
     }
 }
