@@ -4,10 +4,10 @@
 //! Individual simulations are strictly serial (cycle-accurate state), but
 //! experiments sweep many independent (kernel, configuration) cells.
 //! [`run_grid`] submits every cell to [`SweepService::global`], which
-//! keys each job on the machine it builds, answers duplicates from its
-//! memo store or by attaching to the in-flight run of the same machine,
-//! and executes the rest on its worker pool; then it waits on each cell in
-//! turn (the caller helps while waiting).
+//! keys each job on the machine it builds and answers a machine submitted
+//! before, run or not, without a second run; then it waits on each cell
+//! in turn. The first wait runs every distinct machine of the grid as one
+//! batch, on one thread per core.
 //!
 //! Every job runs under the supervision stack plus `catch_unwind`, so a
 //! cell that fails (a configuration error or a panic) keeps its error in
@@ -17,9 +17,9 @@
 //!
 //! Because the service is process-wide, each distinct machine is
 //! simulated **once per process**, not once per occurrence: two
-//! experiments sharing a baseline column hit the memo store on every
-//! repeat, and so does a sharing column whose plan has no shared pairs
-//! (it runs the unshared machine).
+//! experiments sharing a baseline column are memo hits on every repeat,
+//! and so is a sharing column whose plan has no shared pairs (it runs the
+//! unshared machine).
 
 use grs_isa::Kernel;
 use grs_sim::{RunConfig, SimStats};

@@ -1,88 +1,29 @@
-//! Canonical content hashing of sweep jobs.
+//! The spelling key: a stable 128-bit content hash of a sweep job.
 //!
-//! The sweep service keys a job on the machine it builds: [`machine_key`]
-//! folds the [`Machine`] that
-//! [`Simulator::prepare`](grs_sim::Simulator::prepare) resolves a
-//! `(RunConfig, Kernel)` pair to into a stable 128-bit [`ConfigHash`].
-//! Each simulation is a pure function of its `Machine` (the determinism
-//! suites pin this bit-for-bit), so two jobs with equal machine keys
-//! *must* produce identical [`grs_sim::RunReport`]s — which is what makes
-//! exact memoization sound. Keying the machine rather than the spelling
-//! merges configurations that cannot change the simulation: a plan
-//! without shared pairs runs the unshared machine whatever its sharing
-//! resource, threshold, throttle or reorder flag, and a threshold or
-//! declaration order that gives the same plan and the same
-//! per-instruction shared flags builds the same machine.
+//! [`job_key`] folds every semantic field of a `RunConfig` and a kernel
+//! (name, footprint, declaration order and every instruction) into a
+//! [`ConfigHash`] with [`StableHasher`], a fixed SplitMix64 chain over two
+//! lanes, so keys are reproducible across processes and platforms. The
+//! sweep service does not read it: it keys jobs by the machine they build
+//! ([`super::machine_key`]). The frozen benchmark folds its submissions
+//! into points with it, so its digest is pinned.
 //!
-//! [`job_key`] keys the spelling: every semantic field of the
-//! `RunConfig` and the kernel. The service uses it only for a job whose
-//! preparation fails (there is no machine to key); the frozen benchmark
-//! folds its submissions into points with it, so its digest is pinned.
-//! The two keys live in separate domains ([`MACHINE_DOMAIN`]).
-//!
-//! Design rules:
-//!
-//! * **Exhaustive destructuring.** Every struct walked here is taken apart
-//!   with a full pattern (`let Machine { gpu, kinfo, .. } = m` with
-//!   *no* `..`), so adding a field to any input type is a compile error at
-//!   this file until the new field is either hashed or consciously skipped
-//!   (bound to `_` with the reason beside it). A field silently missing
-//!   from the key would let memoization serve the wrong result; a compile
-//!   error is the cheap way to make that impossible.
-//! * **Hash what the machine reads.** The machine key hashes each
-//!   instruction's `InstrMeta` (op, destination, operand mask,
-//!   transaction count, classification flags) in place of the program,
-//!   the declaration order and the threshold: the launch plan and those
-//!   flags are their only effects. The kernel name stays in the key,
-//!   conservatively, so tests can make a kernel unique by its name.
-//! * **Observation knobs are semantic.** Even knobs proven
-//!   stats-invariant (`fast_forward`, `telemetry`) are hashed: the
-//!   memoized artifact is the whole `RunReport`, telemetry included, and
-//!   that *does* depend on the knobs. Keying conservatively costs a
-//!   re-simulation; keying loosely could hand a telemetry-less report to a
-//!   telemetry-on submission.
-//! * **Stable by construction.** The mixing function is a fixed SplitMix64
-//!   chain over two lanes — no `std::hash` machinery whose output may
-//!   change across releases — so keys are reproducible across processes
-//!   and platforms, and the pinned discrimination tests in
-//!   `tests/sweep_service.rs` stay meaningful.
-//!
-//! Both keys hash the kernel's content, not only its name. Generated
-//! kernels (`gen:<family>:<seed>:<size>`) need no special case — their
-//! name is the canonical spec and their content is a pure function of it —
-//! but the content hash additionally protects against post-generation
-//! mutation (e.g. `shrink_grid` for `--quick` runs), which a spec-only key
-//! would alias.
+//! Every struct is taken apart with a full pattern (no `..`), so a new
+//! field on any input type is a compile error here until it is hashed or
+//! skipped with its reason beside it.
 
-use grs_core::{
-    GpuConfig, LatencyConfig, LaunchPlan, MemConfig, ResourceKind, SchedulerKind, SmConfig,
-};
+use grs_core::{GpuConfig, LatencyConfig, MemConfig, SchedulerKind, SmConfig};
 use grs_isa::{GlobalPattern, Instr, Kernel, Op, Program};
-use grs_sim::kinfo::{InstrMeta, KernelInfo};
-use grs_sim::{Machine, RunConfig, SharingMode, TelemetryConfig};
+use grs_sim::{RunConfig, SharingMode, TelemetryConfig};
 
 /// Bump when the hashing scheme itself changes (field order, encoding), so
 /// persisted keys from an older scheme can never alias a newer one.
 const KEY_VERSION: u64 = 4;
 
-/// The first word a [`machine_key`] hashes after the version. Every
-/// [`job_key`] starts with a `u32`-widened word (`num_sms`), and this one
-/// is above `u32::MAX`, so a machine key and a job key never hash the same
-/// word sequence.
-pub const MACHINE_DOMAIN: u64 = 0x4D41_4348_494E_4531; // "MACHINE1"
-
-/// Canonical 128-bit identity of a sweep job. Equal keys mean equal
-/// simulation inputs; the service's memo store and in-flight table are both
-/// indexed by this.
+/// Canonical 128-bit identity of a job's spelling: equal keys mean equal
+/// configurations and kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConfigHash([u64; 2]);
-
-impl ConfigHash {
-    /// The raw 128 bits, high lane first.
-    pub fn to_u128(self) -> u128 {
-        (u128::from(self.0[0]) << 64) | u128::from(self.0[1])
-    }
-}
 
 impl std::fmt::Display for ConfigHash {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -333,7 +274,7 @@ fn hash_global_pattern(h: &mut StableHasher, p: GlobalPattern) {
 /// Fold a kernel's full content into the hasher: name (for generated
 /// kernels this is the canonical gen-spec), launch footprint, declaration
 /// order, and every instruction.
-pub fn hash_kernel(h: &mut StableHasher, kernel: &Kernel) {
+fn hash_kernel(h: &mut StableHasher, kernel: &Kernel) {
     let Kernel {
         name,
         threads_per_block,
@@ -364,7 +305,7 @@ pub fn hash_kernel(h: &mut StableHasher, kernel: &Kernel) {
 }
 
 /// Fold every field of a run configuration into the hasher.
-pub fn hash_config(h: &mut StableHasher, cfg: &RunConfig) {
+fn hash_config(h: &mut StableHasher, cfg: &RunConfig) {
     let RunConfig {
         gpu,
         scheduler,
@@ -408,9 +349,7 @@ fn hash_telemetry(h: &mut StableHasher, telemetry: Option<TelemetryConfig>) {
 }
 
 /// The key of a job's spelling: configuration + kernel content. Jobs
-/// that spell one machine differently get different job keys; the
-/// service keys on [`machine_key`] instead, and on this only for a job
-/// whose preparation fails.
+/// that spell one machine differently get different job keys.
 ///
 /// The third parameter can only be `None`; it exists solely so the
 /// benchmark crate's `job_key(&cfg, &kernel, None)` calls keep compiling.
@@ -422,109 +361,6 @@ pub fn job_key(
     let mut h = StableHasher::new();
     hash_config(&mut h, cfg);
     hash_kernel(&mut h, kernel);
-    h.finish()
-}
-
-/// Fold what the simulator reads of a prepared kernel into the hasher.
-fn hash_kernel_info(h: &mut StableHasher, kinfo: &KernelInfo) {
-    let KernelInfo {
-        kernel,
-        warps_per_block,
-        threads_in_warp,
-        // The threshold's boundaries: read only through the per-instruction
-        // shared flags in `meta`.
-        private_regs: _,
-        private_smem: _,
-        meta,
-        num_loops,
-    } = kinfo;
-    let Kernel {
-        name,
-        threads_per_block,
-        regs_per_thread,
-        smem_per_block,
-        grid_blocks,
-        // Read only through `meta`, which holds one entry per instruction
-        // with its op, destination and operand mask.
-        program: _,
-        // Read only through the shared-register flags in `meta` (the plan
-        // depends on the footprint alone).
-        decl_seq: _,
-    } = kernel;
-    h.write_bytes(name.as_bytes());
-    for v in [
-        threads_per_block,
-        regs_per_thread,
-        smem_per_block,
-        grid_blocks,
-        warps_per_block,
-    ] {
-        h.write_u32(*v);
-    }
-    h.write_u64(threads_in_warp.len() as u64);
-    for t in threads_in_warp {
-        h.write_u32(*t);
-    }
-    h.write_u64(*num_loops as u64);
-    h.write_u64(meta.len() as u64);
-    for m in meta {
-        let InstrMeta {
-            op_mask,
-            op,
-            dst,
-            mem_txns,
-            flags,
-        } = m;
-        hash_op(h, *op);
-        h.write_u64(*op_mask);
-        h.write_u64(u64::from(*dst) | u64::from(*mem_txns) << 16 | u64::from(*flags) << 24);
-    }
-}
-
-/// The canonical key of a sweep job: the machine
-/// [`Simulator::prepare`](grs_sim::Simulator::prepare) builds for it.
-/// Equal keys mean equal machines, and equal machines report
-/// bit-identical [`grs_sim::RunReport`]s.
-pub fn machine_key(m: &Machine) -> ConfigHash {
-    let Machine {
-        gpu,
-        kinfo,
-        plan,
-        scheduler,
-        dyn_throttle,
-        sharing,
-        fast_forward,
-        telemetry,
-        watchdog,
-        max_cycles,
-    } = m;
-    let LaunchPlan {
-        unshared,
-        shared_pairs,
-        max_blocks,
-        // Reported alongside the plan, never read by the machine.
-        baseline_blocks: _,
-        // The machine reads `sharing` below instead.
-        resource: _,
-    } = plan;
-    let mut h = StableHasher::new();
-    h.write_u64(MACHINE_DOMAIN);
-    hash_gpu(&mut h, gpu);
-    hash_kernel_info(&mut h, kinfo);
-    for v in [unshared, shared_pairs, max_blocks] {
-        h.write_u32(*v);
-    }
-    hash_scheduler(&mut h, *scheduler);
-    h.write_bool(*dyn_throttle);
-    h.write_u64(match sharing {
-        None => 0,
-        Some(ResourceKind::Registers) => 1,
-        Some(ResourceKind::Scratchpad) => 2,
-    });
-    h.write_bool(*fast_forward);
-    hash_telemetry(&mut h, *telemetry);
-    h.write_opt_u64(*watchdog);
-    h.write_u64(*max_cycles);
     h.finish()
 }
 
@@ -549,8 +385,9 @@ mod tests {
 
     #[test]
     fn the_digest_is_pinned() {
-        // The key must be stable across processes and releases: a change
-        // here is a memo-format break and requires bumping KEY_VERSION.
+        // The key must be stable across processes and releases: the frozen
+        // benchmark folds its points with it. A change here is a scheme
+        // change and requires bumping KEY_VERSION.
         let (cfg, k) = base();
         let key = job_key(&cfg, &k, None);
         assert_eq!(key, job_key(&cfg, &k, None));

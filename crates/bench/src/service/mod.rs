@@ -1,77 +1,78 @@
-//! # Sweep service: persistent job queue with machine-keyed memoization
+//! # Sweep service: batches of simulations, memoized by the machine
 //!
 //! Every simulation request in the bench harness flows through one of
 //! these. A submission is a `(RunConfig, Kernel)` pair; the service
-//! resolves it on the submitting thread to the
-//! [`Machine`](grs_sim::Machine) it builds ([`Simulator::prepare`]) and
-//! keys it on the canonical [`ConfigHash`] of that machine
-//! ([`hash::machine_key`]). A job's identity is the
-//! machine, not the spelling: configurations that build one machine (a
+//! resolves it on the submitting thread to the [`Machine`] it builds
+//! ([`Simulator::prepare`]) and looks that machine up, by value, in one
+//! map from [`MachineKey`] to the machine's job cell. A job's identity is
+//! the machine, not the spelling: configurations that build one machine (a
 //! plan without shared pairs under any sharing resource, threshold,
 //! throttle or reorder flag; OWF or GTO without pairs; two thresholds or
 //! declaration orders with one plan and one set of per-instruction shared
-//! flags) are simulated once. The pipeline is
+//! flags) are simulated once.
 //!
 //! ```text
-//!   submit ──▶ prepare ──err──▶ job_key ──▶ failed outcome (memoized)
+//!   submit ──▶ prepare ──err/panic──▶ resolved JobHandle (executed + failed)
 //!                 │ Machine
 //!                 ▼
-//!            machine_key ──▶ memo store ──hit──▶ resolved JobHandle
-//!                                │  miss
-//!                                ▼
-//!                        in-flight table ──hit──▶ attached JobHandle (shared cell)
-//!                                │  miss
-//!                                ▼
-//!                         pending queue ──▶ worker pool ──▶ supervised run
-//!                                                 │          (watchdog)
-//!                                                 ▼
-//!                                         memoize + resolve cell
+//!            machine_key ──▶ map ──resolved cell──▶ memo hit
+//!                             │  ──unresolved cell──▶ deduped (shares the cell)
+//!                             │ absent
+//!                             ▼
+//!                   new cell, pushed on the pending batch
+//!
+//!   JobHandle::wait ──▶ take the whole pending batch ──▶ `workers` scoped
+//!       threads + the waiter, each Machine::run under catch_unwind
+//!       ──▶ count, resolve the cell
 //! ```
 //!
-//! A worker runs exactly the `Machine` its key was computed from, so a key
-//! and its run cannot disagree. The load-bearing invariant: **the
-//! simulator is deterministic, so memoization is exact.** Equal machine
-//! keys mean equal machines, equal machines mean bit-identical
-//! [`RunReport`]s (the determinism suites pin this across engines and
-//! memory models, and `tests/sweep_service.rs` checks equal keys ⇒ equal
-//! reports over random settings), so answering a resubmission from the
-//! memo store is indistinguishable from re-running it — modulo the saved
-//! CPU-hours. The same argument covers in-flight dedup: a late subscriber
-//! to a running job attaches to the first submission's write-once job cell
-//! and receives the one shared outcome.
+//! Both structures sit behind one mutex, so two racing submissions of one
+//! machine cannot both push it: the second finds the first's cell.
 //!
-//! A job whose preparation fails (a configuration error, or a panic,
-//! caught) has no machine: it resolves at submission as one failed
-//! outcome, counted as executed and failed, and memoized under its
-//! [`job_key`] so a resubmission is a memo hit. `submit` never panics.
+//! **Nothing runs until a wait.** No client loses overlap from that,
+//! because each waits right after it submits: [`crate::run_grid`] submits
+//! every cell of its grid and then waits on each, `repro trace` submits
+//! one job and waits, the benchmark's paper-quick makes its 311
+//! submissions and then waits, and the tests do the same.
 //!
-//! The queue is *persistent* at process scope: [`SweepService::global`]
-//! hands out one process-wide instance that the grid runner
-//! ([`crate::run_grid`], and through it every experiment and `repro run`)
-//! and `repro trace` share, so duplicate machines dedupe across grids, not
+//! The load-bearing invariant: **the simulator is deterministic, so
+//! memoization is exact.** Equal machine keys are equal machines, and
+//! equal machines report bit-identical [`RunReport`]s (the determinism
+//! suites pin this across engines and memory models, and
+//! `tests/sweep_service.rs` checks equal keys ⇒ equal reports over random
+//! settings), so answering a resubmission from a resolved cell, or
+//! sharing an unresolved one, is indistinguishable from re-running it. A
+//! run that panics is memoized like any other outcome, because it would
+//! fail the same way again. A job whose preparation fails (a configuration
+//! error, or a panic, caught) has no machine: its handle resolves at
+//! submission, counted as executed and failed, and nothing is memoized,
+//! so a resubmission is prepared again. `submit` never panics.
+//!
+//! [`SweepService::global`] hands out one process-wide instance that the
+//! grid runner (and through it every experiment and `repro run`) and
+//! `repro trace` share, so duplicate machines dedupe across grids, not
 //! just within one. Tests wanting exact counter assertions build private
 //! instances with [`SweepService::new`]; a test asserting counter deltas on
 //! the global instance must submit jobs that no other test in its binary
 //! can merge with.
 
 pub mod hash;
-pub mod memo;
-mod queue;
-mod worker;
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use grs_core::{GpuConfig, LaunchPlan, ResourceKind, SchedulerKind};
 use grs_isa::Kernel;
-use grs_sim::{RunConfig, RunReport, ServiceStats, Simulator};
+use grs_sim::kinfo::{InstrMeta, KernelInfo};
+use grs_sim::{Machine, RunConfig, RunReport, ServiceStats, Simulator, TelemetryConfig};
 
-pub use hash::{job_key, machine_key, ConfigHash};
-
-use queue::{JobCell, Shared, State, Task};
+pub use hash::{job_key, ConfigHash};
 
 /// Terminal result of one executed (or failed) job, shared by every
-/// subscriber and by the memo store.
+/// handle to its machine.
 #[derive(Debug)]
 pub struct JobOutcome {
     /// The supervised run's report, or the rendered configuration error or
@@ -79,85 +80,47 @@ pub struct JobOutcome {
     pub report: Result<Arc<RunReport>, String>,
 }
 
-/// How a submission was answered — the service's visible dedup decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobSource {
-    /// New work: the job was enqueued for execution, or its preparation
-    /// failed and the handle was born resolved with the error.
-    Queued,
-    /// An identical job was already in flight; this handle subscribed to it.
-    Attached,
-    /// Answered from the memo store; the handle was born resolved.
-    MemoHit,
-}
+/// One machine's write-once outcome, shared by the map and every handle.
+type JobCell = Arc<OnceLock<Arc<JobOutcome>>>;
 
-/// Subscription to one job's outcome. Cheap to clone conceptually (all
-/// handles to the same in-flight key share one cell); waiting is
-/// *help-first*: a blocked waiter drains pending tasks inline rather than
-/// idling, so a zero-worker service still makes progress and a full worker
-/// pool gets an extra pair of hands.
+/// Subscription to one job's outcome.
 pub struct JobHandle {
-    key: ConfigHash,
-    source: JobSource,
-    cell: Arc<JobCell>,
-    shared: Arc<Shared>,
+    cell: JobCell,
+    service: Arc<Inner>,
 }
 
 impl JobHandle {
-    /// The job's canonical key: its [`machine_key`], or its [`job_key`]
-    /// when its preparation failed.
-    pub fn key(&self) -> ConfigHash {
-        self.key
-    }
-
-    /// How the service answered this submission.
-    pub fn source(&self) -> JobSource {
-        self.source
-    }
-
-    /// The outcome, if already available (memo hits always are).
-    pub fn try_get(&self) -> Option<Arc<JobOutcome>> {
-        self.cell.try_get()
-    }
-
-    /// Block until the outcome is available, helping execute pending work
-    /// while waiting (see the type docs).
+    /// Block until the outcome is available. If it is not yet, first run
+    /// the service's whole pending batch (see the [module docs](self)); a
+    /// job already taken by another waiter is waited for.
     pub fn wait(&self) -> Arc<JobOutcome> {
-        loop {
-            if let Some(outcome) = self.cell.try_get() {
-                return outcome;
-            }
-            // Help-first: run any pending task inline. Executing *any* task
-            // makes progress toward ours — either it is ours, or it frees
-            // the executor that will take ours.
-            let task = { self.shared.state.lock().unwrap().pending.pop_front() };
-            match task {
-                Some(task) => worker::run_one(&self.shared, task),
-                // Nothing pending: ours is running on another thread.
-                None => return self.cell.wait(),
-            }
+        if self.cell.get().is_none() {
+            let batch = std::mem::take(&mut self.service.state().pending);
+            self.service.run(&batch);
         }
+        Arc::clone(self.cell.wait())
     }
 }
 
 /// Construction knobs for a private service instance.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Worker threads to spawn. `0` spawns none: tasks queue until a
-    /// [`JobHandle::wait`] or [`SweepService::drain`] executes them on the
-    /// calling thread — the mode tests use for exact in-flight-dedup
-    /// counter assertions.
+    /// Threads that run a batch beside the waiting thread. `0` runs every
+    /// batch on the waiter alone, and nothing runs before a wait either
+    /// way, so tests read exact dedup counters after submitting.
     pub workers: usize,
-    /// Memo-store capacity in outcomes (`0` disables memoization).
+    /// Unread: the map never evicts, and a process builds at most 124
+    /// machines (`repro all`). Kept only so the struct literal in
+    /// `benchmark/src/run.rs` compiles, as [`job_key`]'s third parameter is.
     pub memo_capacity: usize,
 }
 
 impl Default for ServiceConfig {
+    /// One worker fewer than the available cores: with the waiter, a
+    /// batch runs on one thread per core.
     fn default() -> Self {
         ServiceConfig {
-            workers: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4),
+            workers: std::thread::available_parallelism().map_or(4, |p| p.get()) - 1,
             memo_capacity: 512,
         }
     }
@@ -165,152 +128,249 @@ impl Default for ServiceConfig {
 
 /// The sweep service. See the [module docs](self) for the architecture.
 pub struct SweepService {
-    shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
+    inner: Arc<Inner>,
+}
+
+/// What a [`SweepService`] and its handles share.
+struct Inner {
+    workers: usize,
+    state: Mutex<State>,
+}
+
+#[derive(Default)]
+struct State {
+    /// Every machine submitted, with its cell: resolved once it has run.
+    jobs: HashMap<MachineKey, JobCell>,
+    /// Machines no wait has taken yet, in submission order.
+    pending: Vec<(Machine, JobCell)>,
+    stats: ServiceStats,
 }
 
 impl SweepService {
-    /// A private instance with its own queue, memo store, and counters.
+    /// A private instance with its own map and counters. Spawns nothing.
     pub fn new(cfg: ServiceConfig) -> Self {
-        let shared = Arc::new(Shared::new(cfg.memo_capacity));
-        let workers = (0..cfg.workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker::worker_loop(shared))
-            })
-            .collect();
         SweepService {
-            shared,
-            workers: Mutex::new(workers),
+            inner: Arc::new(Inner {
+                workers: cfg.workers,
+                state: Mutex::default(),
+            }),
         }
     }
 
-    /// The process-wide instance behind [`crate::run_grid`] and `repro trace`.
-    /// Never dropped; its memo store is what makes duplicate configurations
-    /// across separate sweeps in one process free.
+    /// The process-wide instance behind [`crate::run_grid`] and `repro
+    /// trace`, with [`ServiceConfig::default`]. Never dropped; its map is
+    /// what makes duplicate machines across separate grids in one process
+    /// free.
     pub fn global() -> &'static SweepService {
         static GLOBAL: OnceLock<SweepService> = OnceLock::new();
         GLOBAL.get_or_init(|| SweepService::new(ServiceConfig::default()))
     }
 
-    /// Submit a job. Prepares it on the calling thread, then returns with a
-    /// [`JobHandle`]; whether the job was queued, attached to an in-flight
-    /// run of the same machine, or answered from the memo store is on
-    /// [`JobHandle::source`]. A job whose preparation fails or panics
+    /// Submit a job: prepare it on the calling thread and return a handle
+    /// to its machine's cell. A job whose preparation fails or panics
     /// returns a handle already resolved with the error (see the module
     /// docs); `submit` itself never panics.
     pub fn submit(&self, cfg: RunConfig, kernel: Kernel) -> JobHandle {
         let sim = Simulator::new(cfg);
-        let (key, machine) = match catch_unwind(AssertUnwindSafe(|| sim.prepare(&kernel))) {
-            Ok(Ok(machine)) => (machine_key(&machine), Ok(machine)),
-            Ok(Err(e)) => (job_key(sim.config(), &kernel, None), Err(e.to_string())),
-            Err(panic) => (
-                job_key(sim.config(), &kernel, None),
-                Err(worker::panic_message(panic)),
-            ),
+        let machine = match catch_unwind(AssertUnwindSafe(|| sim.prepare(&kernel))) {
+            Ok(Ok(machine)) => machine,
+            Ok(Err(e)) => return self.failed(e.to_string()),
+            Err(panic) => return self.failed(panic_message(panic)),
         };
-        let mut state = self.shared.state.lock().unwrap();
+        let key = machine_key(&machine);
+        let mut guard = self.inner.state();
+        let state = &mut *guard;
         state.stats.submitted += 1;
-        if let Some(outcome) = state.memo.get(&key) {
-            state.stats.memo_hits += 1;
-            return self.handle(
-                key,
-                JobSource::MemoHit,
-                Arc::new(JobCell::resolved(outcome)),
-            );
-        }
-        let machine = match machine {
-            Ok(machine) => machine,
-            Err(error) => {
-                // No machine to run: the failure is this job's outcome.
-                let outcome = Arc::new(JobOutcome { report: Err(error) });
-                worker::record(&mut state, key, &outcome);
-                return self.handle(key, JobSource::Queued, Arc::new(JobCell::resolved(outcome)));
+        let cell = match state.jobs.entry(key) {
+            Entry::Occupied(e) => {
+                match e.get().get() {
+                    Some(_) => state.stats.memo_hits += 1,
+                    None => state.stats.deduped += 1,
+                }
+                Arc::clone(e.get())
+            }
+            Entry::Vacant(e) => {
+                let cell = Arc::clone(e.insert(JobCell::default()));
+                state.pending.push((machine, Arc::clone(&cell)));
+                cell
             }
         };
-        if let Some(cell) = state.inflight.get(&key).map(Arc::clone) {
-            state.stats.deduped += 1;
-            return self.handle(key, JobSource::Attached, cell);
-        }
-        let cell = Arc::new(JobCell::new());
-        state.inflight.insert(key, Arc::clone(&cell));
-        state.pending.push_back(Task { key, machine });
-        drop(state);
-        self.shared.work.notify_one();
-        self.handle(key, JobSource::Queued, cell)
+        self.handle(cell)
     }
 
-    fn handle(&self, key: ConfigHash, source: JobSource, cell: Arc<JobCell>) -> JobHandle {
+    /// A handle resolved with a preparation failure: there is no machine
+    /// to run, so the failure is the job's outcome.
+    fn failed(&self, error: String) -> JobHandle {
+        let mut state = self.inner.state();
+        state.stats.submitted += 1;
+        state.stats.executed += 1;
+        state.stats.failed += 1;
+        let outcome = Arc::new(JobOutcome { report: Err(error) });
+        self.handle(Arc::new(OnceLock::from(outcome)))
+    }
+
+    fn handle(&self, cell: JobCell) -> JobHandle {
         JobHandle {
-            key,
-            source,
             cell,
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Execute every pending task on the calling thread, in queue order.
-    /// With `workers: 0` this is the whole execution engine; with workers
-    /// it is an extra pair of hands. Returns when the pending queue is
-    /// empty (tasks already claimed by workers may still be running —
-    /// [`JobHandle::wait`] for those).
-    pub fn drain(&self) {
-        loop {
-            let task = { self.shared.state.lock().unwrap().pending.pop_front() };
-            match task {
-                Some(task) => worker::run_one(&self.shared, task),
-                None => break,
-            }
+            service: Arc::clone(&self.inner),
         }
     }
 
     /// The service counters as they stand.
     pub fn stats(&self) -> ServiceStats {
-        self.shared.state.lock().unwrap().stats
-    }
-
-    /// Number of outcomes currently memoized.
-    pub fn memo_len(&self) -> usize {
-        self.shared.state.lock().unwrap().memo.len()
+        self.inner.state().stats
     }
 }
 
-impl Drop for SweepService {
-    fn drop(&mut self) {
-        let orphans: Vec<(Option<Arc<JobCell>>, Arc<JobOutcome>)> = {
-            let mut state = self.shared.state.lock().unwrap();
-            state.shutdown = true;
-            // Unstarted tasks will never run; resolve their cells so no
-            // subscriber blocks forever on a dead service.
-            let pending: Vec<Task> = state.pending.drain(..).collect();
-            pending
-                .into_iter()
-                .map(|task| {
-                    let outcome = Arc::new(JobOutcome {
-                        report: Err("sweep service shut down before the job ran".to_string()),
-                    });
-                    (state.inflight.remove(&task.key), outcome)
-                })
-                .collect()
-        };
-        for (cell, outcome) in orphans {
-            if let Some(cell) = cell {
-                cell.resolve(outcome);
+impl Inner {
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state
+            .lock()
+            .expect("nothing panics while holding the service's lock")
+    }
+
+    /// Run `batch` on up to `workers` scoped threads plus the calling one,
+    /// each taking the next unstarted machine, and resolve every cell.
+    fn run(&self, batch: &[(Machine, JobCell)]) {
+        // Hands out indices only; the batch itself is read-only.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            while let Some((machine, cell)) = batch.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let report = catch_unwind(AssertUnwindSafe(|| machine.run()));
+                let report = report.map(Arc::new).map_err(panic_message);
+                let mut state = self.state();
+                state.stats.executed += 1;
+                state.stats.failed += u64::from(report.is_err());
+                // Only this batch holds the cell unresolved, so the set
+                // cannot fail.
+                let _ = cell.set(Arc::new(JobOutcome { report }));
             }
-        }
-        self.shared.work.notify_all();
-        for h in self.workers.lock().unwrap().drain(..) {
-            let _ = h.join();
-        }
+        };
+        std::thread::scope(|s| {
+            for _ in 0..self.workers.min(batch.len().saturating_sub(1)) {
+                s.spawn(work);
+            }
+            work();
+        });
     }
 }
 
-// `State` is reachable only through `Shared`'s mutex; keep the compiler
-// honest about the types crossing worker-thread boundaries.
-#[allow(dead_code)]
-fn assert_send() {
-    fn check<T: Send>() {}
-    check::<State>();
-    check::<Task>();
-    check::<Arc<Shared>>();
+/// The message of a caught panic.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// A [`Machine`] projected to the values its run reads, as a map key:
+/// equal keys are equal machines, with no hash collision to argue about.
+/// Built only by [`machine_key`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct MachineKey {
+    gpu: GpuConfig,
+    /// The kernel's name, kept conservatively so that tests can make a
+    /// kernel unique by its name.
+    name: String,
+    /// Threads, registers per thread and scratchpad bytes per block, grid
+    /// blocks, warps per block.
+    footprint: [u32; 5],
+    threads_in_warp: Vec<u32>,
+    num_loops: usize,
+    /// Per instruction: op, destination, operand mask, transaction count
+    /// and classification flags.
+    meta: Vec<InstrMeta>,
+    /// The plan's unshared blocks, shared pairs and resident blocks.
+    plan: [u32; 3],
+    scheduler: SchedulerKind,
+    dyn_throttle: bool,
+    sharing: Option<ResourceKind>,
+    /// Observation knobs are keyed even where they are proven
+    /// stats-invariant: the memoized artifact is the whole report,
+    /// telemetry included, and that depends on them.
+    fast_forward: bool,
+    telemetry: Option<TelemetryConfig>,
+    watchdog: Option<u64>,
+    max_cycles: u64,
+}
+
+/// The key of the machine
+/// [`Simulator::prepare`](grs_sim::Simulator::prepare) builds for a job.
+///
+/// Every struct is taken apart with a full pattern (no `..`), so a new
+/// field on `Machine`, `KernelInfo`, `Kernel` or `LaunchPlan` is a compile
+/// error here until it is keyed or skipped with its reason beside it. A
+/// field silently missing from the key would let the map serve the wrong
+/// report. The per-instruction `InstrMeta` stands in for the program, the
+/// declaration order and the threshold, whose only effects are the plan
+/// and its flags.
+pub fn machine_key(m: &Machine) -> MachineKey {
+    let Machine {
+        gpu,
+        kinfo,
+        plan,
+        scheduler,
+        dyn_throttle,
+        sharing,
+        fast_forward,
+        telemetry,
+        watchdog,
+        max_cycles,
+    } = m;
+    let KernelInfo {
+        kernel,
+        warps_per_block,
+        threads_in_warp,
+        // The threshold's boundaries: read only through the per-instruction
+        // shared flags in `meta`.
+        private_regs: _,
+        private_smem: _,
+        meta,
+        num_loops,
+    } = kinfo;
+    let Kernel {
+        name,
+        threads_per_block,
+        regs_per_thread,
+        smem_per_block,
+        grid_blocks,
+        // Read only through `meta`, which holds one entry per instruction
+        // with its op, destination and operand mask.
+        program: _,
+        // Read only through the shared-register flags in `meta` (the plan
+        // depends on the footprint alone).
+        decl_seq: _,
+    } = kernel;
+    let LaunchPlan {
+        unshared,
+        shared_pairs,
+        max_blocks,
+        // Reported alongside the plan, never read by the machine.
+        baseline_blocks: _,
+        // The machine reads `sharing` instead.
+        resource: _,
+    } = plan;
+    MachineKey {
+        gpu: gpu.clone(),
+        name: name.clone(),
+        footprint: [
+            *threads_per_block,
+            *regs_per_thread,
+            *smem_per_block,
+            *grid_blocks,
+            *warps_per_block,
+        ],
+        threads_in_warp: threads_in_warp.clone(),
+        num_loops: *num_loops,
+        meta: meta.clone(),
+        plan: [*unshared, *shared_pairs, *max_blocks],
+        scheduler: *scheduler,
+        dyn_throttle: *dyn_throttle,
+        sharing: *sharing,
+        fast_forward: *fast_forward,
+        telemetry: *telemetry,
+        watchdog: *watchdog,
+        max_cycles: *max_cycles,
+    }
 }

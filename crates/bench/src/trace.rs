@@ -328,9 +328,8 @@ pub fn run_trace(
         kernel.grid_blocks = (kernel.grid_blocks / 4).max(1);
     }
     let cfg = cfg.with_telemetry(Some(TelemetryConfig::default().with_sample_every(500)));
-    // Through the global sweep service: a re-traced scenario (same config,
-    // same kernel) is answered from the memo store — telemetry and all —
-    // and the printed summary carries the service's accounting.
+    // Through the global sweep service: one job, run on this thread at the
+    // wait. The printed summary carries the service's accounting.
     let outcome = crate::service::SweepService::global()
         .submit(cfg, kernel.clone())
         .wait();

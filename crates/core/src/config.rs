@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Per-SM static limits (paper Table I, per-core rows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SmConfig {
     /// Register file size in 32-bit registers (Table I: 32768).
     pub registers: u32,
@@ -19,7 +19,7 @@ pub struct SmConfig {
 
 /// Execution latencies in cycles for each functional class. These follow the
 /// GPGPU-Sim GT200-era defaults the paper's Table I machine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LatencyConfig {
     /// Integer ALU.
     pub ialu: u32,
@@ -47,7 +47,7 @@ impl Default for LatencyConfig {
 
 /// Memory-hierarchy configuration (paper Table I plus standard GPGPU-Sim
 /// timing parameters).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MemConfig {
     /// L1 data cache bytes per SM (Table I: 16 KB).
     pub l1_bytes: u32,
@@ -114,7 +114,7 @@ impl Default for MemConfig {
 }
 
 /// Whole-GPU configuration (paper Table I).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct GpuConfig {
     /// Number of SMs (Table I: 14 clusters × 1 core).
     pub num_sms: u32,

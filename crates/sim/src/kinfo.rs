@@ -16,7 +16,7 @@ use crate::warp::NO_REG;
 
 /// Everything the simulator's hot paths need to know about one static
 /// instruction, resolved once per run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InstrMeta {
     /// Scoreboard mask of all register operands (sources and destination).
     /// Requires `regs_per_thread ≤ 64`, checked by the simulator entry point.

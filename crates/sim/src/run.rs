@@ -7,8 +7,8 @@
 //! without shared pairs to the unshared machine (no sharing resource,
 //! throttle off, OWF run as GTO). [`Machine::run`] builds that machine and
 //! supervises it; [`Simulator::try_run_report`] is the two in sequence.
-//! The sweep service in `grs-bench` keys its memo store on the `Machine`,
-//! so spellings of one machine are simulated once.
+//! The sweep service in `grs-bench` keys its jobs on the `Machine`, by
+//! value, so spellings of one machine are simulated once.
 
 use grs_core::{
     compute_launch_plan, occupancy, reorder_declarations, GpuConfig, KernelFootprint, LaunchPlan,
@@ -604,6 +604,21 @@ mod tests {
         k.grid_blocks = 0;
         let err = Simulator::new(RunConfig::baseline_lrr()).try_run(&k);
         assert!(matches!(err, Err(RunError::InvalidKernel(_))));
+    }
+
+    #[test]
+    fn an_instruction_with_too_many_sources_is_an_invalid_kernel() {
+        for nsrc in [4, 255] {
+            let mut k = small_kernel();
+            k.program.instrs[0].nsrc = nsrc;
+            let err = Simulator::new(RunConfig::baseline_lrr()).try_run_report(&k);
+            assert_eq!(
+                err.err(),
+                Some(RunError::InvalidKernel(
+                    grs_isa::ValidateError::TooManySources { pc: 0, nsrc }
+                ))
+            );
+        }
     }
 
     #[test]

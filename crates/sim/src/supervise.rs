@@ -133,10 +133,10 @@ pub struct MemDiag {
 
 /// Per-service counters of a memoizing sweep service (the `grs-bench`
 /// service layer): how many jobs were submitted, how many were answered
-/// without simulating (in-flight dedup and memo hits), and how the executed
-/// remainder fared. Its `Display` renders one `service: …` line, which
-/// `repro trace` prints after the [`RunReport::summary`] of the run it
-/// served.
+/// without simulating (sharing a pending run, or a finished one), and how
+/// the executed remainder fared. Its `Display` renders one `service: …`
+/// line, which `repro trace` prints after the [`RunReport::summary`] of the
+/// run it served.
 ///
 /// The service keys a job on the [`Machine`] it builds,
 /// so submissions that spell one machine differently count as duplicates.
@@ -145,23 +145,23 @@ pub struct MemDiag {
 /// memoization sound: `deduped + memo_hits` submissions were answered
 /// from a single execution of their machine with *bit-identical*
 /// statistics. A job whose preparation fails is counted as executed and
-/// failed once, and memoized like a run.
+/// failed at every submission, because it is not memoized.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Jobs submitted to the service.
     pub submitted: u64,
-    /// Submissions attached to an already in-flight identical job
-    /// (in-flight dedup; the subscriber shares the first submission's run).
+    /// Submissions of a machine submitted earlier whose run had not yet
+    /// finished (the submission shares that run's outcome).
     pub deduped: u64,
-    /// Submissions answered from the memo store without simulating.
+    /// Submissions of a machine whose run had finished, answered without
+    /// simulating.
     pub memo_hits: u64,
-    /// Distinct machines simulated, plus jobs whose preparation failed.
+    /// Distinct machines simulated, plus submissions whose preparation
+    /// failed.
     pub executed: u64,
     /// Executed jobs that failed: a configuration error or a panic, in
     /// preparation or in the run.
     pub failed: u64,
-    /// Memo-store entries evicted by the bounded LRU.
-    pub evicted: u64,
 }
 
 impl ServiceStats {
@@ -181,8 +181,8 @@ impl std::fmt::Display for ServiceStats {
         write!(
             f,
             "service: {} submitted, {} deduped in-flight, {} memo hits, \
-             {} executed, {} failed, {} evicted",
-            self.submitted, self.deduped, self.memo_hits, self.executed, self.failed, self.evicted
+             {} executed, {} failed",
+            self.submitted, self.deduped, self.memo_hits, self.executed, self.failed
         )
     }
 }

@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Attach one to a run via [`crate::RunConfig::with_telemetry`]. The
 /// default records events into 65 536-entry rings with sampling disabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct TelemetryConfig {
     /// Per-track ring-buffer capacity (events kept per SM / memory
     /// track). When a ring overflows, the oldest events are dropped and

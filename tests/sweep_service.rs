@@ -1,8 +1,8 @@
 //! Correctness battery for the sweep service (`grs_bench::service`): exact
-//! memoization, in-flight dedup, key soundness/discrimination for both the
-//! machine key and the spelling's job key, the merges the machine key is
-//! meant to make, failed preparations, and the grid runner's one
-//! execution per duplicate row.
+//! memoization, dedup of a machine submitted twice before it runs, key
+//! soundness/discrimination for both the machine key and the spelling's
+//! job key, the merges the machine key is meant to make, failed
+//! preparations, and the grid runner's one execution per duplicate row.
 //!
 //! The battery leans on the repo's foundational invariant — the simulator
 //! is a *pure function* of the machine `Simulator::prepare` builds — and
@@ -10,7 +10,7 @@
 //! must be **bit-identical** to a re-run, never merely close, and two
 //! spellings with one machine key must report bit-identically.
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use gpu_resource_sharing::core::SchedulerKind;
@@ -20,8 +20,8 @@ use gpu_resource_sharing::prelude::*;
 use gpu_resource_sharing::sim::kinfo::KernelInfo;
 use gpu_resource_sharing::sim::{Machine, RunReport, ServiceStats};
 use grs_bench::runner::shrink_grid;
-use grs_bench::service::{job_key, machine_key, ServiceConfig};
-use grs_bench::{run_grid, ConfigHash, JobSource, SweepService};
+use grs_bench::service::{job_key, machine_key, MachineKey, ServiceConfig};
+use grs_bench::{run_grid, SweepService};
 use proptest::prelude::*;
 use workloads::gen::{Family, GenSpec, SizeClass};
 use workloads::{set1_benchmarks, set2_benchmarks, set3_benchmarks};
@@ -49,22 +49,21 @@ fn a_memo_hit_returns_bit_identical_stats_without_rerunning() {
     let service = SweepService::new(ServiceConfig::default());
     let (cfg, k) = (tiny_cfg(), tiny_kernel(1));
 
-    let first = service.submit(cfg.clone(), k.clone());
-    assert_eq!(first.source(), JobSource::Queued);
-    let cold = first.wait();
+    let cold = service.submit(cfg.clone(), k.clone()).wait();
     let cold_report = cold.report.as_ref().expect("clean run");
+    assert_eq!(service.stats().executed, 1);
 
     let second = service.submit(cfg, k);
     assert_eq!(
-        second.source(),
-        JobSource::MemoHit,
-        "an identical resubmission must be answered from the memo store"
+        service.stats().memo_hits,
+        1,
+        "an identical resubmission must be answered from the finished run"
     );
-    let warm = second.try_get().expect("memo hits are born resolved");
+    let warm = second.wait();
     let warm_report = warm.report.as_ref().expect("memoized clean run");
     assert!(
         Arc::ptr_eq(cold_report, warm_report),
-        "the memo store hands back the same report, not a re-run"
+        "the service hands back the same report, not a re-run"
     );
     assert_eq!(cold_report.stats, warm_report.stats, "bit-identical");
 
@@ -78,8 +77,8 @@ fn a_memo_hit_returns_bit_identical_stats_without_rerunning() {
 
 #[test]
 fn concurrent_submissions_of_one_job_simulate_exactly_once() {
-    // workers: 0 — nothing executes until `drain`, so the counters after
-    // the submission race are exact: one queued, N-1 attached.
+    // Nothing executes before a wait, so the counters after the
+    // submission race are exact: one pending, N-1 sharing its cell.
     const N: usize = 8;
     let service = Arc::new(SweepService::new(ServiceConfig {
         workers: 0,
@@ -100,25 +99,16 @@ fn concurrent_submissions_of_one_job_simulate_exactly_once() {
 
     let s = service.stats();
     assert_eq!(s.submitted, N as u64);
-    assert_eq!(s.deduped, N as u64 - 1, "all but one submission attached");
-    assert_eq!(s.executed, 0, "no workers: nothing has run yet");
-    assert_eq!(
-        handles
-            .iter()
-            .filter(|h| h.source() == JobSource::Queued)
-            .count(),
-        1,
-        "exactly one submission won the enqueue race"
-    );
+    assert_eq!(s.deduped, N as u64 - 1, "all but one submission shared");
+    assert_eq!(s.memo_hits, 0);
+    assert_eq!(s.executed, 0, "nothing runs before a wait");
 
-    service.drain();
+    let outcomes: Vec<_> = handles.iter().map(|h| h.wait()).collect();
     assert_eq!(
         service.stats().executed,
         1,
         "one simulation for N submissions"
     );
-
-    let outcomes: Vec<_> = handles.iter().map(|h| h.wait()).collect();
     for o in &outcomes {
         assert!(
             Arc::ptr_eq(o, &outcomes[0]),
@@ -242,7 +232,7 @@ fn flipping_any_semantic_field_produces_a_distinct_key() {
         }),
     ];
 
-    let mut seen = BTreeSet::new();
+    let mut seen = HashSet::new();
     seen.insert(base);
     for (label, cfg) in &cfg_variants {
         let key = job_key(cfg, &base_kernel, None);
@@ -262,7 +252,7 @@ fn flipping_any_semantic_field_produces_a_distinct_key() {
 }
 
 /// The machine key of `kernel` under `cfg`.
-fn mkey(cfg: &RunConfig, kernel: &Kernel) -> ConfigHash {
+fn mkey(cfg: &RunConfig, kernel: &Kernel) -> MachineKey {
     machine_key(
         &Simulator::new(cfg.clone())
             .prepare(kernel)
@@ -410,7 +400,7 @@ fn flipping_any_field_the_machine_reads_produces_a_distinct_machine_key() {
         }),
     ];
 
-    let mut seen = BTreeSet::new();
+    let mut seen = HashSet::new();
     seen.insert(base);
     for (label, cfg) in &cfg_variants {
         let key = mkey(cfg, &base_kernel);
@@ -443,7 +433,7 @@ fn machine_keys_merge_the_paper_figures_that_build_one_machine() {
     // Fig. 12: Set-3 has no shared pairs, so its five configurations under
     // both resources build two machines per kernel: LRR and GTO.
     for k in quick(set3_benchmarks()) {
-        let mut keys = BTreeSet::new();
+        let mut keys = HashSet::new();
         for share in [
             RunConfig::paper_register_sharing(),
             RunConfig::paper_scratchpad_sharing(),
@@ -458,7 +448,7 @@ fn machine_keys_merge_the_paper_figures_that_build_one_machine() {
                 keys.insert(mkey(&cfg, &k));
             }
         }
-        let want = BTreeSet::from([mkey(&lrr, &k), mkey(&gto, &k)]);
+        let want = HashSet::from([mkey(&lrr, &k), mkey(&gto, &k)]);
         assert_eq!(keys, want, "{}", k.name);
         assert_ne!(mkey(&lrr, &k), mkey(&gto, &k));
     }
@@ -492,8 +482,16 @@ fn machine_keys_merge_the_paper_figures_that_build_one_machine() {
     }
 }
 
+/// `tiny_kernel(4)` with its first instruction claiming `nsrc` sources;
+/// an instruction stores at most `MAX_SRCS` (3).
+fn too_many_sources(nsrc: u8) -> Kernel {
+    let mut k = tiny_kernel(4);
+    k.program.instrs[0].nsrc = nsrc;
+    k
+}
+
 #[test]
-fn a_failed_preparation_resolves_once_as_a_memoized_failure() {
+fn a_failed_preparation_resolves_at_submission_every_time() {
     let service = SweepService::new(ServiceConfig {
         workers: 0,
         memo_capacity: 64,
@@ -502,26 +500,39 @@ fn a_failed_preparation_resolves_once_as_a_memoized_failure() {
     no_sms.gpu.num_sms = 0;
     let mut invalid = tiny_kernel(3);
     invalid.grid_blocks = 0;
-    let jobs = [(no_sms, tiny_kernel(3)), (tiny_cfg(), invalid)];
+    let jobs = [
+        (no_sms, tiny_kernel(3)),
+        (tiny_cfg(), invalid),
+        // Rejected by `validate` before it reads an operand: slicing the
+        // sources would panic.
+        (tiny_cfg(), too_many_sources(4)),
+        (tiny_cfg(), too_many_sources(255)),
+    ];
     for (cfg, kernel) in &jobs {
         let want = Simulator::new(cfg.clone())
             .try_run_report(kernel)
             .expect_err("a configuration error")
             .to_string();
-        let first = service.submit(cfg.clone(), kernel.clone());
-        assert_eq!(first.source(), JobSource::Queued);
-        let outcome = first.try_get().expect("resolved at submission");
-        assert_eq!(outcome.report.as_ref().unwrap_err(), &want);
-        let again = service.submit(cfg.clone(), kernel.clone());
-        assert_eq!(again.source(), JobSource::MemoHit);
-        assert!(Arc::ptr_eq(&again.wait(), &outcome));
-        assert_eq!(again.key(), first.key());
-        assert_eq!(again.key(), job_key(cfg, kernel, None));
+        for _ in 0..2 {
+            let before = service.stats();
+            let handle = service.submit(cfg.clone(), kernel.clone());
+            let after = service.stats();
+            assert_eq!(
+                (after.executed, after.failed),
+                (before.executed + 1, before.failed + 1),
+                "counted at submission, before any wait"
+            );
+            assert_eq!(handle.wait().report.as_ref().unwrap_err(), &want);
+        }
     }
     let s = service.stats();
-    assert_eq!(s.submitted, 4);
-    assert_eq!((s.executed, s.failed), (2, 2), "one failure per job");
-    assert_eq!(s.memo_hits, 2, "resubmissions do not run again");
+    assert_eq!(s.submitted, 8);
+    assert_eq!(
+        (s.executed, s.failed),
+        (8, 8),
+        "every submission fails anew"
+    );
+    assert_eq!(s.memo_hits + s.deduped, 0, "failures are not memoized");
 }
 
 /// Two settings differ in one field; see
@@ -697,7 +708,7 @@ fn run_grid_deduplicates_duplicate_suite_entries() {
     // Regression for the duplicate-suite fix: a grid listing the same
     // (benchmark, config) pair under several row names used to simulate it
     // once per name; through the service every repeat after the first is
-    // answered by dedup or the memo store. Uses a kernel unique to this
+    // answered by dedup or a memo hit. Uses a kernel unique to this
     // test so the global service's counter deltas are exactly ours.
     let k = tiny_kernel(777);
     let rows = [
@@ -788,14 +799,7 @@ fn warm_resubmission_of_the_pinned_corpus_is_all_memo_hits() {
 #[test]
 fn service_stats_display_carries_every_counter() {
     let line = format!("{}", ServiceStats::default());
-    for field in [
-        "submitted",
-        "deduped",
-        "memo hits",
-        "executed",
-        "failed",
-        "evicted",
-    ] {
+    for field in ["submitted", "deduped", "memo hits", "executed", "failed"] {
         assert!(line.contains(field), "`{field}` missing from `{line}`");
     }
 }
