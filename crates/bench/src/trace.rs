@@ -78,23 +78,25 @@ fn event_parts(e: &TelemetryEvent) -> (&'static str, String) {
 /// loadable in Perfetto / `chrome://tracing`.
 pub fn render_chrome_trace(report: &TelemetryReport) -> String {
     // (ts, tid, rendered record): sorted so every track's timestamps are
-    // monotone in file order, which the CI shape check relies on.
+    // monotone in file order, which the CI shape check relies on. The sort
+    // is stable, so within one (ts, tid) a track's events keep their
+    // recorded order, ahead of that track's sample rows.
     let mut records: Vec<(u64, u64, String)> = Vec::new();
-    for r in &report.events {
-        let t = tid(r.track);
-        let (name, args) = event_parts(&r.event);
-        let rec = match r.event {
-            TelemetryEvent::SleepSpan { until, .. } => format!(
-                "{{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":1,\"tid\":{t},\"ts\":{},\"dur\":{},\"args\":{args}}}",
-                r.cycle,
-                until.saturating_sub(r.cycle)
-            ),
-            _ => format!(
-                "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{t},\"ts\":{},\"args\":{args}}}",
-                r.cycle
-            ),
-        };
-        records.push((r.cycle, t, rec));
+    for track in &report.tracks {
+        let t = tid(track.track);
+        for &(cycle, event) in &track.events {
+            let (name, args) = event_parts(&event);
+            let rec = match event {
+                TelemetryEvent::SleepSpan { until, .. } => format!(
+                    "{{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":1,\"tid\":{t},\"ts\":{cycle},\"dur\":{},\"args\":{args}}}",
+                    until.saturating_sub(cycle)
+                ),
+                _ => format!(
+                    "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{t},\"ts\":{cycle},\"args\":{args}}}"
+                ),
+            };
+            records.push((cycle, t, rec));
+        }
     }
     for s in &report.sm_samples {
         let t = tid(Track::Sm(s.sm));
@@ -359,31 +361,35 @@ pub fn run_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grs_sim::{SampleRow, TraceRecord, TrackStats};
+    use grs_sim::{SampleRow, TrackTrace};
 
     fn tiny_report() -> TelemetryReport {
         TelemetryReport {
-            events: vec![
-                TraceRecord {
-                    cycle: 0,
+            tracks: vec![
+                TrackTrace {
                     track: Track::Sm(0),
-                    event: TelemetryEvent::BlockLaunch {
-                        grid_id: 0,
-                        slot: 0,
-                    },
+                    dropped: 0,
+                    events: vec![
+                        (
+                            0,
+                            TelemetryEvent::BlockLaunch {
+                                grid_id: 0,
+                                slot: 0,
+                            },
+                        ),
+                        (
+                            5,
+                            TelemetryEvent::SleepSpan {
+                                until: 9,
+                                gated: false,
+                            },
+                        ),
+                    ],
                 },
-                TraceRecord {
-                    cycle: 5,
-                    track: Track::Sm(0),
-                    event: TelemetryEvent::SleepSpan {
-                        until: 9,
-                        gated: false,
-                    },
-                },
-                TraceRecord {
-                    cycle: 7,
+                TrackTrace {
                     track: Track::Mem,
-                    event: TelemetryEvent::MshrFill { part: 3 },
+                    dropped: 0,
+                    events: vec![(7, TelemetryEvent::MshrFill { part: 3 })],
                 },
             ],
             sm_samples: vec![SampleRow {
@@ -398,18 +404,6 @@ mod tests {
                 no_ready: 3,
             }],
             mem_samples: Vec::new(),
-            tracks: vec![
-                TrackStats {
-                    track: Track::Sm(0),
-                    appended: 2,
-                    dropped: 0,
-                },
-                TrackStats {
-                    track: Track::Mem,
-                    appended: 1,
-                    dropped: 0,
-                },
-            ],
         }
     }
 

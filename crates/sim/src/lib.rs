@@ -79,6 +79,6 @@ pub use run::{Machine, RunConfig, SharingMode, Simulator};
 pub use stats::{MemStats, SimStats, SmStats};
 pub use supervise::{MemDiag, RunOutcome, RunReport, ServiceStats, SmDiag, StallDiagnosis};
 pub use telemetry::{
-    MemSampleRow, SampleRow, StallReason, TelemetryConfig, TelemetryEvent, TelemetryReport,
-    TraceRecord, Track, TrackStats,
+    MemSampleRow, SampleRow, StallReason, TelemetryConfig, TelemetryEvent, TelemetryReport, Track,
+    TrackTrace,
 };

@@ -7,11 +7,13 @@
 //! never perturbs `SimStats` — traced and untraced runs are bit-identical
 //! across all schedulers, sharing modes, memory presets, and both engines.
 //!
-//! Events are appended to per-track ring buffers — one per SM and one for
-//! the shared memory system — each with a configurable capacity and a drop
-//! counter. At run end the tracks are merged into one stream in the
-//! canonical `(cycle, track rank, seq)` order, where `seq` is a track's
-//! append order: the same (cycle, SM id) order the engine steps in.
+//! Events are recorded per track — one per SM and one for the shared
+//! memory system — each into one buffer that keeps the newest `capacity`
+//! events and counts the ones it drops. At run end every track is handed
+//! over as recorded: its buffer, rotated oldest first, becomes the track's
+//! [`TrackTrace`], so no event is copied after it is recorded. A track's
+//! events keep the order they were recorded in, which is nondecreasing in
+//! cycle.
 //!
 //! On top of events, a periodic sampler (`sample_every` cycles) emits
 //! per-SM timeline rows (occupancy, instruction deltas, stall breakdown)
@@ -32,7 +34,7 @@ use serde::{Deserialize, Serialize};
 pub struct TelemetryConfig {
     /// Per-track ring-buffer capacity (events kept per SM / memory
     /// track). When a ring overflows, the oldest events are dropped and
-    /// counted in [`TrackStats::dropped`].
+    /// counted in [`TrackTrace::dropped`].
     pub capacity: usize,
     /// Sampling period in cycles; `0` disables the sampler. The first
     /// row is emitted at cycle `sample_every`, and each row reports
@@ -129,7 +131,7 @@ pub enum TelemetryEvent {
     },
 }
 
-/// Which lane of the merged trace an event belongs to.
+/// The lane an event was recorded on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Track {
     /// A streaming multiprocessor, by id.
@@ -139,15 +141,6 @@ pub enum Track {
 }
 
 impl Track {
-    /// Canonical merge rank: SMs by id, then memory — mirroring the
-    /// engine's (cycle, SM id) step order.
-    pub fn rank(&self) -> (u8, u32) {
-        match *self {
-            Track::Sm(id) => (0, id),
-            Track::Mem => (1, 0),
-        }
-    }
-
     /// Human-readable track label (used as the Chrome-trace thread name).
     pub fn label(&self) -> String {
         match *self {
@@ -157,20 +150,21 @@ impl Track {
     }
 }
 
-/// One event in the merged trace.
+/// One track's retained events, handed over as recorded.
 ///
-/// A track's records keep their append order in the merged stream, so
-/// their per-track append sequence number is implicit: the `i`-th
-/// retained record of a track is its event number
-/// [`TrackStats::dropped`]` + i` (stable across ring overflow).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceRecord {
-    /// Cycle the event is stamped with.
-    pub cycle: u64,
-    /// Track the event was recorded on.
+/// `events` holds the newest events the track recorded, oldest first, each
+/// with the cycle it is stamped with; the cycles are nondecreasing. A track
+/// that recorded more than [`TelemetryConfig::capacity`] events dropped the
+/// `dropped` oldest ones, so the `i`-th retained event is the track's event
+/// number `dropped + i`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrackTrace {
+    /// The track.
     pub track: Track,
-    /// The event payload.
-    pub event: TelemetryEvent,
+    /// Events dropped by ring overflow: the track's oldest.
+    pub dropped: u64,
+    /// The retained `(cycle, event)` pairs, oldest first.
+    pub events: Vec<(u64, TelemetryEvent)>,
 }
 
 /// One sampled per-SM timeline row.
@@ -213,36 +207,23 @@ pub struct MemSampleRow {
     pub dram_in_queue: u32,
 }
 
-/// Per-track append/drop accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrackStats {
-    /// The track.
-    pub track: Track,
-    /// Total events appended over the run.
-    pub appended: u64,
-    /// Events dropped by ring overflow (`appended - kept`).
-    pub dropped: u64,
-}
-
-/// The collected telemetry of one run: the merged event stream, sampled
-/// timelines, and per-track accounting. Attached to
+/// The collected telemetry of one run: every track's retained events,
+/// the sampled timelines, and the drop counts. Attached to
 /// [`crate::RunReport`]`::telemetry` when tracing was enabled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryReport {
-    /// All retained events, merged in `(cycle, track rank, seq)` order.
-    pub events: Vec<TraceRecord>,
+    /// Every track's events as recorded: the SMs by id, then `MEM`.
+    pub tracks: Vec<TrackTrace>,
     /// Per-SM sampled timeline rows, in (cycle, SM id) order.
     pub sm_samples: Vec<SampleRow>,
     /// Memory-system sampled rows, in cycle order.
     pub mem_samples: Vec<MemSampleRow>,
-    /// Append/drop accounting per track, in track-rank order.
-    pub tracks: Vec<TrackStats>,
 }
 
 impl TelemetryReport {
     /// Total events appended across all tracks (including dropped ones).
     pub fn appended(&self) -> u64 {
-        self.tracks.iter().map(|t| t.appended).sum()
+        self.dropped() + self.kept() as u64
     }
 
     /// Total events dropped by ring overflow across all tracks.
@@ -250,11 +231,16 @@ impl TelemetryReport {
         self.tracks.iter().map(|t| t.dropped).sum()
     }
 
+    /// Total events retained across all tracks.
+    fn kept(&self) -> usize {
+        self.tracks.iter().map(|t| t.events.len()).sum()
+    }
+
     /// One-line human summary, used by [`crate::RunReport::summary`].
     pub fn summary(&self) -> String {
         format!(
             "{} events kept ({} appended, {} dropped) on {} tracks; {} SM + {} MEM sample rows",
-            self.events.len(),
+            self.kept(),
             self.appended(),
             self.dropped(),
             self.tracks.len(),
@@ -264,103 +250,46 @@ impl TelemetryReport {
     }
 }
 
-/// Entries per [`Ring`] chunk.
-const RING_CHUNK: usize = 1024;
-
-/// Fixed-capacity append-only ring: keeps the newest `cap` entries and
-/// counts how many were ever appended, so drops are observable. It grows
-/// one fixed-size chunk at a time and never moves an entry; only at
-/// capacity does it wrap and overwrite its oldest entries in place.
+/// A track's recording buffer: one `Vec` that grows until it holds `cap`
+/// entries, then wraps, overwriting its oldest entry in place.
 #[derive(Debug, Clone)]
 pub(crate) struct Ring<T> {
-    /// `RING_CHUNK` entries each (the last up to `cap`), every chunk
-    /// allocated at its full size, so filling it never reallocates.
-    chunks: Vec<Vec<T>>,
+    buf: Vec<T>,
     cap: usize,
-    /// Storage index of the oldest entry (0 until the ring wraps).
+    /// Index of the oldest entry (0 until the ring wraps).
     head: usize,
-    appended: u64,
+    /// Entries overwritten so far.
+    dropped: u64,
 }
 
 impl<T> Ring<T> {
     pub(crate) fn new(cap: usize) -> Self {
         Self {
-            chunks: Vec::new(),
+            buf: Vec::new(),
             cap: cap.max(1),
             head: 0,
-            appended: 0,
+            dropped: 0,
         }
     }
 
+    #[inline]
     pub(crate) fn push(&mut self, v: T) {
-        let len = self.len();
-        if len < self.cap {
-            if len.is_multiple_of(RING_CHUNK) {
-                self.chunks
-                    .push(Vec::with_capacity(RING_CHUNK.min(self.cap - len)));
-            }
-            self.chunks.last_mut().expect("a chunk with room").push(v);
+        if self.buf.len() < self.cap {
+            self.buf.push(v);
         } else {
-            self.chunks[self.head / RING_CHUNK][self.head % RING_CHUNK] = v;
+            self.buf[self.head] = v;
             self.head += 1;
             if self.head == self.cap {
                 self.head = 0;
             }
+            self.dropped += 1;
         }
-        self.appended += 1;
     }
 
-    pub(crate) fn appended(&self) -> u64 {
-        self.appended
-    }
-
-    /// Retained entry count.
-    pub(crate) fn len(&self) -> usize {
-        self.appended.min(self.cap as u64) as usize
-    }
-
-    /// The `i`-th retained entry, oldest first (`i < self.len()`).
-    #[inline]
-    pub(crate) fn get(&self, i: usize) -> &T {
-        let mut at = self.head + i;
-        if at >= self.cap {
-            at -= self.cap;
-        }
-        &self.chunks[at / RING_CHUNK][at % RING_CHUNK]
-    }
-
-    /// Sequence number of the first retained entry (== dropped count).
-    pub(crate) fn first_seq(&self) -> u64 {
-        self.appended - self.len() as u64
-    }
-
-    /// The retained entries from the `i`-th on, oldest first, read a
-    /// contiguous run of storage at a time.
-    pub(crate) fn iter_from(&self, i: usize) -> impl Iterator<Item = &T> {
-        let mut next = i;
-        let len = self.len();
-        std::iter::from_fn(move || {
-            if next >= len {
-                return None;
-            }
-            let mut at = self.head + next;
-            if at >= self.cap {
-                at -= self.cap;
-            }
-            let chunk = &self.chunks[at / RING_CHUNK];
-            let off = at % RING_CHUNK;
-            // A run ends at its chunk's end, at the wrap point (the oldest
-            // entry's storage index, or the end of storage) or at `len`.
-            let run = (chunk.len() - off).min(len - next);
-            let run = if at < self.head {
-                run.min(self.head - at)
-            } else {
-                run
-            };
-            next += run;
-            Some(&chunk[off..off + run])
-        })
-        .flatten()
+    /// The retained entries, oldest first, and how many were dropped.
+    fn into_oldest_first(mut self) -> (Vec<T>, u64) {
+        self.buf.rotate_left(self.head);
+        (self.buf, self.dropped)
     }
 }
 
@@ -469,108 +398,9 @@ impl MemTelemetry {
     }
 }
 
-/// Per-track accounting, computed without copying the ring.
-fn track_stats(ring: &Ring<(u64, TelemetryEvent)>, track: Track) -> TrackStats {
-    TrackStats {
-        track,
-        appended: ring.appended(),
-        dropped: ring.first_seq(),
-    }
-}
-
-/// Cycles per window of [`assemble`]'s counting sort: small enough that
-/// the per-cycle counters stay in L1, large enough that a dense trace
-/// spends little on the per-window set-up.
-const MERGE_WINDOW: usize = 256;
-
-/// Merge all tracks into a [`TelemetryReport`] in the canonical
-/// `(cycle, rank, seq)` order.
-///
-/// Every track records in nondecreasing cycle order by construction (each
-/// SM's own clock is monotone and MEM events are drained in due order), so
-/// the merge reads the tracks as sorted runs straight out of the rings — no
-/// intermediate copy.
-///
-/// The merge is a counting sort by cycle over windows of
-/// [`MERGE_WINDOW`] cycles, starting at the earliest unmerged event: one
-/// pass counts each track's events per cycle of the window, a prefix sum
-/// turns the counts into output positions, and a second pass, visiting the
-/// tracks in rank order and each track in seq order, writes every event's
-/// [`TraceRecord`] straight to its position. Within a cycle that is
-/// exactly `(rank, seq)` order. No two tracks' events are ever compared,
-/// which matters because the tracks interleave finely: after one event,
-/// the same track rarely holds the next.
+/// Collect a run's telemetry: every track handed over as recorded (the
+/// SMs by id, then memory) and the sampled rows.
 pub(crate) fn assemble(sms: Vec<SmTelemetry>, mem: Option<MemTelemetry>) -> TelemetryReport {
-    let mut tracks = Vec::with_capacity(sms.len() + 1);
-    let events = {
-        // Sources in rank order: SMs by id, then memory.
-        let mut srcs: Vec<&Ring<(u64, TelemetryEvent)>> = Vec::with_capacity(sms.len() + 1);
-        let mut track_of: Vec<Track> = Vec::with_capacity(sms.len() + 1);
-        for (id, sm) in sms.iter().enumerate() {
-            let track = Track::Sm(id as u32);
-            tracks.push(track_stats(&sm.ring, track));
-            track_of.push(track);
-            srcs.push(&sm.ring);
-        }
-        if let Some(m) = mem.as_ref() {
-            tracks.push(track_stats(&m.ring, Track::Mem));
-            track_of.push(Track::Mem);
-            srcs.push(&m.ring);
-        }
-        debug_assert!(srcs
-            .iter()
-            .all(|ring| (1..ring.len()).all(|i| ring.get(i - 1).0 <= ring.get(i).0)));
-        let total: usize = srcs.iter().map(|ring| ring.len()).sum();
-        let k = srcs.len();
-        let mut merged = Vec::with_capacity(total);
-        // Per track: the first unmerged event, and the end of the window.
-        let mut pos = vec![0usize; k];
-        let mut end = vec![0usize; k];
-        // Per cycle of the window: its event count, then its next position.
-        let mut next = [0usize; MERGE_WINDOW];
-        // Holds a window's positions until the second pass writes them.
-        let filler = TraceRecord {
-            cycle: 0,
-            track: Track::Mem,
-            event: TelemetryEvent::MshrFill { part: 0 },
-        };
-        while let Some(start) = (0..k)
-            .filter(|&t| pos[t] < srcs[t].len())
-            .map(|t| srcs[t].get(pos[t]).0)
-            .min()
-        {
-            // Offsets from `start`, so a window at the end of the cycle
-            // range needs no bound past `u64::MAX`.
-            let in_window = |cycle: u64| cycle - start < MERGE_WINDOW as u64;
-            next.fill(0);
-            for (t, ring) in srcs.iter().enumerate() {
-                let in_win = ring
-                    .iter_from(pos[t])
-                    .take_while(|&&(cycle, _)| in_window(cycle))
-                    .map(|&(cycle, _)| next[(cycle - start) as usize] += 1)
-                    .count();
-                end[t] = pos[t] + in_win;
-            }
-            let mut at = merged.len();
-            for n in &mut next {
-                (*n, at) = (at, at + *n);
-            }
-            merged.resize(at, filler);
-            for (t, ring) in srcs.iter().enumerate() {
-                for &(cycle, event) in ring.iter_from(pos[t]).take(end[t] - pos[t]) {
-                    let at = &mut next[(cycle - start) as usize];
-                    merged[*at] = TraceRecord {
-                        cycle,
-                        track: track_of[t],
-                        event,
-                    };
-                    *at += 1;
-                }
-                pos[t] = end[t];
-            }
-        }
-        merged
-    };
     // Every SM's `j`-th row sits at the `j + 1`-th sample boundary, so
     // taking row `j` of each SM in id order, `j` by `j`, is (cycle, SM id)
     // order without a sort.
@@ -580,12 +410,29 @@ pub(crate) fn assemble(sms: Vec<SmTelemetry>, mem: Option<MemTelemetry>) -> Tele
         sm_samples.extend(sms.iter().filter_map(|s| s.samples.get(j).copied()));
     }
     debug_assert!(sm_samples.is_sorted_by_key(|r: &SampleRow| (r.cycle, r.sm)));
-    let mem_samples = mem.map_or_else(Vec::new, |m| m.samples);
+    let trace = |track, ring: Ring<(u64, TelemetryEvent)>| {
+        let (events, dropped) = ring.into_oldest_first();
+        debug_assert!(events.is_sorted_by_key(|&(cycle, _)| cycle));
+        TrackTrace {
+            track,
+            dropped,
+            events,
+        }
+    };
+    let mut tracks: Vec<TrackTrace> = sms
+        .into_iter()
+        .enumerate()
+        .map(|(id, sm)| trace(Track::Sm(id as u32), sm.ring))
+        .collect();
+    let mut mem_samples = Vec::new();
+    if let Some(m) = mem {
+        tracks.push(trace(Track::Mem, m.ring));
+        mem_samples = m.samples;
+    }
     TelemetryReport {
-        events,
+        tracks,
         sm_samples,
         mem_samples,
-        tracks,
     }
 }
 
@@ -593,122 +440,51 @@ pub(crate) fn assemble(sms: Vec<SmTelemetry>, mem: Option<MemTelemetry>) -> Tele
 mod tests {
     use super::*;
 
-    /// A track recording `cycles` in order, as `WarpStall` events whose
-    /// slot is the append index: the record's seq, written independently
-    /// of the merge.
-    fn track<T>(
-        cycles: &[u64],
-        cap: usize,
-        mut wrap: impl FnMut(Ring<(u64, TelemetryEvent)>) -> T,
-    ) -> T {
-        let mut ring = Ring::new(cap);
-        for (i, &cycle) in cycles.iter().enumerate() {
-            let event = TelemetryEvent::WarpStall {
-                slot: i as u32,
-                reason: StallReason::Scoreboard,
-            };
-            ring.push((cycle, event));
-        }
-        wrap(ring)
-    }
-
     #[test]
-    fn assemble_merges_in_canonical_order() {
-        let cfg = TelemetryConfig::default();
-        let sm = |cycles: &[u64], cap| {
-            track(cycles, cap, |ring| SmTelemetry {
-                ring,
-                ..SmTelemetry::new(&cfg)
-            })
+    fn ring_wraps_in_place_and_hands_over_oldest_first() {
+        let cfg = TelemetryConfig {
+            capacity: 2500,
+            sample_every: 0,
         };
-        // Same-cycle bursts, ties across tracks, gaps far wider than a merge
-        // window, an empty track, and an overflowed ring whose first kept
-        // event has seq 2.
-        let sms = vec![
-            sm(&[0, 0, 3, 255, 256, 256, 10_000, 10_000, 10_001], 64),
-            sm(&[], 64),
-            sm(&[0, 3, 3, 256, 511, 512, 700, 9_999, 10_000], 64),
-            sm(&[1, 2, 5, 5, 5, 1_000_000], 4),
-        ];
-        let mem = track(&[0, 3, 256, 256, 600, 10_000, u64::MAX], 64, |ring| {
-            MemTelemetry {
-                ring,
-                ..MemTelemetry::new(&cfg)
-            }
-        });
+        // The event's slot is its append index: the event number, written
+        // independently of the ring.
+        let stall = |i: u64| TelemetryEvent::WarpStall {
+            slot: i as u32,
+            reason: StallReason::Scoreboard,
+        };
+        // SM 0 wraps mid-buffer: 6000 events into 2500 entries leave the
+        // oldest kept one stored at 1000. SM 1 and MEM stay below capacity.
+        let mut sms = vec![SmTelemetry::new(&cfg), SmTelemetry::new(&cfg)];
+        for i in 0..6000 {
+            sms[0].record(i / 3, stall(i));
+        }
+        assert_eq!((sms[0].ring.buf.len(), sms[0].ring.head), (2500, 1000));
+        for i in 0..3 {
+            sms[1].record(7, stall(i));
+        }
+        let mut mem = MemTelemetry::new(&cfg);
+        mem.record(5, TelemetryEvent::MshrFill { part: 1 });
         let report = assemble(sms, Some(mem));
-        let seq = |r: &TraceRecord| match r.event {
-            TelemetryEvent::WarpStall { slot, .. } => slot,
-            _ => unreachable!("every test event is a WarpStall"),
-        };
-        let mut want = report.events.clone();
-        want.sort_by_key(|r| (r.cycle, r.track.rank(), seq(r)));
-        assert_eq!(report.events, want);
-        assert_eq!(report.events.len(), 9 + 9 + 4 + 7);
-        // A track's records keep their order: the i-th has seq dropped + i.
-        for t in &report.tracks {
-            let seqs: Vec<u64> = report
-                .events
-                .iter()
-                .filter(|r| r.track == t.track)
-                .map(|r| u64::from(seq(r)))
-                .collect();
-            let derived: Vec<u64> = (t.dropped..t.appended).collect();
-            assert_eq!(seqs, derived, "{:?}", t.track);
-        }
-        assert_eq!(report.tracks[3].dropped, 2);
-        assert_eq!(report.dropped(), 2);
-        assert_eq!(report.appended(), 9 + 9 + 6 + 7);
-    }
-
-    #[test]
-    fn ring_grows_without_moving_entries_and_wraps_at_capacity() {
-        // A capacity that is no multiple of the chunk size: the last chunk
-        // is short, and the wrap happens exactly at the capacity.
-        let cap = 2 * RING_CHUNK + 452;
-        let mut ring = Ring::new(cap);
-        ring.push(0usize);
-        let first: *const usize = ring.get(0);
-        for v in 1..cap {
-            ring.push(v);
-        }
-        assert!(std::ptr::eq(first, ring.get(0)), "growth moved an entry");
-        for v in cap..cap + 3500 {
-            ring.push(v);
-        }
+        let shape: Vec<(Track, u64, usize)> = report
+            .tracks
+            .iter()
+            .map(|t| (t.track, t.dropped, t.events.len()))
+            .collect();
         assert_eq!(
-            (ring.len(), ring.first_seq(), ring.appended()),
-            (cap, 3500, (cap + 3500) as u64)
+            shape,
+            [
+                (Track::Sm(0), 3500, 2500),
+                (Track::Sm(1), 0, 3),
+                (Track::Mem, 0, 1)
+            ]
         );
-        assert!((0..cap).all(|i| *ring.get(i) == 3500 + i));
-        assert_eq!(ring.chunks.iter().map(Vec::capacity).sum::<usize>(), cap);
-        // Reading on from any entry crosses chunk ends and the wrap point
-        // (the oldest entry is stored at 1000, so logical 1500 is stored
-        // at 0).
-        assert_eq!(ring.head, 1000);
-        for from in [
-            0,
-            1,
-            600,
-            RING_CHUNK - 1,
-            RING_CHUNK,
-            1499,
-            1500,
-            cap - 1,
-            cap,
-        ] {
-            let read: Vec<usize> = ring.iter_from(from).copied().collect();
-            assert_eq!(
-                read,
-                (3500 + from..3500 + cap).collect::<Vec<_>>(),
-                "{from}"
-            );
+        // Oldest first: the i-th retained event is event number dropped + i.
+        for t in &report.tracks[..2] {
+            for (seq, &(cycle, event)) in (t.dropped..).zip(&t.events) {
+                assert_eq!(event, stall(seq), "{:?}", t.track);
+                assert_eq!(cycle, if t.dropped > 0 { seq / 3 } else { 7 });
+            }
         }
-    }
-
-    #[test]
-    fn trace_records_are_32_bytes() {
-        // The merged trace is the bulk of a traced run's fresh memory.
-        assert_eq!(std::mem::size_of::<TraceRecord>(), 32);
+        assert_eq!((report.appended(), report.dropped()), (6004, 3500));
     }
 }
