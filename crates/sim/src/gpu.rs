@@ -27,11 +27,11 @@
 //! with the engine on or off:
 //!
 //! * an SM whose warps wait only on latency, barriers or pair locks
-//!   sleeps an *idle* span ([`crate::sm::Sm::credit_skipped`]), with one
+//!   sleeps an *idle* span ([`crate::sm::Sm::credit_sleep`]), with one
 //!   `lock_retries` per lock waiter per skipped cycle;
 //! * an SM with a warp at the per-warp MSHR limit sleeps a *stall* span
-//!   ([`crate::sm::Sm::credit_gated`]): the limit lifts only at one of the
-//!   warp's own writebacks.
+//!   (the same function, with `stalled` set): the limit lifts only at one
+//!   of the warp's own writebacks.
 //!
 //! Port conflicts, same-cycle lock races, throttle draws and throttle holds
 //! are never skipped: an SM with any of them is stepped again on the next
@@ -47,7 +47,7 @@
 //! its own writeback wheel **and** the memory system's next capacity
 //! release ([`crate::mem::SharedMem::next_release`]), and the skipped span
 //! is credited as *stall* cycles with the per-warp MSHR-full/queue-full
-//! counters scaled in closed form ([`crate::sm::Sm::credit_gated`] — exact
+//! counters scaled in closed form ([`crate::sm::Sm::credit_sleep`] — exact
 //! because the gate provably cannot open before the next release). A
 //! release rarely frees room for a whole instruction, so a gated sleeper
 //! woken by a release alone (its own next writeback is later) is not
@@ -284,11 +284,7 @@ impl Gpu {
                     }
                 }
                 if let Some(since) = st.sleep_from[i].take() {
-                    if st.sleep_stalled[i] {
-                        self.sms[i].credit_gated(since, cycle);
-                    } else {
-                        self.sms[i].credit_skipped(since, cycle);
-                    }
+                    self.sms[i].credit_sleep(since, cycle, st.sleep_stalled[i]);
                     self.throttle.wake_sm(i, cycle);
                 }
                 let out = self.sms[i].step(
@@ -365,13 +361,7 @@ impl Gpu {
         let cycle = st.cycle;
         for (i, (sm, slept)) in self.sms.iter_mut().zip(&mut st.sleep_from).enumerate() {
             if let Some(since) = slept.take() {
-                if cycle > since {
-                    if st.sleep_stalled[i] {
-                        sm.credit_gated(since, cycle);
-                    } else {
-                        sm.credit_skipped(since, cycle);
-                    }
-                }
+                sm.credit_sleep(since, cycle, st.sleep_stalled[i]);
             }
         }
         // Flush the memory system's occupancy integrals through the end.

@@ -63,10 +63,9 @@
 //! room: [`Sm::gate_holds`] tells the engine whether a release did).
 //! [`Sm::next_wake`] exposes that drain cycle (the timing wheel's
 //! minimum); [`crate::gpu::Gpu::run_until`] sleeps the SM until then and
-//! credits the skipped span in closed form: through
-//! [`Sm::credit_skipped`] as idle or empty cycles, or through
-//! [`Sm::credit_gated`] as stall cycles when a warp is at the per-warp MSHR
-//! limit or gated, preserving every counter bit for bit.
+//! credits the skipped span in closed form through [`Sm::credit_sleep`]:
+//! as idle or empty cycles, or as stall cycles when a warp is at the
+//! per-warp MSHR limit or gated, preserving every counter bit for bit.
 
 use grs_core::sched::unit_slots;
 use grs_core::{
@@ -132,8 +131,8 @@ enum Outcome {
     /// the gate has room for the smallest such count of its class
     /// ([`Sm::gate_reopened`]); the gate only opens at a capacity release,
     /// whose cycle the memory system knows, so a gated SM sleeps until then
-    /// and the skipped span is credited in closed form
-    /// ([`Sm::credit_gated`]).
+    /// and the skipped span is credited in closed form as a stall
+    /// ([`Sm::credit_sleep`]).
     Gated(GateBlock),
 }
 
@@ -173,8 +172,7 @@ pub struct StepOutcome {
     pub quiescent: bool,
     /// A quiescent cycle that counts as a pipeline stall: ≥1 warp is at the
     /// per-warp MSHR limit or blocked by memory back-pressure. The skipped
-    /// span is credited by [`Sm::credit_gated`] instead of
-    /// [`Sm::credit_skipped`].
+    /// span is credited as stall cycles by [`Sm::credit_sleep`].
     pub stalled: bool,
     /// A stalled cycle with ≥1 warp blocked by memory back-pressure: the SM
     /// must also wake on the next MSHR/DRAM-queue release.
@@ -407,16 +405,15 @@ impl Sm {
     }
 
     /// Credit the skipped sleep span `[since, now)` with exactly the
-    /// accounting the per-cycle loop would have produced for a quiescent SM:
-    /// idle when live warps wait on latency, barriers or pair locks, empty
-    /// when no work is resident, plus one `lock_retries` per lock waiter per
-    /// cycle. The per-reason breakdown is frozen for the whole span (no
-    /// drain can occur inside it, so no warp's stall reason can change),
-    /// and sample rows falling inside the span are emitted piecewise at
-    /// their exact boundaries — a row at cycle `b` sees precisely the
-    /// counters the per-cycle loop would have accumulated through cycle
-    /// `b - 1`.
-    pub fn credit_skipped(&mut self, since: u64, now: u64) {
+    /// accounting the per-cycle loop would have produced for a quiescent SM
+    /// (`Sm::credit_span`), as a pipeline stall when `stalled`
+    /// ([`StepOutcome::stalled`]) and as idle or empty cycles otherwise.
+    /// Nothing that decides a skipped cycle's accounting can change inside
+    /// the span, so the counters scale linearly with it. Sample rows
+    /// falling inside the span are emitted piecewise at their exact
+    /// boundaries — a row at cycle `b` sees precisely the counters the
+    /// per-cycle loop would have accumulated through cycle `b - 1`.
+    pub fn credit_sleep(&mut self, since: u64, now: u64, stalled: bool) {
         if now <= since {
             return;
         }
@@ -425,7 +422,7 @@ impl Sm {
                 since,
                 TelemetryEvent::SleepSpan {
                     until: now,
-                    gated: false,
+                    gated: stalled,
                 },
             );
             let lb = self.live_blocks();
@@ -436,24 +433,41 @@ impl Sm {
             // per-cycle loop), and a run ending at `now` never emits it.
             while t.next_sample < now {
                 let b = t.next_sample;
-                self.credit_idle_span(b - cur);
+                self.credit_span(b - cur, stalled);
                 t.emit_row(self.id as u32, &self.stats, lb, lw);
                 cur = b;
             }
-            self.credit_idle_span(now - cur);
+            self.credit_span(now - cur, stalled);
             self.telemetry = Some(t);
         } else {
-            self.credit_idle_span(now - since);
+            self.credit_span(now - since, stalled);
         }
     }
 
-    fn credit_idle_span(&mut self, span: u64) {
+    /// Credit `span` skipped cycles, each counted as the per-cycle loop
+    /// counts a quiescent cycle, plus one `lock_retries` per lock waiter
+    /// per cycle.
+    /// * A stall span (a warp at the per-warp MSHR limit or blocked by
+    ///   memory back-pressure): each cycle is a pipeline-stall cycle that
+    ///   re-blocks the same warps. A per-warp limit lifts only at a
+    ///   writeback and the gate only at a capacity release, and both bound
+    ///   the span.
+    /// * An idle span: idle when live warps wait on latency, barriers or
+    ///   pair locks, with the per-reason breakdown frozen (no drain occurs
+    ///   inside the span, so no warp's stall reason changes), and empty
+    ///   when no work is resident.
+    fn credit_span(&mut self, span: u64, stalled: bool) {
         if span == 0 {
             return;
         }
         debug_assert_eq!(self.throttled, 0, "a throttle hold keeps the SM awake");
         self.stats.lock_retries += span * u64::from(self.locked.count_ones());
-        if self.live_warp_count > 0 {
+        if stalled {
+            self.stats.stall_cycles += span;
+            self.stats.stall_mem_gate_cycles += span;
+            self.stats.mshr_full_stalls += span * u64::from(self.gated_loads.count_ones());
+            self.stats.dram_queue_full_stalls += span * u64::from(self.gated_stores.count_ones());
+        } else if self.live_warp_count > 0 {
             self.stats.idle_cycles += span;
             if self.n_hazard > 0 {
                 self.stats.stall_scoreboard_cycles += span;
@@ -465,52 +479,6 @@ impl Sm {
         } else {
             self.stats.empty_cycles += span;
         }
-    }
-
-    /// Credit the sleep span `[since, now)` slept as a pipeline stall
-    /// ([`StepOutcome::stalled`]: a warp at the per-warp MSHR limit or
-    /// blocked by memory back-pressure) in closed form: each skipped cycle
-    /// would have counted one pipeline-stall cycle and re-blocked the same
-    /// warps (a per-warp limit lifts only at a writeback, the gate only at
-    /// a capacity release, and both bound the span), so the per-cycle
-    /// counters scale linearly with the span. Sample rows inside the span
-    /// are emitted piecewise like [`Sm::credit_skipped`].
-    pub fn credit_gated(&mut self, since: u64, now: u64) {
-        if now <= since {
-            return;
-        }
-        if let Some(mut t) = self.telemetry.take() {
-            t.record(
-                since,
-                TelemetryEvent::SleepSpan {
-                    until: now,
-                    gated: true,
-                },
-            );
-            let lb = self.live_blocks();
-            let lw = self.live_warp_count;
-            let mut cur = since;
-            // Strictly-inside boundaries only, as in `credit_skipped`.
-            while t.next_sample < now {
-                let b = t.next_sample;
-                self.credit_gated_span(b - cur);
-                t.emit_row(self.id as u32, &self.stats, lb, lw);
-                cur = b;
-            }
-            self.credit_gated_span(now - cur);
-            self.telemetry = Some(t);
-        } else {
-            self.credit_gated_span(now - since);
-        }
-    }
-
-    fn credit_gated_span(&mut self, span: u64) {
-        debug_assert_eq!(self.throttled, 0, "a throttle hold keeps the SM awake");
-        self.stats.lock_retries += span * u64::from(self.locked.count_ones());
-        self.stats.stall_cycles += span;
-        self.stats.stall_mem_gate_cycles += span;
-        self.stats.mshr_full_stalls += span * u64::from(self.gated_loads.count_ones());
-        self.stats.dram_queue_full_stalls += span * u64::from(self.gated_stores.count_ones());
     }
 
     /// Update `slot`'s stall reason (0 none, 1 scoreboard, 2 barrier,
