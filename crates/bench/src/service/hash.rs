@@ -245,8 +245,10 @@ fn hash_instr(h: &mut StableHasher, i: &Instr) {
     hash_op(h, i.op);
     h.write_opt_u64(i.dst.map(|r| u64::from(r.0)));
     // Only the valid sources are identity; the padding slots beyond `nsrc`
-    // are not observable and must not perturb the key.
-    h.write_u64(i.sources().len() as u64);
+    // are not observable and must not perturb the key. The count is keyed
+    // as claimed, so one past `MAX_SRCS` (which `validate` rejects) keys
+    // apart from the sources it holds.
+    h.write_u64(u64::from(i.nsrc));
     for r in i.sources() {
         h.write_u64(u64::from(r.0));
     }
@@ -393,6 +395,19 @@ mod tests {
         assert_eq!(key, job_key(&cfg, &k, None));
         assert_eq!(format!("{key}").len(), 32, "128-bit hex rendering");
         assert_eq!(format!("{key}"), "1764879f3bd630b954566607fd1a550e");
+    }
+
+    #[test]
+    fn a_source_count_past_the_array_still_keys() {
+        // `nsrc` is public: a kernel nobody validated may claim more
+        // sources than an instruction holds.
+        let (cfg, k) = base();
+        let valid = job_key(&cfg, &k, None);
+        for nsrc in [4, 255] {
+            let mut bad = k.clone();
+            bad.program.instrs[0].nsrc = nsrc;
+            assert_ne!(job_key(&cfg, &bad, None), valid, "nsrc {nsrc}");
+        }
     }
 
     #[test]

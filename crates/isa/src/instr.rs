@@ -104,7 +104,8 @@ pub struct Instr {
     pub dst: Option<Reg>,
     /// Source registers, `srcs[..nsrc]` are valid.
     pub srcs: [Reg; MAX_SRCS],
-    /// Number of valid sources.
+    /// Number of valid sources, at most [`MAX_SRCS`] (`validate` rejects a
+    /// larger count).
     pub nsrc: u8,
 }
 
@@ -123,10 +124,11 @@ impl Instr {
         }
     }
 
-    /// Valid source operands.
+    /// Valid source operands: `srcs[..nsrc]`, cut at [`MAX_SRCS`] when an
+    /// instruction nobody validated claims more.
     #[inline]
     pub fn sources(&self) -> &[Reg] {
-        &self.srcs[..self.nsrc as usize]
+        &self.srcs[..usize::from(self.nsrc).min(MAX_SRCS)]
     }
 
     /// Iterate every register operand (sources then destination).
@@ -205,5 +207,21 @@ mod tests {
             &[],
         );
         assert_eq!(b.disasm(), "bra L3 (trips=10, loop=0)");
+    }
+
+    #[test]
+    fn a_source_count_past_the_array_reads_only_the_array() {
+        // `nsrc` is public, so an instruction nobody validated can claim
+        // more sources than `srcs` holds; every reader stops at MAX_SRCS.
+        let mut i = Instr::new(Op::FFma, Some(Reg(4)), &[Reg(1), Reg(2), Reg(3)]);
+        for nsrc in [4, 255] {
+            i.nsrc = nsrc;
+            assert_eq!(i.sources(), &[Reg(1), Reg(2), Reg(3)]);
+            assert_eq!(
+                i.operands().collect::<Vec<_>>(),
+                vec![Reg(1), Reg(2), Reg(3), Reg(4)]
+            );
+            assert_eq!(i.disasm(), "ffma $r4, $r1, $r2, $r3");
+        }
     }
 }

@@ -111,10 +111,11 @@ impl SharedPattern {
     }
 
     /// Highest byte offset touched (inclusive); compared against the sharing
-    /// boundary by the Fig. 4 automaton.
+    /// boundary by the Fig. 4 automaton. A range that runs past `u32::MAX`
+    /// reads as `u32::MAX`, past any scratchpad size.
     #[inline]
     pub const fn max_byte(self) -> u32 {
-        self.offset + self.bytes.saturating_sub(1)
+        self.offset.saturating_add(self.bytes.saturating_sub(1))
     }
 }
 
@@ -197,5 +198,6 @@ mod tests {
         assert_eq!(SharedPattern::new(100, 1).max_byte(), 100);
         // Zero-length access degenerates to its own offset.
         assert_eq!(SharedPattern::new(100, 0).max_byte(), 100);
+        assert_eq!(SharedPattern::new(u32::MAX, 33).max_byte(), u32::MAX);
     }
 }

@@ -131,7 +131,8 @@ pub fn validate(kernel: &Kernel) -> Result<(), ValidateError> {
     }
     let mut loop_ids_seen = [false; 256];
     for (pc, instr) in kernel.program.instrs.iter().enumerate() {
-        // Checked first: the operands are `srcs[..nsrc]`.
+        // Checked ahead of any operand read: `operands()` stops at
+        // `MAX_SRCS`, so the register checks below never see the excess.
         if usize::from(instr.nsrc) > MAX_SRCS {
             return Err(ValidateError::TooManySources {
                 pc,

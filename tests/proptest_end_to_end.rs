@@ -7,8 +7,15 @@
 //! profile the differential harness exercises — pointer chasing, bursty
 //! phases, barrier fences, divergent tiles, MSHR thrash, mixed — flows
 //! through the end-to-end completion and no-deadlock properties too.
+//!
+//! The same kernels with hostile values written into their public fields
+//! must end in a report or an error, never a panic.
 
+use gpu_resource_sharing::isa::instr::MAX_SRCS;
+use gpu_resource_sharing::isa::reg::Reg;
+use gpu_resource_sharing::isa::{Op, SharedPattern};
 use gpu_resource_sharing::prelude::*;
+use grs_bench::service::job_key;
 use proptest::prelude::*;
 use workloads::gen::{Family, GenSpec, SizeClass};
 
@@ -19,6 +26,118 @@ fn spec() -> impl Strategy<Value = GenSpec> {
         seed,
         size: SizeClass::Small,
     })
+}
+
+/// Tile, span, offset and byte counts at and around the edges.
+const SIZES: [u32; 5] = [0, 1, 32, 33, u32::MAX];
+
+/// Any `Op` variant: sizes from [`SIZES`], Scatter transaction counts of
+/// 0, 33 and 255, and branch fields at their extremes.
+fn hostile_op() -> impl Strategy<Value = Op> {
+    let size = || (0usize..SIZES.len()).prop_map(|i| SIZES[i]);
+    let edge16 = || (0usize..3).prop_map(|i| [0, 1, u16::MAX][i]);
+    let variants = (0usize..13, 0usize..4, size(), size(), 0usize..3);
+    let branch = (edge16(), edge16(), 0usize..4);
+    (variants, branch).prop_map(|((v, g, a, b, t), (target, trips, l))| {
+        let global = match g {
+            0 => GlobalPattern::Stream,
+            1 => GlobalPattern::BlockTile { tile_lines: a },
+            2 => GlobalPattern::KernelTile { tile_lines: a },
+            _ => GlobalPattern::Scatter {
+                span_lines: a,
+                txns: [0, 33, 255][t],
+            },
+        };
+        let shared = SharedPattern::new(a, b);
+        match v {
+            0 => Op::IAlu,
+            1 => Op::IMul,
+            2 => Op::FAdd,
+            3 => Op::FMul,
+            4 => Op::FFma,
+            5 => Op::Sfu,
+            6 => Op::LdGlobal(global),
+            7 => Op::StGlobal(global),
+            8 => Op::LdShared(shared),
+            9 => Op::StShared(shared),
+            10 => Op::Barrier,
+            11 => Op::BranchBack {
+                target,
+                trips,
+                loop_id: [0, 63, 64, u8::MAX][l],
+            },
+            _ => Op::Exit,
+        }
+    })
+}
+
+/// One hostile value written into a public field of a kernel. `at` names
+/// an instruction, modulo the program's length.
+#[derive(Debug, Clone, Copy)]
+enum Edit {
+    Op { at: usize, op: Op },
+    Dst { at: usize, dst: Option<Reg> },
+    Src { at: usize, slot: usize, reg: Reg },
+    Nsrc { at: usize, nsrc: u8 },
+    Smem(u32),
+    Grid(u32),
+}
+
+fn edit() -> impl Strategy<Value = Edit> {
+    let at = || 0usize..64;
+    let reg = || any::<bool>().prop_map(|max| Reg(if max { u16::MAX } else { 0 }));
+    prop_oneof![
+        (at(), hostile_op()).prop_map(|(at, op)| Edit::Op { at, op }),
+        (at(), any::<bool>(), reg()).prop_map(|(at, some, r)| Edit::Dst {
+            at,
+            dst: some.then_some(r),
+        }),
+        (at(), 0..MAX_SRCS, reg()).prop_map(|(at, slot, reg)| Edit::Src { at, slot, reg }),
+        (at(), 0u8..=255).prop_map(|(at, nsrc)| Edit::Nsrc { at, nsrc }),
+        any::<bool>().prop_map(|max| Edit::Smem(if max { u32::MAX } else { 0 })),
+        (0usize..4).prop_map(|i| Edit::Grid([0, 1, 29, 100_000][i])),
+    ]
+}
+
+fn apply(k: &mut Kernel, edit: Edit) {
+    let instrs = &mut k.program.instrs;
+    let n = instrs.len();
+    match edit {
+        Edit::Op { at, op } => instrs[at % n].op = op,
+        Edit::Dst { at, dst } => instrs[at % n].dst = dst,
+        Edit::Src { at, slot, reg } => instrs[at % n].srcs[slot] = reg,
+        Edit::Nsrc { at, nsrc } => instrs[at % n].nsrc = nsrc,
+        Edit::Smem(bytes) => k.smem_per_block = bytes,
+        Edit::Grid(blocks) => k.grid_blocks = blocks,
+    }
+}
+
+proptest! {
+    // `PROPTEST_CASES` scales this property alone.
+    #![proptest_config(ProptestConfig::with_cases(
+        proptest::test_runner::cases_from_env("PROPTEST_CASES", 32),
+    ))]
+
+    #[test]
+    fn hostile_kernels_end_in_a_report_or_an_error(
+        s in spec(),
+        edits in proptest::collection::vec(edit(), 1..4),
+    ) {
+        let mut k = s.build();
+        for &e in &edits {
+            apply(&mut k, e);
+        }
+        let mut cfg = RunConfig::baseline_lrr();
+        cfg.gpu.num_sms = 2;
+        cfg.max_cycles = 200_000;
+        for instr in &k.program.instrs {
+            instr.disasm();
+        }
+        job_key(&cfg, &k, None);
+        let rejected = gpu_resource_sharing::isa::validate(&k).is_err();
+        let outcome = Simulator::new(cfg).try_run_report(&k);
+        prop_assert!(!rejected || outcome.is_err(), "ran a kernel validate rejects");
+    }
 }
 
 proptest! {
