@@ -188,3 +188,59 @@ fn a_one_line_tile_misses_once_then_hits_in_the_l1() {
         }
     }
 }
+
+/// `instrs`, then one more dependent IALU link.
+fn then_a_link(mut instrs: Vec<Instr>) -> Vec<Instr> {
+    instrs.extend(chain(Op::IAlu, 1));
+    instrs
+}
+
+#[test]
+fn a_barrier_releases_at_the_last_arrival() {
+    // One scheduler unit issues one instruction a cycle. W warps each
+    // issue the barrier first, at cycles 0..W−1, and it releases at the
+    // last arrival, so the links issue at W..2W−1. Warp i's exit issues
+    // at the later of its link's result, W + i + L, and the first issue
+    // slot after the links, 2W + i: the last at 2W − 1 + max(L, W).
+    let mut slow = one_sm();
+    slow.gpu.lat.ialu = 7;
+    for mut cfg in [one_sm(), slow] {
+        cfg.gpu.sm.schedulers = 1;
+        let lat = u64::from(cfg.gpu.lat.ialu);
+        let body = then_a_link(vec![Instr::new(Op::Barrier, None, &[])]);
+        for w in [1u64, 2, 3, 4, 8] {
+            let k = kernel(w as u32, body.clone());
+            let want = (2 * w + lat).max(3 * w);
+            assert_eq!(cycles(&cfg, &k), want, "w={w}, ialu={lat}");
+        }
+    }
+}
+
+#[test]
+fn a_barrier_issues_under_a_pending_result() {
+    // One warp: n ≥ 1 dependent links, the barrier, then one more link.
+    // The barrier reads no register, so it issues at (n−1)·L + 1, the cycle
+    // after the last link, while that link's result is pending; a lone
+    // warp's arrival is the last, so it releases at once. The final link
+    // waits for the n-th result at n·L, and the exit for its own at
+    // (n+1)·L. Two warps on two scheduler units, one per unit, arrive
+    // together and take the same count.
+    let mut slow = one_sm();
+    slow.gpu.lat.ialu = 7;
+    for cfg in [one_sm(), slow] {
+        assert_eq!(cfg.gpu.sm.schedulers, 2);
+        let mut one_unit = cfg.clone();
+        one_unit.gpu.sm.schedulers = 1;
+        let lat = u64::from(cfg.gpu.lat.ialu);
+        for n in [1u64, 2, 10] {
+            let mut body = chain(Op::IAlu, n as usize);
+            body.push(Instr::new(Op::Barrier, None, &[]));
+            let body = then_a_link(body);
+            let want = (n + 1) * lat + 1;
+            let one = kernel(1, body.clone());
+            assert_eq!(cycles(&one_unit, &one), want, "n={n}, ialu={lat}");
+            let two = kernel(2, body);
+            assert_eq!(cycles(&cfg, &two), want, "two warps, n={n}, ialu={lat}");
+        }
+    }
+}
