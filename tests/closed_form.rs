@@ -12,7 +12,8 @@
 //!
 //! The machine is one SM running one block under Unshared-LRR on the
 //! default memory (`MemConfig::default()`: unlimited MSHRs and DRAM queues,
-//! one partition). Two constants recur:
+//! one partition); the pair-lock anchors at the end run two blocks as one
+//! shared pair under LRR instead. Two constants recur:
 //!
 //! * **`+ 1`**: a run's cycle count is the index of its last cycle plus
 //!   one, and the last cycle is the one the final `Exit` issues in. An exit
@@ -49,12 +50,17 @@ fn chain(op: Op, n: usize) -> Vec<Instr> {
     vec![Instr::new(op, Some(Reg(0)), &[Reg(0)]); n]
 }
 
+/// Statistics of `kernel` under `cfg`; every block must complete.
+fn run(cfg: &RunConfig, kernel: &Kernel) -> SimStats {
+    let stats = Simulator::new(cfg.clone()).run(kernel);
+    assert_eq!(stats.blocks_completed, u64::from(kernel.grid_blocks));
+    assert!(!stats.timed_out);
+    stats
+}
+
 /// Simulated cycles of `kernel` under `cfg`; the block must complete.
 fn cycles(cfg: &RunConfig, kernel: &Kernel) -> u64 {
-    let stats = Simulator::new(cfg.clone()).run(kernel);
-    assert_eq!(stats.blocks_completed, 1);
-    assert!(!stats.timed_out);
-    stats.cycles
+    run(cfg, kernel).cycles
 }
 
 #[test]
@@ -241,6 +247,103 @@ fn a_barrier_issues_under_a_pending_result() {
             assert_eq!(cycles(&one_unit, &one), want, "n={n}, ialu={lat}");
             let two = kernel(2, body);
             assert_eq!(cycles(&cfg, &two), want, "two warps, n={n}, ialu={lat}");
+        }
+    }
+}
+
+/// `k` as two blocks on one SM that shares `mode` under LRR (no throttle,
+/// no reordering, t = 0.1), with the shared resource cut to one and a half
+/// blocks' worth: one block fits whole, and the half block left over holds
+/// more than a partner's `t·Rtb` private part, so the plan is U = 0, S = 1
+/// and both blocks are resident as one pair, block 0 in slot 0 (A) and
+/// block 1 in slot 1 (B).
+fn one_pair(mut cfg: RunConfig, mode: SharingMode, k: &mut Kernel) -> RunConfig {
+    cfg = cfg.with_sharing(mode);
+    match mode {
+        SharingMode::Registers => cfg.gpu.sm.registers = k.regs_per_block() * 3 / 2,
+        _ => cfg.gpu.sm.scratchpad_bytes = k.smem_per_block * 3 / 2,
+    }
+    k.grid_blocks = 2;
+    let plan = Simulator::new(cfg.clone()).plan_for(k);
+    assert_eq!(
+        (plan.unshared, plan.shared_pairs, plan.max_blocks),
+        (0, 1, 2)
+    );
+    cfg
+}
+
+#[test]
+fn a_shared_register_passes_to_the_partner_when_the_owner_warp_exits() {
+    // Two one-warp blocks, whose warps 0 share one lock. Each link reads
+    // and writes register 15; with 16 registers a thread, the registers
+    // from ⌊0.1·16⌋ = 1 up are shared, so every link needs the lock.
+    // Cycle 0: both warps are ready, and block A's (slot 0) issues first
+    // and takes the lock. B's warp loses it: on two scheduler units it is
+    // picked in the same cycle and denied at issue (one retry), and on one
+    // unit LRR starts at slot 0 and B is not picked. A runs alone: link i
+    // at i·L, the exit at n·L, and the exit releases the lock. B waits on
+    // the lock in cycles 1..=n·L (one retry each), sees it free in the
+    // next scan, issues its first link at n·L + 1 and its exit at
+    // 2n·L + 1. A chain on register 0, below the boundary, takes no lock:
+    // on two units both warps issue every link together.
+    let mut slow = one_sm();
+    slow.gpu.lat.ialu = 7;
+    for base in [one_sm(), slow] {
+        let lat = u64::from(base.gpu.lat.ialu);
+        let link = |r| Instr::new(Op::IAlu, Some(Reg(r)), &[Reg(r)]);
+        for n in [1u64, 2, 10] {
+            let mut k = kernel(1, vec![link(15); n as usize]);
+            let mut cfg = one_pair(base.clone(), SharingMode::Registers, &mut k);
+            for units in [1u64, 2] {
+                cfg.gpu.sm.schedulers = units as u32;
+                let stats = run(&cfg, &k);
+                let at = format!("n={n}, ialu={lat}, units={units}");
+                assert_eq!(stats.cycles, 2 * (n * lat + 1), "{at}");
+                assert_eq!(stats.lock_retries, n * lat + units - 1, "{at}");
+            }
+            let mut private = kernel(1, vec![link(0); n as usize]);
+            let cfg = one_pair(base.clone(), SharingMode::Registers, &mut private);
+            let stats = run(&cfg, &private);
+            assert_eq!((stats.cycles, stats.lock_retries), (n * lat + 1, 0));
+        }
+    }
+}
+
+#[test]
+fn a_shared_scratchpad_passes_to_the_partner_when_the_owner_block_completes() {
+    // Two two-warp blocks of 128 scratchpad bytes, which share one lock.
+    // Each load reads bytes 0..=127, past the ⌊0.1·128⌋ = 12 private
+    // bytes, so every load needs the lock; the loads chain through
+    // register 0 (this run shares no register). One scheduler unit issues
+    // one instruction a cycle, so there is no lock race and no port
+    // conflict. Cycle 0: LRR picks slot 0, A's warp 0, which takes the
+    // lock; cycle 1: A's warp 1, whose block holds it. A's warps issue
+    // link i at i·L and i·L + 1 and their exits at n·L and n·L + 1. The
+    // first exit releases nothing: the lock is the block's, and A's
+    // completion at n·L + 1 releases it. B's two warps wait on it in
+    // cycles 1..=n·L + 1 (two retries a cycle), issue their first links at
+    // n·L + 2 and n·L + 3 and their last exit at 2n·L + 3. Loads of bytes
+    // 0..=7 take no lock: the four warps issue round robin, link i of the
+    // k-th at i·L + k (L ≥ 4), and the last exit at n·L + 3.
+    let mut slow = one_sm();
+    slow.gpu.lat.scratchpad = 9;
+    for mut base in [one_sm(), slow] {
+        base.gpu.sm.schedulers = 1;
+        let lat = u64::from(base.gpu.lat.scratchpad);
+        assert!(lat >= 4);
+        for n in [1u64, 2, 10] {
+            for (bytes, want) in [
+                (128, (2 * (n * lat + 2), 2 * (n * lat + 1))),
+                (8, (n * lat + 4, 0)),
+            ] {
+                let ld = Op::LdShared(SharedPattern::new(0, bytes));
+                let mut k = kernel(2, chain(ld, n as usize));
+                k.smem_per_block = 128;
+                let cfg = one_pair(base.clone(), SharingMode::Scratchpad, &mut k);
+                let stats = run(&cfg, &k);
+                let at = format!("n={n}, scratchpad={lat}, bytes={bytes}");
+                assert_eq!((stats.cycles, stats.lock_retries), want, "{at}");
+            }
         }
     }
 }
