@@ -122,10 +122,11 @@ impl KernelFootprint {
         }
     }
 
-    /// `Rtb` for the register resource.
+    /// `Rtb` for the register resource, saturating at `u32::MAX` (more
+    /// than any SM holds).
     #[inline]
     pub fn regs_per_block(&self) -> u32 {
-        self.regs_per_thread * self.threads_per_block
+        self.regs_per_thread.saturating_mul(self.threads_per_block)
     }
 
     /// Per-block requirement of `kind` in that resource's units.
@@ -186,5 +187,10 @@ mod tests {
         assert_eq!(f.per_block(ResourceKind::Registers), 9216);
         assert_eq!(f.per_block(ResourceKind::Scratchpad), 1024);
         assert_eq!(f.warps_per_block(), 8);
+        let huge = KernelFootprint {
+            regs_per_thread: u32::MAX,
+            ..f
+        };
+        assert_eq!(huge.regs_per_block(), u32::MAX);
     }
 }

@@ -62,10 +62,11 @@ impl Kernel {
     }
 
     /// Registers required by one thread block
-    /// (`Rtb = regs_per_thread × threads_per_block`, paper Sec. I).
+    /// (`Rtb = regs_per_thread × threads_per_block`, paper Sec. I),
+    /// saturating at `u32::MAX` (more than any SM holds).
     #[inline]
     pub fn regs_per_block(&self) -> u32 {
-        self.regs_per_thread * self.threads_per_block
+        self.regs_per_thread.saturating_mul(self.threads_per_block)
     }
 
     /// Registers required by one warp (`Rw`).
@@ -126,6 +127,7 @@ mod tests {
         assert_eq!(hotspot.regs_per_block(), 9216);
         assert_eq!(hotspot.warps_per_block(), 8);
         assert_eq!(hotspot.regs_per_warp(), 36 * 32);
+        assert_eq!(k(u32::MAX, 36).regs_per_block(), u32::MAX);
     }
 
     #[test]

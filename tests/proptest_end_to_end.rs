@@ -9,7 +9,8 @@
 //! through the end-to-end completion and no-deadlock properties too.
 //!
 //! The same kernels with hostile values written into their public fields
-//! must end in a report or an error, never a panic.
+//! must end in a report or an error, never a panic, and their launch plans
+//! must compute under every sharing mode.
 
 use gpu_resource_sharing::isa::instr::MAX_SRCS;
 use gpu_resource_sharing::isa::reg::Reg;
@@ -81,6 +82,18 @@ enum Edit {
     Nsrc { at: usize, nsrc: u8 },
     Smem(u32),
     Grid(u32),
+    Threads(u32),
+    Regs(u32),
+    Decl(DeclEdit),
+}
+
+/// A hostile declaration order, made from the kernel's own.
+#[derive(Debug, Clone, Copy)]
+enum DeclEdit {
+    Empty,
+    OneShort,
+    Duplicate,
+    MaxEntry,
 }
 
 fn edit() -> impl Strategy<Value = Edit> {
@@ -96,6 +109,16 @@ fn edit() -> impl Strategy<Value = Edit> {
         (at(), 0u8..=255).prop_map(|(at, nsrc)| Edit::Nsrc { at, nsrc }),
         any::<bool>().prop_map(|max| Edit::Smem(if max { u32::MAX } else { 0 })),
         (0usize..4).prop_map(|i| Edit::Grid([0, 1, 29, 100_000][i])),
+        (0usize..6).prop_map(|i| Edit::Threads([0, 1, 33, 1024, 1025, u32::MAX][i])),
+        (0usize..5).prop_map(|i| Edit::Regs([0, 1, 64, 65, u32::MAX][i])),
+        (0usize..4).prop_map(|i| Edit::Decl(
+            [
+                DeclEdit::Empty,
+                DeclEdit::OneShort,
+                DeclEdit::Duplicate,
+                DeclEdit::MaxEntry,
+            ][i]
+        )),
     ]
 }
 
@@ -109,6 +132,27 @@ fn apply(k: &mut Kernel, edit: Edit) {
         Edit::Nsrc { at, nsrc } => instrs[at % n].nsrc = nsrc,
         Edit::Smem(bytes) => k.smem_per_block = bytes,
         Edit::Grid(blocks) => k.grid_blocks = blocks,
+        Edit::Threads(threads) => k.threads_per_block = threads,
+        Edit::Regs(regs) => k.regs_per_thread = regs,
+        Edit::Decl(d) => {
+            let seq = &mut k.decl_seq;
+            match d {
+                DeclEdit::Empty => seq.clear(),
+                DeclEdit::OneShort => {
+                    seq.pop();
+                }
+                DeclEdit::Duplicate => {
+                    if let [first, second, ..] = &mut seq[..] {
+                        *second = *first;
+                    }
+                }
+                DeclEdit::MaxEntry => {
+                    if let Some(last) = seq.last_mut() {
+                        *last = u16::MAX;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -134,8 +178,13 @@ proptest! {
             instr.disasm();
         }
         job_key(&cfg, &k, None);
+        for base in [RunConfig::paper_register_sharing(), RunConfig::paper_scratchpad_sharing()] {
+            Simulator::new(base.with_gpu(cfg.gpu.clone())).plan_for(&k);
+        }
         let rejected = gpu_resource_sharing::isa::validate(&k).is_err();
-        let outcome = Simulator::new(cfg).try_run_report(&k);
+        let sim = Simulator::new(cfg);
+        sim.plan_for(&k);
+        let outcome = sim.try_run_report(&k);
         prop_assert!(!rejected || outcome.is_err(), "ran a kernel validate rejects");
     }
 }
