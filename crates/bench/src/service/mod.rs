@@ -322,10 +322,6 @@ pub fn machine_key(m: &Machine) -> MachineKey {
         kernel,
         warps_per_block,
         threads_in_warp,
-        // The threshold's boundaries: read only through the per-instruction
-        // shared flags in `meta`.
-        private_regs: _,
-        private_smem: _,
         meta,
         num_loops,
     } = kinfo;

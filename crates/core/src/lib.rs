@@ -10,7 +10,7 @@
 //! * [`occupancy`](mod@occupancy) — block-residency and resource-waste
 //!   arithmetic (paper Sec. I-A, Fig. 1).
 //! * [`sharing`] — the launch-plan equations of Sec. III-C (`U + S = ⌊R/Rtb⌋`,
-//!   `U·Rtb + S·Rtb(1+t) ≤ R`, `M = U + 2S`), the pair-lock automata of
+//!   `U·Rtb + S·Rtb(1+t) ≤ R`, `M = U + 2S`), the pair-lock automaton of
 //!   Figs. 3–4 with the barrier-deadlock avoidance rule of Fig. 5, and
 //!   block-pair ownership tracking/transfer (Sec. IV).
 //! * [`sched`] — warp-scheduling policies: LRR, GTO, Two-Level and the
@@ -56,7 +56,6 @@ pub use dynwarp::DynThrottle;
 pub use occupancy::{occupancy, Occupancy};
 pub use sched::{Scheduler, SchedulerKind, SlotView, WarpClass, MAX_WARP_SLOTS};
 pub use sharing::{
-    compute_launch_plan, KernelFootprint, LaunchPlan, PairMember, RegAccess, RegPairLocks,
-    ResourceKind, SmemPairLock, Threshold,
+    compute_launch_plan, KernelFootprint, LaunchPlan, PairLock, PairMember, ResourceKind, Threshold,
 };
 pub use transform::reorder_declarations;

@@ -1,25 +1,28 @@
-//! Pair locks for shared resources, with the barrier-deadlock avoidance rule.
+//! The pair-lock automaton for shared resources, with the barrier-deadlock
+//! avoidance rule.
 //!
-//! **Register sharing** (paper Sec. III-A, Fig. 3): warp *i* of block A and
-//! warp *i* of block B share one register region guarded by one lock. A warp
-//! accessing a register whose sequence number exceeds the `Rw·t` boundary
-//! must hold its pair lock; it busy-waits (retries every cycle) otherwise.
+//! One automaton guards both resources, at two granularities:
 //!
-//! **Deadlock avoidance** (paper Fig. 5): with barriers, naive per-pair
+//! * **Register sharing** (paper Sec. III-A, Fig. 3): warp *i* of block A and
+//!   warp *i* of block B share one register region guarded by one lock, so a
+//!   pair holds one lock per warp index. A warp accessing a register whose
+//!   sequence number reaches the `Rw·t` boundary must hold its lock; it
+//!   busy-waits (retries every cycle) otherwise.
+//! * **Scratchpad sharing** (paper Sec. III-B, Fig. 4): one lock per block
+//!   pair, which every warp of a block takes in the block's name.
+//!
+//! **Deadlock avoidance** (paper Fig. 5): with barriers, naive per-warp
 //! locking deadlocks (W1 waits on W3's registers, W3 waits at a barrier for
 //! W4, W4 waits on W2's registers, W2 waits at a barrier for W1). The paper's
 //! rule: *a warp from block A may acquire a lock only if no warp of block B
 //! currently holds a live (unfinished) lock*. Hence at any time all live lock
-//! holders of a pair belong to a single block — the **owner block**.
+//! holders of a pair belong to a single block — the **owner block**. With one
+//! lock per pair the rule holds by construction.
 //!
-//! **Scratchpad sharing** (paper Sec. III-B, Fig. 4): one lock per block
-//! pair; deadlock-free by construction.
-//!
-//! Locks are released when the *holder finishes* (warp exit for registers,
-//! block completion for scratchpad), never earlier — that is what allows the
-//! paper's future-work section to speculate about live-range-based early
-//! release as an extension ([`release_early`] implements that extension,
-//! disabled by default).
+//! Locks are released when the *holder finishes*: a warp's exit releases its
+//! register lock ([`PairLock::warp_finished`]), and a block's completion
+//! releases whatever the block still holds, the scratchpad lock included
+//! ([`PairLock::block_completed`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -52,101 +55,83 @@ impl PairMember {
     }
 }
 
-/// Outcome of a shared-register access attempt (Fig. 3 steps (c)–(e)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegAccess {
-    /// Register below the `Rw·t` boundary: direct register-file access.
-    Private,
-    /// Shared register and the warp holds (or just acquired) its pair lock.
-    Granted,
-    /// Shared register, lock unavailable: retry next cycle (busy-wait).
-    Blocked,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 enum LockSlot {
     Free,
     Held(PairMember),
 }
 
-/// Lock state for one shared *block pair* under register sharing: one lock
-/// per warp index, plus the live-holder counts that implement the deadlock
-/// avoidance rule, plus the owner designation used by OWF scheduling.
+/// Lock state for one shared *block pair*: its locks, the live-holder
+/// counts that implement the deadlock-avoidance rule, and the owner
+/// designation used by OWF scheduling.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RegPairLocks {
+pub struct PairLock {
     locks: Vec<LockSlot>,
     /// Live (unfinished) lock holders per member.
     live_held: [u32; 2],
     owner: Option<PairMember>,
 }
 
-impl RegPairLocks {
-    /// Create lock state for blocks of `warps_per_block` warps.
-    pub fn new(warps_per_block: usize) -> Self {
-        RegPairLocks {
-            locks: vec![LockSlot::Free; warps_per_block],
+impl PairLock {
+    /// Create lock state with `locks` locks: one per warp index of a block
+    /// under register sharing, one for the pair under scratchpad sharing.
+    pub fn new(locks: usize) -> Self {
+        PairLock {
+            locks: vec![LockSlot::Free; locks],
             live_held: [0, 0],
             owner: None,
         }
     }
 
-    /// Does warp `warp_idx` of `member` currently hold its pair lock?
+    /// Does `member` currently hold lock `lock`?
     #[inline]
-    pub fn holds(&self, member: PairMember, warp_idx: usize) -> bool {
-        self.locks[warp_idx] == LockSlot::Held(member)
+    pub fn holds(&self, member: PairMember, lock: usize) -> bool {
+        self.locks[lock] == LockSlot::Held(member)
     }
 
     /// Non-mutating check: would [`Self::access_shared`] succeed right now?
     /// Used by the simulator's readiness scan, which must not acquire locks
     /// for warps the scheduler may not pick.
-    pub fn can_access(&self, member: PairMember, warp_idx: usize) -> bool {
-        match self.locks[warp_idx] {
+    pub fn can_access(&self, member: PairMember, lock: usize) -> bool {
+        match self.locks[lock] {
             LockSlot::Held(m) => m == member,
             LockSlot::Free => self.live_held[member.other().index()] == 0,
         }
     }
 
-    /// Attempt a shared-register access by warp `warp_idx` of `member`
-    /// (paper Fig. 3 steps (d)–(e)). Acquires the pair lock if permitted by
-    /// the deadlock-avoidance rule; returns [`RegAccess::Blocked`] otherwise
-    /// (the warp must retry in a later cycle).
-    pub fn access_shared(&mut self, member: PairMember, warp_idx: usize) -> RegAccess {
-        match self.locks[warp_idx] {
-            LockSlot::Held(m) if m == member => RegAccess::Granted,
-            LockSlot::Held(_) => RegAccess::Blocked,
+    /// Attempt a shared access by a warp of `member` that needs lock `lock`
+    /// (paper Figs. 3–4 steps (d)–(e)). Acquires the lock if the
+    /// deadlock-avoidance rule permits and returns whether the access is
+    /// granted; a denied warp must retry in a later cycle.
+    pub fn access_shared(&mut self, member: PairMember, lock: usize) -> bool {
+        match self.locks[lock] {
+            LockSlot::Held(m) => m == member,
             LockSlot::Free => {
                 // Deadlock-avoidance: the partner block must have no live
                 // lock holders (Fig. 5 rule).
                 if self.live_held[member.other().index()] > 0 {
-                    return RegAccess::Blocked;
+                    return false;
                 }
-                self.locks[warp_idx] = LockSlot::Held(member);
+                self.locks[lock] = LockSlot::Held(member);
                 self.live_held[member.index()] += 1;
                 // The member with live locks is, by the paper's definition,
                 // the owner block: its partner waits on it.
                 self.owner = Some(member);
-                RegAccess::Granted
+                true
             }
         }
     }
 
-    /// A warp of `member` finished execution: its shared registers are
+    /// Warp `lock` of `member` finished execution: its shared registers are
     /// released and the partner warp may acquire them (paper Sec. III-A:
     /// "only after W20 finishes execution, W30 can access the shared
-    /// registers").
-    pub fn warp_finished(&mut self, member: PairMember, warp_idx: usize) {
-        if self.locks[warp_idx] == LockSlot::Held(member) {
-            self.locks[warp_idx] = LockSlot::Free;
+    /// registers"). Register sharing only: the scratchpad lock is the
+    /// block's, released at its completion.
+    pub fn warp_finished(&mut self, member: PairMember, lock: usize) {
+        if self.locks[lock] == LockSlot::Held(member) {
+            self.locks[lock] = LockSlot::Free;
             self.live_held[member.index()] -= 1;
         }
-    }
-
-    /// Early lock release for a warp that provably no longer needs its shared
-    /// registers (live-range analysis) — the paper's *future work* extension
-    /// (Sec. VIII). Semantically identical to [`Self::warp_finished`]; kept
-    /// separate so ablations can count how often it fires.
-    pub fn release_early(&mut self, member: PairMember, warp_idx: usize) {
-        self.warp_finished(member, warp_idx);
     }
 
     /// The owner block of this pair, if determined (paper Sec. IV: the block
@@ -177,84 +162,6 @@ impl RegPairLocks {
             self.owner = Some(member.other());
         }
     }
-
-    /// Forget ownership (used when a pair dissolves at the grid tail, when
-    /// one slot will never be refilled).
-    pub fn clear_owner(&mut self) {
-        self.owner = None;
-    }
-}
-
-/// Lock state for one shared block pair under **scratchpad** sharing: a
-/// single lock at block granularity (paper Sec. III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SmemPairLock {
-    holder: Option<PairMember>,
-    owner: Option<PairMember>,
-}
-
-impl SmemPairLock {
-    /// Fresh, unheld lock.
-    pub fn new() -> Self {
-        SmemPairLock {
-            holder: None,
-            owner: None,
-        }
-    }
-
-    /// Does `member` hold the scratchpad lock?
-    #[inline]
-    pub fn holds(&self, member: PairMember) -> bool {
-        self.holder == Some(member)
-    }
-
-    /// Non-mutating check: would [`Self::access_shared`] succeed right now?
-    pub fn can_access(&self, member: PairMember) -> bool {
-        self.holder.is_none() || self.holder == Some(member)
-    }
-
-    /// Attempt a shared-scratchpad access by `member` (paper Fig. 4 steps
-    /// (d)–(e)). The whole block acquires; the partner block busy-waits until
-    /// this block completes.
-    pub fn access_shared(&mut self, member: PairMember) -> RegAccess {
-        match self.holder {
-            Some(m) if m == member => RegAccess::Granted,
-            Some(_) => RegAccess::Blocked,
-            None => {
-                self.holder = Some(member);
-                self.owner = Some(member);
-                RegAccess::Granted
-            }
-        }
-    }
-
-    /// The owner block, if determined.
-    #[inline]
-    pub fn owner(&self) -> Option<PairMember> {
-        self.owner
-    }
-
-    /// `member`'s block completed: release the lock if held and transfer
-    /// ownership.
-    pub fn block_completed(&mut self, member: PairMember) {
-        if self.holder == Some(member) {
-            self.holder = None;
-        }
-        if self.owner == Some(member) {
-            self.owner = Some(member.other());
-        }
-    }
-
-    /// Forget ownership (pair dissolution at the grid tail).
-    pub fn clear_owner(&mut self) {
-        self.owner = None;
-    }
-}
-
-impl Default for SmemPairLock {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 #[cfg(test)]
@@ -272,9 +179,9 @@ mod tests {
 
     #[test]
     fn first_acquirer_becomes_owner() {
-        let mut l = RegPairLocks::new(4);
+        let mut l = PairLock::new(4);
         assert_eq!(l.owner(), None);
-        assert_eq!(l.access_shared(B, 2), RegAccess::Granted);
+        assert!(l.access_shared(B, 2));
         assert_eq!(l.owner(), Some(B));
         assert!(l.holds(B, 2));
         assert_eq!(l.live_holders(B), 1);
@@ -282,11 +189,11 @@ mod tests {
 
     #[test]
     fn partner_blocked_on_same_pair_lock() {
-        let mut l = RegPairLocks::new(2);
-        assert_eq!(l.access_shared(A, 0), RegAccess::Granted);
-        assert_eq!(l.access_shared(B, 0), RegAccess::Blocked);
+        let mut l = PairLock::new(2);
+        assert!(l.access_shared(A, 0));
+        assert!(!l.access_shared(B, 0));
         // Holder re-accessing is fine (no self-blocking).
-        assert_eq!(l.access_shared(A, 0), RegAccess::Granted);
+        assert!(l.access_shared(A, 0));
     }
 
     #[test]
@@ -295,13 +202,13 @@ mod tests {
         // (block B, warp idx 0) must NOT be able to acquire its own pair
         // lock even though that lock is free — otherwise the barrier
         // deadlock of Fig. 5 becomes reachable.
-        let mut l = RegPairLocks::new(2);
-        assert_eq!(l.access_shared(A, 1), RegAccess::Granted); // W2
-        assert_eq!(l.access_shared(B, 0), RegAccess::Blocked); // W3 denied
+        let mut l = PairLock::new(2);
+        assert!(l.access_shared(A, 1)); // W2
+        assert!(!l.access_shared(B, 0)); // W3 denied
 
         // Once W2 finishes, B may proceed.
         l.warp_finished(A, 1);
-        assert_eq!(l.access_shared(B, 0), RegAccess::Granted);
+        assert!(l.access_shared(B, 0));
     }
 
     #[test]
@@ -309,36 +216,31 @@ mod tests {
         // The simulator invalidates cached readiness only when an access
         // acquires a lock the warp did not hold; that is exact because
         // every other access leaves the lock state as it was.
-        let mut l = RegPairLocks::new(2);
-        l.access_shared(A, 0);
-        let before = l.clone();
-        assert!(l.holds(A, 0));
-        assert_eq!(l.access_shared(A, 0), RegAccess::Granted);
-        assert_eq!(l.access_shared(B, 0), RegAccess::Blocked);
-        assert_eq!(l.access_shared(B, 1), RegAccess::Blocked);
-        assert_eq!(l, before);
-
-        let mut s = SmemPairLock::new();
-        s.access_shared(B);
-        let before = s;
-        assert!(s.holds(B));
-        assert_eq!(s.access_shared(B), RegAccess::Granted);
-        assert_eq!(s.access_shared(A), RegAccess::Blocked);
-        assert_eq!(s, before);
+        for locks in [1, 2] {
+            let mut l = PairLock::new(locks);
+            l.access_shared(A, 0);
+            let before = l.clone();
+            assert!(l.holds(A, 0));
+            assert!(l.access_shared(A, 0));
+            for lock in 0..locks {
+                assert!(!l.access_shared(B, lock));
+            }
+            assert_eq!(l, before);
+        }
     }
 
     #[test]
     fn same_block_warps_may_hold_multiple_locks() {
-        let mut l = RegPairLocks::new(3);
-        assert_eq!(l.access_shared(A, 0), RegAccess::Granted);
-        assert_eq!(l.access_shared(A, 1), RegAccess::Granted);
-        assert_eq!(l.access_shared(A, 2), RegAccess::Granted);
+        let mut l = PairLock::new(3);
+        assert!(l.access_shared(A, 0));
+        assert!(l.access_shared(A, 1));
+        assert!(l.access_shared(A, 2));
         assert_eq!(l.live_holders(A), 3);
     }
 
     #[test]
     fn warp_finish_releases_exactly_its_lock() {
-        let mut l = RegPairLocks::new(2);
+        let mut l = PairLock::new(2);
         l.access_shared(A, 0);
         l.access_shared(A, 1);
         l.warp_finished(A, 0);
@@ -346,14 +248,14 @@ mod tests {
         assert!(l.holds(A, 1));
         assert_eq!(l.live_holders(A), 1);
         // Partner still blocked by the live holder on warp 1.
-        assert_eq!(l.access_shared(B, 0), RegAccess::Blocked);
+        assert!(!l.access_shared(B, 0));
         l.warp_finished(A, 1);
-        assert_eq!(l.access_shared(B, 0), RegAccess::Granted);
+        assert!(l.access_shared(B, 0));
     }
 
     #[test]
     fn finishing_a_nonholder_is_a_noop() {
-        let mut l = RegPairLocks::new(2);
+        let mut l = PairLock::new(2);
         l.access_shared(A, 0);
         l.warp_finished(B, 0); // B holds nothing
         assert!(l.holds(A, 0));
@@ -362,7 +264,7 @@ mod tests {
 
     #[test]
     fn block_completion_transfers_ownership() {
-        let mut l = RegPairLocks::new(2);
+        let mut l = PairLock::new(2);
         l.access_shared(A, 0);
         l.access_shared(A, 1);
         assert_eq!(l.owner(), Some(A));
@@ -370,13 +272,13 @@ mod tests {
         assert_eq!(l.owner(), Some(B));
         assert_eq!(l.live_holders(A), 0);
         // Replacement block in slot A can acquire once B has no live locks.
-        assert_eq!(l.access_shared(A, 0), RegAccess::Granted);
+        assert!(l.access_shared(A, 0));
         assert_eq!(l.owner(), Some(A));
     }
 
     #[test]
     fn non_owner_completion_keeps_ownership() {
-        let mut l = RegPairLocks::new(1);
+        let mut l = PairLock::new(1);
         l.access_shared(A, 0);
         l.block_completed(B); // non-owner leaves
         assert_eq!(l.owner(), Some(A));
@@ -384,30 +286,17 @@ mod tests {
     }
 
     #[test]
-    fn smem_lock_basics() {
-        let mut l = SmemPairLock::new();
-        assert_eq!(l.access_shared(B), RegAccess::Granted);
+    fn one_lock_guards_the_whole_pair() {
+        // Scratchpad sharing: every warp of a block takes lock 0 in the
+        // block's name, and the partner waits until the block completes.
+        let mut l = PairLock::new(1);
+        assert!(l.access_shared(B, 0));
         assert_eq!(l.owner(), Some(B));
-        assert_eq!(l.access_shared(A), RegAccess::Blocked);
-        assert_eq!(l.access_shared(B), RegAccess::Granted);
+        assert!(!l.access_shared(A, 0));
+        assert!(l.access_shared(B, 0));
+        assert_eq!(l.live_holders(B), 1);
         l.block_completed(B);
         assert_eq!(l.owner(), Some(A));
-        assert_eq!(l.access_shared(A), RegAccess::Granted);
-    }
-
-    #[test]
-    fn smem_clear_owner() {
-        let mut l = SmemPairLock::new();
-        l.access_shared(A);
-        l.clear_owner();
-        assert_eq!(l.owner(), None);
-    }
-
-    #[test]
-    fn early_release_behaves_like_finish() {
-        let mut l = RegPairLocks::new(1);
-        l.access_shared(A, 0);
-        l.release_early(A, 0);
-        assert_eq!(l.access_shared(B, 0), RegAccess::Granted);
+        assert!(l.access_shared(A, 0));
     }
 }

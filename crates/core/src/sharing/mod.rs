@@ -1,4 +1,4 @@
-//! Resource sharing: launch-plan arithmetic, pair locks, ownership.
+//! Resource sharing: launch-plan arithmetic, the pair lock, ownership.
 //!
 //! This module implements paper Sec. III (the sharing mechanism and the
 //! launch-count equations) and the ownership machinery of Sec. IV.
@@ -6,7 +6,7 @@
 mod locks;
 mod plan;
 
-pub use locks::{PairMember, RegAccess, RegPairLocks, SmemPairLock};
+pub use locks::{PairLock, PairMember};
 pub use plan::{compute_launch_plan, LaunchPlan};
 
 use serde::{Deserialize, Serialize};

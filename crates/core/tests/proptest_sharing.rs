@@ -1,24 +1,34 @@
 //! Property tests for the sharing runtime: lock mutual exclusion, the
 //! deadlock-avoidance invariant, ownership transfer, and scheduler contracts.
+//! The lock properties run at both granularities of the pair lock: one lock
+//! per warp index (register sharing) and one lock per pair (scratchpad
+//! sharing).
 
 use grs_core::sched::unit_slots;
-use grs_core::{
-    PairMember, RegAccess, RegPairLocks, Scheduler, SchedulerKind, SlotView, SmemPairLock,
-};
+use grs_core::{PairLock, PairMember, Scheduler, SchedulerKind, SlotView};
 use proptest::prelude::*;
 
+/// An operation on a pair's locks; `lock` is taken modulo the lock count.
 #[derive(Debug, Clone)]
 enum LockOp {
-    Access { member: bool, warp: usize },
-    Finish { member: bool, warp: usize },
+    Access { member: bool, lock: usize },
+    Finish { member: bool, lock: usize },
     CompleteBlock { member: bool },
 }
 
-fn lock_ops(warps: usize) -> impl Strategy<Value = Vec<LockOp>> {
+/// Locks of a register-sharing pair of eight-warp blocks.
+const WARP_LOCKS: usize = 8;
+
+/// A pair's lock count: one per warp index or one for the pair.
+fn lock_count() -> impl Strategy<Value = usize> {
+    any::<bool>().prop_map(|per_warp| if per_warp { WARP_LOCKS } else { 1 })
+}
+
+fn lock_ops() -> impl Strategy<Value = Vec<LockOp>> {
     proptest::collection::vec(
         prop_oneof![
-            (any::<bool>(), 0..warps).prop_map(|(m, w)| LockOp::Access { member: m, warp: w }),
-            (any::<bool>(), 0..warps).prop_map(|(m, w)| LockOp::Finish { member: m, warp: w }),
+            (any::<bool>(), 0..WARP_LOCKS).prop_map(|(m, l)| LockOp::Access { member: m, lock: l }),
+            (any::<bool>(), 0..WARP_LOCKS).prop_map(|(m, l)| LockOp::Finish { member: m, lock: l }),
             any::<bool>().prop_map(|m| LockOp::CompleteBlock { member: m }),
         ],
         1..200,
@@ -33,16 +43,27 @@ fn member(b: bool) -> PairMember {
     }
 }
 
+/// A pair lock of `n` locks after the accesses among `ops`.
+fn accessed(n: usize, ops: &[LockOp]) -> PairLock {
+    let mut locks = PairLock::new(n);
+    for op in ops {
+        if let LockOp::Access { member: m, lock } = *op {
+            locks.access_shared(member(m), lock % n);
+        }
+    }
+    locks
+}
+
 proptest! {
     /// At any point, live lock holders belong to a single block — the
     /// invariant that makes the Fig. 5 barrier deadlock unreachable.
     #[test]
-    fn live_holders_always_single_block(ops in lock_ops(8)) {
-        let mut locks = RegPairLocks::new(8);
+    fn live_holders_always_single_block(n in lock_count(), ops in lock_ops()) {
+        let mut locks = PairLock::new(n);
         for op in ops {
             match op {
-                LockOp::Access { member: m, warp } => { locks.access_shared(member(m), warp); }
-                LockOp::Finish { member: m, warp } => locks.warp_finished(member(m), warp),
+                LockOp::Access { member: m, lock } => { locks.access_shared(member(m), lock % n); }
+                LockOp::Finish { member: m, lock } => locks.warp_finished(member(m), lock % n),
                 LockOp::CompleteBlock { member: m } => locks.block_completed(member(m)),
             }
             let a = locks.live_holders(PairMember::A);
@@ -51,44 +72,33 @@ proptest! {
         }
     }
 
-    /// A granted access means the partner is denied on the same warp pair.
+    /// A granted access means the partner is denied on the same lock.
     #[test]
-    fn mutual_exclusion_per_warp_pair(ops in lock_ops(4), probe in 0usize..4) {
-        let mut locks = RegPairLocks::new(4);
-        for op in ops {
-            if let LockOp::Access { member: m, warp } = op {
-                locks.access_shared(member(m), warp);
-            }
-        }
+    fn mutual_exclusion_per_warp_pair(n in lock_count(), ops in lock_ops(), probe in 0..WARP_LOCKS) {
+        let locks = accessed(n, &ops);
+        let probe = probe % n;
         let a = locks.holds(PairMember::A, probe);
         let b = locks.holds(PairMember::B, probe);
-        prop_assert!(!(a && b), "both members hold warp pair {probe}");
+        prop_assert!(!(a && b), "both members hold lock {probe}");
     }
 
     /// `can_access` exactly predicts `access_shared` (peek soundness).
     #[test]
-    fn peek_matches_acquire(ops in lock_ops(4), m in any::<bool>(), w in 0usize..4) {
-        let mut locks = RegPairLocks::new(4);
-        for op in ops {
-            if let LockOp::Access { member: mm, warp } = op {
-                locks.access_shared(member(mm), warp);
-            }
-        }
-        let predicted = locks.can_access(member(m), w);
-        let got = locks.access_shared(member(m), w);
-        prop_assert_eq!(predicted, got == RegAccess::Granted);
+    fn peek_matches_acquire(n in lock_count(), ops in lock_ops(), m in any::<bool>(), l in 0..WARP_LOCKS) {
+        let mut locks = accessed(n, &ops);
+        let predicted = locks.can_access(member(m), l % n);
+        prop_assert_eq!(predicted, locks.access_shared(member(m), l % n));
     }
 
-    /// The scratchpad pair lock never reports two concurrent holders and its
-    /// peek is sound.
+    /// A one-lock pair (scratchpad sharing) never reports two concurrent
+    /// holders, and its peek is sound.
     #[test]
     fn smem_lock_exclusive(accessors in proptest::collection::vec(any::<bool>(), 1..50)) {
-        let mut lock = SmemPairLock::new();
+        let mut lock = PairLock::new(1);
         for m in accessors {
-            let predicted = lock.can_access(member(m));
-            let got = lock.access_shared(member(m));
-            prop_assert_eq!(predicted, got == RegAccess::Granted);
-            prop_assert!(!(lock.holds(PairMember::A) && lock.holds(PairMember::B)));
+            let predicted = lock.can_access(member(m), 0);
+            prop_assert_eq!(predicted, lock.access_shared(member(m), 0));
+            prop_assert!(!(lock.holds(PairMember::A, 0) && lock.holds(PairMember::B, 0)));
         }
     }
 }

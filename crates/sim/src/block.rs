@@ -1,6 +1,6 @@
 //! Per-block state and block-slot pairing.
 
-use grs_core::{PairMember, RegPairLocks, SmemPairLock};
+use grs_core::PairMember;
 
 /// How a block slot participates in sharing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,33 +27,6 @@ pub struct Block {
     pub at_barrier: u32,
     /// Sharing role of the occupied slot.
     pub pairing: Pairing,
-}
-
-/// Lock state for one pair of shared block slots.
-#[derive(Debug, Clone)]
-pub enum PairLocks {
-    /// Register sharing: per-warp-pair locks (paper Sec. III-A).
-    Reg(RegPairLocks),
-    /// Scratchpad sharing: one block-pair lock (paper Sec. III-B).
-    Smem(SmemPairLock),
-}
-
-impl PairLocks {
-    /// The pair's owner block, if determined.
-    pub fn owner(&self) -> Option<PairMember> {
-        match self {
-            PairLocks::Reg(l) => l.owner(),
-            PairLocks::Smem(l) => l.owner(),
-        }
-    }
-
-    /// Notify block completion (releases locks, transfers ownership).
-    pub fn block_completed(&mut self, member: PairMember) {
-        match self {
-            PairLocks::Reg(l) => l.block_completed(member),
-            PairLocks::Smem(l) => l.block_completed(member),
-        }
-    }
 }
 
 /// Compute the pairing of block slot `slot` in a launch plan with `unshared`
@@ -119,23 +92,5 @@ mod tests {
         for s in 0..8 {
             assert_eq!(pairing_of_slot(s, 8), Pairing::Unshared);
         }
-    }
-
-    #[test]
-    fn pair_locks_dispatch() {
-        let mut reg = PairLocks::Reg(RegPairLocks::new(4));
-        assert_eq!(reg.owner(), None);
-        if let PairLocks::Reg(l) = &mut reg {
-            l.access_shared(PairMember::B, 0);
-        }
-        assert_eq!(reg.owner(), Some(PairMember::B));
-        reg.block_completed(PairMember::B);
-        assert_eq!(reg.owner(), Some(PairMember::A));
-
-        let mut smem = PairLocks::Smem(SmemPairLock::new());
-        if let PairLocks::Smem(l) = &mut smem {
-            l.access_shared(PairMember::A);
-        }
-        assert_eq!(smem.owner(), Some(PairMember::A));
     }
 }

@@ -481,10 +481,7 @@ mod tests {
         for resource in [ResourceKind::Registers, ResourceKind::Scratchpad] {
             let shared_ki = KernelInfo::new(k.clone(), Some(resource), Threshold::paper_default());
             assert!(
-                shared_ki
-                    .meta
-                    .iter()
-                    .any(|m| m.uses_shared_reg() || m.uses_shared_smem()),
+                shared_ki.meta.iter().any(|m| m.uses_shared()),
                 "{resource:?}: the threshold classifies some access shared"
             );
             let plain_ki = KernelInfo::new(k.clone(), None, Threshold::paper_default());

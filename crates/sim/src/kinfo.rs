@@ -10,7 +10,7 @@
 //! parallel vectors plus the program itself.
 
 use grs_core::{ResourceKind, Threshold};
-use grs_isa::{Kernel, Op, WARP_SIZE};
+use grs_isa::{Instr, Kernel, Op, WARP_SIZE};
 
 use crate::warp::NO_REG;
 
@@ -30,18 +30,16 @@ pub struct InstrMeta {
     /// reserves this much MSHR/DRAM-queue capacity up front.
     pub mem_txns: u8,
     /// Classification bits (global or scratchpad access, global load,
-    /// exit, and whether it touches a *shared* register or *shared*
-    /// scratchpad under the run's threshold), read through the accessor
-    /// methods.
+    /// exit, and whether it touches the run's shared resource past the
+    /// threshold's private part), read through the accessor methods.
     pub flags: u8,
 }
 
 const FLAG_GLOBAL_MEM: u8 = 1 << 0;
 const FLAG_SHARED_MEM: u8 = 1 << 1;
-const FLAG_SHARED_REG: u8 = 1 << 2;
-const FLAG_SHARED_SMEM: u8 = 1 << 3;
-const FLAG_EXIT: u8 = 1 << 4;
-const FLAG_GLOBAL_LOAD: u8 = 1 << 5;
+const FLAG_SHARED: u8 = 1 << 2;
+const FLAG_EXIT: u8 = 1 << 3;
+const FLAG_GLOBAL_LOAD: u8 = 1 << 4;
 
 impl InstrMeta {
     /// Global-memory load or store?
@@ -56,16 +54,12 @@ impl InstrMeta {
         self.flags & FLAG_SHARED_MEM != 0
     }
 
-    /// Touches a register classified *shared* under the run's threshold?
+    /// Needs the pair lock: touches a register (under register sharing)
+    /// or scratchpad bytes (under scratchpad sharing) classified *shared*
+    /// under the run's threshold?
     #[inline]
-    pub fn uses_shared_reg(&self) -> bool {
-        self.flags & FLAG_SHARED_REG != 0
-    }
-
-    /// Touches scratchpad classified *shared* under the run's threshold?
-    #[inline]
-    pub fn uses_shared_smem(&self) -> bool {
-        self.flags & FLAG_SHARED_SMEM != 0
+    pub fn uses_shared(&self) -> bool {
+        self.flags & FLAG_SHARED != 0
     }
 
     /// Global-memory **load** (allocates an MSHR entry on an L2 miss under
@@ -92,13 +86,6 @@ pub struct KernelInfo {
     /// Active threads in each warp of a block (last warp may be partial,
     /// e.g. b+tree's 508-thread blocks).
     pub threads_in_warp: Vec<u32>,
-    /// Number of per-thread registers classified *private* under the run's
-    /// threshold: a register is shared iff its declaration sequence number
-    /// is `≥ private_regs` (the `Rw·t` boundary of Fig. 3 expressed in
-    /// per-thread register sequence numbers).
-    pub private_regs: u16,
-    /// Scratchpad bytes classified private per block (`Rtb·t` of Fig. 4).
-    pub private_smem: u32,
     /// Per static instruction: packed scan/issue metadata.
     pub meta: Vec<InstrMeta>,
     /// Loop-counter table size per warp.
@@ -117,18 +104,21 @@ impl KernelInfo {
             remaining = remaining.saturating_sub(WARP_SIZE);
         }
 
-        // Private boundaries: with sharing disabled for a resource, every
-        // access to it is private (boundary = everything).
-        let private_regs = match sharing {
+        // The shared resource's private part; everything past it is
+        // shared. Registers: a register is shared iff its declaration
+        // sequence number reaches ⌊t·regs_per_thread⌋ (the `Rw·t` boundary
+        // of Fig. 3 in per-thread sequence numbers). Scratchpad: an access
+        // is shared iff its highest byte reaches ⌊t·Rtb⌋ (Fig. 4).
+        let uses_shared = |i: &Instr| match sharing {
             Some(ResourceKind::Registers) => {
-                // Rw·t warp registers = t·regs_per_thread per-thread regs.
-                (threshold.t() * f64::from(kernel.regs_per_thread)).floor() as u16
+                let private = threshold.private_units(kernel.regs_per_thread);
+                i.operands().any(|r| u32::from(kernel.seq_of(r)) >= private)
             }
-            _ => kernel.regs_per_thread as u16,
-        };
-        let private_smem = match sharing {
-            Some(ResourceKind::Scratchpad) => threshold.private_units(kernel.smem_per_block),
-            _ => kernel.smem_per_block,
+            Some(ResourceKind::Scratchpad) => {
+                let private = threshold.private_units(kernel.smem_per_block);
+                matches!(i.op, Op::LdShared(p) | Op::StShared(p) if p.max_byte() >= private)
+            }
+            None => false,
         };
 
         let meta: Vec<InstrMeta> = kernel
@@ -150,13 +140,8 @@ impl KernelInfo {
                 if i.op.is_shared_mem() {
                     flags |= FLAG_SHARED_MEM;
                 }
-                if i.operands().any(|r| kernel.seq_of(r) >= private_regs) {
-                    flags |= FLAG_SHARED_REG;
-                }
-                if let Op::LdShared(p) | Op::StShared(p) = i.op {
-                    if p.max_byte() >= private_smem {
-                        flags |= FLAG_SHARED_SMEM;
-                    }
+                if uses_shared(i) {
+                    flags |= FLAG_SHARED;
                 }
                 if matches!(i.op, Op::Exit) {
                     flags |= FLAG_EXIT;
@@ -175,8 +160,6 @@ impl KernelInfo {
         KernelInfo {
             warps_per_block,
             threads_in_warp,
-            private_regs,
-            private_smem,
             meta,
             num_loops,
             kernel,
@@ -187,19 +170,37 @@ impl KernelInfo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grs_isa::{GlobalPattern, KernelBuilder};
+    use grs_isa::{GlobalPattern, Program, Reg, SharedPattern};
 
+    /// 508 threads, 24 registers and 2180 scratchpad bytes a block. At
+    /// t = 0.1 the registers below ⌊0.1·24⌋ = 2 and the bytes below
+    /// ⌊0.1·2180⌋ = 218 are private, and each boundary has an access on
+    /// either side: IALUs on registers 1 and 2, and scratchpad loads whose
+    /// highest bytes are 217 and 218.
     fn kernel() -> Kernel {
-        KernelBuilder::new("k")
-            .threads_per_block(508)
-            .regs_per_thread(24)
-            .smem_per_block(2180)
-            .grid_blocks(4)
-            .ialu(2)
-            .ld_shared(0, 128)
-            .ld_shared(2000, 64)
-            .ld_global(GlobalPattern::Stream)
-            .build()
+        let alu = |r| Instr::new(Op::IAlu, Some(Reg(r)), &[Reg(r)]);
+        let lds = |bytes| {
+            Instr::new(
+                Op::LdShared(SharedPattern::new(0, bytes)),
+                Some(Reg(0)),
+                &[],
+            )
+        };
+        let instrs = vec![
+            alu(1),
+            alu(2),
+            lds(218),
+            lds(219),
+            Instr::new(Op::LdGlobal(GlobalPattern::Stream), Some(Reg(0)), &[]),
+            Instr::new(Op::Exit, None, &[]),
+        ];
+        Kernel::new("k", 508, 24, 2180, 4, Program::new(instrs))
+    }
+
+    /// Which instructions of `k` need the pair lock under `sharing`.
+    fn shared(k: Kernel, sharing: Option<ResourceKind>) -> Vec<bool> {
+        let ki = KernelInfo::new(k, sharing, Threshold::paper_default());
+        ki.meta.iter().map(|m| m.uses_shared()).collect()
     }
 
     #[test]
@@ -212,46 +213,29 @@ mod tests {
 
     #[test]
     fn baseline_marks_nothing_shared() {
-        let ki = KernelInfo::new(kernel(), None, Threshold::paper_default());
-        assert!(ki.meta.iter().all(|m| !m.uses_shared_reg()));
-        assert!(ki.meta.iter().all(|m| !m.uses_shared_smem()));
+        assert_eq!(shared(kernel(), None), [false; 6]);
     }
 
     #[test]
     fn register_sharing_boundary() {
-        let ki = KernelInfo::new(
-            kernel(),
-            Some(ResourceKind::Registers),
-            Threshold::paper_default(),
-        );
-        // t = 0.1, 24 regs/thread → 2 private per-thread registers.
-        assert_eq!(ki.private_regs, 2);
-        // Scratchpad untouched by register sharing.
-        assert_eq!(ki.private_smem, 2180);
-        assert!(ki.meta.iter().all(|m| !m.uses_shared_smem()));
-        // Some instruction uses registers ≥ seq 2.
-        assert!(ki.meta.iter().any(|m| m.uses_shared_reg()));
+        // Register 1 is private and register 2 shared; no scratchpad
+        // access is shared, whatever its bytes.
+        let want = [false, true, false, false, false, false];
+        assert_eq!(shared(kernel(), Some(ResourceKind::Registers)), want);
+        // The boundary is in declaration sequence numbers: swapping the
+        // two registers' declarations swaps their classes.
+        let mut k = kernel();
+        k.decl_seq.swap(1, 2);
+        let want = [true, false, false, false, false, false];
+        assert_eq!(shared(k, Some(ResourceKind::Registers)), want);
     }
 
     #[test]
     fn scratchpad_sharing_boundary() {
-        let ki = KernelInfo::new(
-            kernel(),
-            Some(ResourceKind::Scratchpad),
-            Threshold::paper_default(),
-        );
-        // t = 0.1 → 218 private bytes.
-        assert_eq!(ki.private_smem, 218);
-        // The 0..128 access is private; the access ending at 2063 is shared.
-        let shared_flags: Vec<bool> = ki
-            .meta
-            .iter()
-            .filter(|m| m.is_shared_mem())
-            .map(|m| m.uses_shared_smem())
-            .collect();
-        assert_eq!(shared_flags, vec![false, true]);
-        // Registers untouched by scratchpad sharing.
-        assert!(ki.meta.iter().all(|m| !m.uses_shared_reg()));
+        // The load reaching byte 217 is private and the one reaching byte
+        // 218 shared; no register is shared.
+        let want = [false, false, false, true, false, false];
+        assert_eq!(shared(kernel(), Some(ResourceKind::Scratchpad)), want);
     }
 
     #[test]

@@ -781,7 +781,7 @@ mod tests {
             (m.scheduler, m.dyn_throttle, m.sharing),
             (SchedulerKind::Owf, true, Some(ResourceKind::Registers))
         );
-        assert!(m.kinfo.meta.iter().any(|i| i.uses_shared_reg()));
+        assert!(m.kinfo.meta.iter().any(|i| i.uses_shared()));
 
         // The scratchpad is not what limits it: no pairs, so the unshared
         // machine, OWF run as GTO, and no access classified shared.
@@ -792,7 +792,7 @@ mod tests {
             (m.scheduler, m.dyn_throttle, m.sharing),
             (SchedulerKind::Gto, false, None)
         );
-        assert!(m.kinfo.meta.iter().all(|i| !i.uses_shared_smem()));
+        assert!(m.kinfo.meta.iter().all(|i| !i.uses_shared()));
         // Only OWF is rewritten.
         for s in [
             SchedulerKind::Lrr,

@@ -69,12 +69,12 @@
 
 use grs_core::sched::unit_slots;
 use grs_core::{
-    DynThrottle, LatencyConfig, LaunchPlan, RegAccess, RegPairLocks, Scheduler, SchedulerKind,
-    SlotView, SmemPairLock, WarpClass, MAX_WARP_SLOTS,
+    DynThrottle, LatencyConfig, LaunchPlan, PairLock, Scheduler, SchedulerKind, SlotView,
+    WarpClass, MAX_WARP_SLOTS,
 };
 use grs_isa::Op;
 
-use crate::block::{pairing_of_slot, Block, PairLocks, Pairing};
+use crate::block::{pairing_of_slot, Block, Pairing};
 use crate::cache::Cache;
 use crate::dispatch::Dispatcher;
 use crate::kinfo::KernelInfo;
@@ -150,7 +150,9 @@ struct Gate {
 /// Static per-run SM mode flags.
 #[derive(Debug, Clone, Copy)]
 pub struct SmMode {
-    /// Register (true) or scratchpad (false) pair locks for shared slots.
+    /// Register sharing (true: one pair lock per warp index, released at
+    /// the warp's exit) or scratchpad sharing (false: one lock per pair,
+    /// released at its holder block's completion).
     pub register_sharing: bool,
     /// Event-engine incremental scan (true) or the per-cycle reference scan
     /// (false; see [`Sm`] field docs).
@@ -197,7 +199,9 @@ pub struct Sm {
     /// `b*warps_per_block ..= (b+1)*warps_per_block - 1`.
     pub warps: Vec<Option<Warp>>,
     /// Pair-lock state, one entry per shared pair of the launch plan.
-    pub pairs: Vec<PairLocks>,
+    pub pairs: Vec<PairLock>,
+    /// See [`SmMode::register_sharing`].
+    register_sharing: bool,
     /// The launch plan this SM was configured with.
     pub plan: LaunchPlan,
     /// Statistics.
@@ -291,21 +295,14 @@ impl Sm {
             slots * wpb <= MAX_WARP_SLOTS,
             "{slots} blocks × {wpb} warps exceed {MAX_WARP_SLOTS} warp slots"
         );
-        let pairs = (0..plan.shared_pairs)
-            .map(|_| {
-                if mode.register_sharing {
-                    PairLocks::Reg(RegPairLocks::new(wpb))
-                } else {
-                    PairLocks::Smem(SmemPairLock::new())
-                }
-            })
-            .collect();
+        let locks = if mode.register_sharing { wpb } else { 1 };
         Sm {
             id,
             l1,
             blocks: vec![None; slots],
             warps: vec![None; slots * wpb],
-            pairs,
+            pairs: vec![PairLock::new(locks); plan.shared_pairs as usize],
+            register_sharing: mode.register_sharing,
             plan,
             stats: SmStats::default(),
             sched: sched_kind.build(slots * wpb, units),
@@ -740,6 +737,17 @@ impl Sm {
         self.mark_blocks_dirty(self.plan.unshared + 2 * pair, 2, warps_per_block);
     }
 
+    /// The pair lock a shared access of warp `warp_in_block` needs: its
+    /// own under register sharing, the pair's one lock otherwise.
+    #[inline]
+    fn lock_of(&self, warp_in_block: u32) -> usize {
+        if self.register_sharing {
+            warp_in_block as usize
+        } else {
+            0
+        }
+    }
+
     /// Scan resident warps, refreshing the scheduler view. Only the slots
     /// whose outcome can have changed are re-evaluated: dirtied slots
     /// (including every non-owner slot when the SM's throttle probability
@@ -924,14 +932,9 @@ impl Sm {
                     // Pair-lock busy-wait (Fig. 3 / Fig. 4 step (e)): the
                     // warp is simply not ready; it retries next cycle.
                     if let Pairing::Paired { pair, member } = block.pairing {
-                        let granted = match &self.pairs[pair as usize] {
-                            PairLocks::Reg(l) if meta.uses_shared_reg() => {
-                                l.can_access(member, w.warp_in_block as usize)
-                            }
-                            PairLocks::Smem(l) if meta.uses_shared_smem() => l.can_access(member),
-                            _ => true,
-                        };
-                        if !granted {
+                        let lock = self.lock_of(w.warp_in_block);
+                        if meta.uses_shared() && !self.pairs[pair as usize].can_access(member, lock)
+                        {
                             outcome = Outcome::Locked;
                         }
                     }
@@ -1003,34 +1006,22 @@ impl Sm {
             None => {}
         }
 
-        // Acquire pair locks for real (a peer scheduler unit may have taken
-        // them since the readiness scan). An acquisition flips the pair's
-        // lock and owner state, so cached outcomes of both blocks are
+        // Acquire the pair lock for real (a peer scheduler unit may have
+        // taken it since the readiness scan). An acquisition flips the
+        // pair's lock and owner state, so cached outcomes of both blocks are
         // invalidated; a re-grant of a lock the warp holds and a denial
         // mutate nothing.
         if let Pairing::Paired { pair, member } = pairing {
-            if meta.uses_shared_reg() {
-                if let PairLocks::Reg(l) = &mut self.pairs[pair as usize] {
-                    let held = l.holds(member, warp_in_block as usize);
-                    if l.access_shared(member, warp_in_block as usize) == RegAccess::Blocked {
-                        self.stats.lock_retries += 1;
-                        return false;
-                    }
-                    if !held {
-                        self.mark_pair_dirty(pair, kinfo.warps_per_block);
-                    }
+            if meta.uses_shared() {
+                let lock = self.lock_of(warp_in_block);
+                let l = &mut self.pairs[pair as usize];
+                let held = l.holds(member, lock);
+                if !l.access_shared(member, lock) {
+                    self.stats.lock_retries += 1;
+                    return false;
                 }
-            }
-            if meta.uses_shared_smem() {
-                if let PairLocks::Smem(l) = &mut self.pairs[pair as usize] {
-                    let held = l.holds(member);
-                    if l.access_shared(member) == RegAccess::Blocked {
-                        self.stats.lock_retries += 1;
-                        return false;
-                    }
-                    if !held {
-                        self.mark_pair_dirty(pair, kinfo.warps_per_block);
-                    }
+                if !held {
+                    self.mark_pair_dirty(pair, kinfo.warps_per_block);
                 }
             }
         }
@@ -1170,8 +1161,8 @@ impl Sm {
     ) {
         self.structural = true;
         if let Pairing::Paired { pair, member } = pairing {
-            if let PairLocks::Reg(l) = &mut self.pairs[pair as usize] {
-                l.warp_finished(member, warp_in_block as usize);
+            if self.register_sharing {
+                self.pairs[pair as usize].warp_finished(member, warp_in_block as usize);
             }
         }
         let block = self.blocks[block_slot as usize]
@@ -1492,10 +1483,7 @@ mod tests {
         s.id = 1;
         s.launch_block(0, &ki, 0);
         s.launch_block(1, &ki, 0);
-        let PairLocks::Reg(l) = &mut s.pairs[0] else {
-            panic!("register sharing builds register pair locks");
-        };
-        l.access_shared(PairMember::A, 0);
+        s.pairs[0].access_shared(PairMember::A, 0);
         (s, ki, DynThrottle::new(2, 1000, step, true))
     }
 
