@@ -46,12 +46,6 @@ impl LaunchPlan {
         self.unshared + self.shared_pairs
     }
 
-    /// Extra resident blocks relative to the baseline.
-    #[inline]
-    pub fn extra_blocks(&self) -> u32 {
-        self.max_blocks.saturating_sub(self.baseline_blocks)
-    }
-
     /// True when the plan degenerates to the baseline (no pairs) — what
     /// happens for Set-3 kernels whose residency is limited by threads or
     /// blocks rather than the shared resource (paper Sec. VI-B2).

@@ -63,18 +63,6 @@ impl Op {
         matches!(self, Op::LdShared(_) | Op::StShared(_))
     }
 
-    /// True for any memory access (global or scratchpad).
-    #[inline]
-    pub fn is_mem(&self) -> bool {
-        self.is_global_mem() || self.is_shared_mem()
-    }
-
-    /// True for control instructions (barrier / branch / exit).
-    #[inline]
-    pub fn is_control(&self) -> bool {
-        matches!(self, Op::Barrier | Op::BranchBack { .. } | Op::Exit)
-    }
-
     /// Short mnemonic used by the disassembler.
     pub fn mnemonic(&self) -> &'static str {
         match self {
@@ -171,10 +159,9 @@ mod tests {
     fn classification_predicates() {
         let ld = Op::LdGlobal(GlobalPattern::Stream);
         let st = Op::StShared(SharedPattern::new(0, 64));
-        assert!(ld.is_global_mem() && ld.is_mem() && !ld.is_shared_mem());
-        assert!(st.is_shared_mem() && st.is_mem() && !st.is_global_mem());
-        assert!(Op::Barrier.is_control());
-        assert!(!Op::IAlu.is_mem() && !Op::IAlu.is_control());
+        assert!(ld.is_global_mem() && !ld.is_shared_mem());
+        assert!(st.is_shared_mem() && !st.is_global_mem());
+        assert!(!Op::IAlu.is_global_mem() && !Op::IAlu.is_shared_mem());
     }
 
     #[test]

@@ -69,12 +69,6 @@ impl Kernel {
         self.regs_per_thread.saturating_mul(self.threads_per_block)
     }
 
-    /// Registers required by one warp (`Rw`).
-    #[inline]
-    pub fn regs_per_warp(&self) -> u32 {
-        self.regs_per_thread * WARP_SIZE
-    }
-
     /// Sequence number of a register under the current declaration order.
     #[inline]
     pub fn seq_of(&self, reg: Reg) -> u16 {
@@ -126,7 +120,6 @@ mod tests {
         let hotspot = k(256, 36);
         assert_eq!(hotspot.regs_per_block(), 9216);
         assert_eq!(hotspot.warps_per_block(), 8);
-        assert_eq!(hotspot.regs_per_warp(), 36 * 32);
         assert_eq!(k(u32::MAX, 36).regs_per_block(), u32::MAX);
     }
 

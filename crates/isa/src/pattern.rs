@@ -72,21 +72,6 @@ impl GlobalPattern {
             txns: txns.clamp(1, 32),
         }
     }
-
-    /// Size, in 128 B lines, of the address region this pattern confines a
-    /// block's accesses to — the per-block working set that determines
-    /// cache pressure. `None` for [`GlobalPattern::Stream`], whose footprint
-    /// grows with every dynamic execution instead of wrapping.
-    #[inline]
-    pub fn footprint_lines(self) -> Option<u32> {
-        match self {
-            GlobalPattern::Stream => None,
-            GlobalPattern::BlockTile { tile_lines } | GlobalPattern::KernelTile { tile_lines } => {
-                Some(tile_lines)
-            }
-            GlobalPattern::Scatter { span_lines, .. } => Some(span_lines),
-        }
-    }
 }
 
 /// How a warp addresses the **scratchpad** (shared memory).
@@ -176,20 +161,6 @@ mod tests {
                 txns: 7
             }
         );
-    }
-
-    #[test]
-    fn footprint_lines_names_the_wrapping_patterns() {
-        assert_eq!(GlobalPattern::Stream.footprint_lines(), None);
-        assert_eq!(
-            GlobalPattern::BlockTile { tile_lines: 8 }.footprint_lines(),
-            Some(8)
-        );
-        assert_eq!(
-            GlobalPattern::KernelTile { tile_lines: 5 }.footprint_lines(),
-            Some(5)
-        );
-        assert_eq!(GlobalPattern::scatter(64, 4).footprint_lines(), Some(64));
     }
 
     #[test]

@@ -117,16 +117,6 @@ impl Cache {
         }
         CacheOutcome::Miss
     }
-
-    /// Load-miss ratio over the cache's lifetime.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +170,6 @@ mod tests {
                 assert_eq!(out, CacheOutcome::Miss, "pass {pass} line {i}");
             }
         }
-        assert_eq!(c.miss_ratio(), 1.0);
     }
 
     #[test]
