@@ -334,7 +334,7 @@ pub fn machine_key(m: &Machine) -> MachineKey {
         // Read only through `meta`, which holds one entry per instruction
         // with its op, destination and operand mask.
         program: _,
-        // Read only through the shared-register flags in `meta` (the plan
+        // Read only through the shared flag in `meta` (the plan
         // depends on the footprint alone).
         decl_seq: _,
     } = kernel;

@@ -27,8 +27,8 @@ fn lock_count() -> impl Strategy<Value = usize> {
 fn lock_ops() -> impl Strategy<Value = Vec<LockOp>> {
     proptest::collection::vec(
         prop_oneof![
-            (any::<bool>(), 0..WARP_LOCKS).prop_map(|(m, l)| LockOp::Access { member: m, lock: l }),
-            (any::<bool>(), 0..WARP_LOCKS).prop_map(|(m, l)| LockOp::Finish { member: m, lock: l }),
+            (any::<bool>(), 0..WARP_LOCKS).prop_map(|(m, lock)| LockOp::Access { member: m, lock }),
+            (any::<bool>(), 0..WARP_LOCKS).prop_map(|(m, lock)| LockOp::Finish { member: m, lock }),
             any::<bool>().prop_map(|m| LockOp::CompleteBlock { member: m }),
         ],
         1..200,
@@ -74,7 +74,11 @@ proptest! {
 
     /// A granted access means the partner is denied on the same lock.
     #[test]
-    fn mutual_exclusion_per_warp_pair(n in lock_count(), ops in lock_ops(), probe in 0..WARP_LOCKS) {
+    fn mutual_exclusion_per_warp_pair(
+        n in lock_count(),
+        ops in lock_ops(),
+        probe in 0..WARP_LOCKS,
+    ) {
         let locks = accessed(n, &ops);
         let probe = probe % n;
         let a = locks.holds(PairMember::A, probe);
@@ -84,7 +88,12 @@ proptest! {
 
     /// `can_access` exactly predicts `access_shared` (peek soundness).
     #[test]
-    fn peek_matches_acquire(n in lock_count(), ops in lock_ops(), m in any::<bool>(), l in 0..WARP_LOCKS) {
+    fn peek_matches_acquire(
+        n in lock_count(),
+        ops in lock_ops(),
+        m in any::<bool>(),
+        l in 0..WARP_LOCKS,
+    ) {
         let mut locks = accessed(n, &ops);
         let predicted = locks.can_access(member(m), l % n);
         prop_assert_eq!(predicted, locks.access_shared(member(m), l % n));

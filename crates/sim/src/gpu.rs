@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn a_plan_without_pairs_runs_as_the_unshared_gto_machine() {
         // Built with the throttle on, a sharing resource, OWF and the
-        // threshold's shared flags, a plan with no shared pairs must give
+        // threshold's shared flag, a plan with no shared pairs must give
         // the unshared GTO machine's statistics: no block is paired, so no
         // lock, owner class or throttle gate arises. `Simulator::prepare`
         // resolves such plans to the unshared machine on the strength of

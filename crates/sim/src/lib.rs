@@ -7,7 +7,7 @@
 //! a writeback queue; global memory flows through a per-SM L1, a shared L2
 //! with bandwidth limits, and a DRAM latency/service model; the
 //! resource-sharing runtime from [`grs_core`] gates shared register and
-//! scratchpad accesses through the paper's Fig. 3/Fig. 4 automata.
+//! scratchpad accesses through the paper's pair-lock automaton (Figs. 3–4).
 //!
 //! Execution is event-driven where cycle-accuracy permits: writebacks live
 //! in a slab-backed timing wheel ([`wheel`]) that stops allocating once it

@@ -8,7 +8,7 @@
 //!    completion, also frees the warp's in-flight slot),
 //! 2. scans every resident warp and classifies it *ready* or blocked
 //!    (scoreboard hazard, MSHR full, barrier, pair-lock busy-wait per the
-//!    Fig. 3/Fig. 4 automata, dynamic-throttle suppression),
+//!    Fig. 3/Fig. 4 pair lock, dynamic-throttle suppression),
 //! 3. lets each scheduler unit pick one ready warp (policy from
 //!    [`grs_core::sched`]) and issues its next instruction, subject to one
 //!    global-memory and one scratchpad instruction per SM per cycle
@@ -932,10 +932,11 @@ impl Sm {
                     // Pair-lock busy-wait (Fig. 3 / Fig. 4 step (e)): the
                     // warp is simply not ready; it retries next cycle.
                     if let Pairing::Paired { pair, member } = block.pairing {
-                        let lock = self.lock_of(w.warp_in_block);
-                        if meta.uses_shared() && !self.pairs[pair as usize].can_access(member, lock)
-                        {
-                            outcome = Outcome::Locked;
+                        if meta.uses_shared() {
+                            let lock = self.lock_of(w.warp_in_block);
+                            if !self.pairs[pair as usize].can_access(member, lock) {
+                                outcome = Outcome::Locked;
+                            }
                         }
                     }
                     // Dynamic warp-execution throttle (paper Sec. IV-C):
